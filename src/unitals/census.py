@@ -2,10 +2,12 @@
 
 A unital is full point regular (FPR) when, for every disjoint block pair,
 the full points lie in a single block disjoint from both; strongly FPR
-additionally requires a cyclic semi-regular perspectivity group.  The
-aggregation mirrors the published census tables: pair rows keyed by
-(full point count, group name), FPR/SFPR totals, and the breakdown of
-unitals by the structure of their large (>= 3 point) full point sets.
+additionally requires a cyclic semi-regular perspectivity group.  Each
+pair is analysed once, into a `PairAnalysis` that carries its FPR and SFPR
+verdicts; the unital's flags are read off those records.  The aggregation
+mirrors the published census tables: pair rows keyed by (full point count,
+group name), FPR/SFPR totals, and the breakdown of unitals by the
+structure of their large (>= 3 point) full point sets.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .design import AbstractUnital
 from .groups import structure_name
-from .nets import blocks_inside, find_dual_3nets, is_cyclic_3net
+from .nets import find_dual_3nets, is_cyclic_3net
 from .persp import SameBlock, full_points, persp_group
 
 LARGE_SET_THRESHOLD = 3
@@ -32,8 +35,7 @@ class NotDisjoint(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PairAnalysis:
+class PairAnalysis(NamedTuple):
     b1: int
     b2: int
     disjoint: bool
@@ -41,6 +43,8 @@ class PairAnalysis:
     group_order: int | None  # present only with >= 2 full points
     group_name: str | None
     fp_structure: str
+    fpr: bool | None  # verdicts for disjoint pairs only
+    sfpr: bool | None
 
 
 @dataclass
@@ -48,7 +52,6 @@ class UnitalReport:
     name: str
     order: int
     is_fpr: bool
-    is_fpr_strict: bool  # |F|=1 pairs also need a disjoint block through the point
     is_sfpr: bool
     embeddable_in_pg: bool  # contrapositive: non-SFPR unitals cannot embed
     pairs: list[PairAnalysis] = field(default_factory=list)
@@ -72,12 +75,12 @@ def _no_three_collinear(u: AbstractUnital, pts) -> bool:
     return all(len(u.block_set(u.block_through(p, q)) & s) <= 2 for p, q in combinations(pts, 2))
 
 
-def _classify_structure(u: AbstractUnital, fp) -> str:
+def _classify_structure(u: AbstractUnital, fp, container) -> str:
     if len(fp) == 0:
         return FP_EMPTY
     if len(fp) == 1:
         return FP_SINGLE
-    if _containing_block(u, fp) is not None:
+    if container is not None:
         return FP_IN_BLOCK
     if _no_three_collinear(u, fp):
         return FP_NO_3_COLLINEAR
@@ -85,62 +88,55 @@ def _classify_structure(u: AbstractUnital, fp) -> str:
 
 
 def analyze_pair(u: AbstractUnital, b1: int, b2: int, fp=None) -> PairAnalysis:
+    """Everything the census needs of one block pair, with its perspectivity
+    group built once.
+
+    For a disjoint pair, FPR holds when the full points lie in one block
+    disjoint from both (vacuously with at most one full point), and SFPR
+    when moreover the group is cyclic and semi-regular.
+    """
     if b1 == b2:
         raise SameBlock("a pair needs two distinct blocks")
     if fp is None:
         fp = full_points(u, b1, b2)
-    group_order = group_name = None
+    disjoint = u.blocks_disjoint(b1, b2)
+    container = group = None
     if len(fp) >= 2:
-        g = persp_group(u, b1, b2, fp=fp)
-        group_order = g.order()
-        group_name = structure_name(g)
+        container = _containing_block(u, fp)
+        group = persp_group(u, b1, b2, fp=fp)
+    fpr = sfpr = None
+    if disjoint:
+        fpr = len(fp) <= 1 or (
+            container is not None and u.blocks_disjoint(container, b1) and u.blocks_disjoint(container, b2)
+        )
+        sfpr = fpr and (group is None or (group.is_cyclic() and group.is_semiregular()))
     return PairAnalysis(
         b1=b1,
         b2=b2,
-        disjoint=u.blocks_disjoint(b1, b2),
+        disjoint=disjoint,
         full_point_count=len(fp),
-        group_order=group_order,
-        group_name=group_name,
-        fp_structure=_classify_structure(u, fp),
+        group_order=None if group is None else group.order(),
+        group_name=None if group is None else structure_name(group),
+        fp_structure=_classify_structure(u, fp, container),
+        fpr=fpr,
+        sfpr=sfpr,
     )
 
 
-def is_fpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None, strict: bool = False) -> bool:
-    """Full point regularity of one disjoint pair.
-
-    With at most one full point the default convention is vacuously true;
-    strict mode requires, for a single full point, an actual block through
-    it disjoint from both.
-    """
+def _disjoint_pair(u: AbstractUnital, b1: int, b2: int, fp) -> PairAnalysis:
     if not u.blocks_disjoint(b1, b2):
         raise NotDisjoint(f"blocks ({b1},{b2}) are not disjoint")
-    if fp is None:
-        fp = full_points(u, b1, b2)
-    if len(fp) == 0:
-        return True
-    if len(fp) == 1:
-        if not strict:
-            return True
-        p = fp[0]
-        return any(
-            u.blocks_disjoint(c, b1) and u.blocks_disjoint(c, b2)
-            for c in {u.block_through(p, q) for q in u.points() if q != p}
-        )
-    c = _containing_block(u, fp)
-    return c is not None and u.blocks_disjoint(c, b1) and u.blocks_disjoint(c, b2)
+    return analyze_pair(u, b1, b2, fp=fp)
+
+
+def is_fpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None) -> bool:
+    """Full point regularity of one disjoint pair; vacuously true with at
+    most one full point."""
+    return _disjoint_pair(u, b1, b2, fp).fpr
 
 
 def is_sfpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None) -> bool:
-    if not u.blocks_disjoint(b1, b2):
-        raise NotDisjoint(f"blocks ({b1},{b2}) are not disjoint")
-    if fp is None:
-        fp = full_points(u, b1, b2)
-    if not is_fpr_triple(u, b1, b2, fp=fp):
-        return False
-    if len(fp) <= 1:
-        return True
-    g = persp_group(u, b1, b2, fp=fp)
-    return g.is_cyclic() and g.is_semiregular()
+    return _disjoint_pair(u, b1, b2, fp).sfpr
 
 
 def all_pair_full_points(u: AbstractUnital) -> dict:
@@ -151,44 +147,30 @@ def all_pair_full_points(u: AbstractUnital) -> dict:
 
 def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:
     pair_fp = all_pair_full_points(u)
-
-    is_fpr = is_fpr_strict = is_sfpr = True
-    pairs = []
-    large_in_block = []
-    large_forms_block = []
-    for (b1, b2), fp in pair_fp.items():
-        pa = analyze_pair(u, b1, b2, fp=fp)
-        pairs.append(pa)
-        if not is_fpr_triple(u, b1, b2, fp=fp):
-            is_fpr = False
-        if is_fpr_strict and not is_fpr_triple(u, b1, b2, fp=fp, strict=True):
-            is_fpr_strict = False
-        if is_sfpr and not is_sfpr_triple(u, b1, b2, fp=fp):
-            is_sfpr = False
-        if len(fp) >= LARGE_SET_THRESHOLD:
-            c = _containing_block(u, fp)
-            large_in_block.append(c is not None)
-            large_forms_block.append(c is not None and len(fp) == u.order + 1)
+    pairs = [analyze_pair(u, b1, b2, fp=fp) for (b1, b2), fp in pair_fp.items()]
+    is_sfpr = all(pa.sfpr for pa in pairs)
+    large = [pa for pa in pairs if pa.full_point_count >= LARGE_SET_THRESHOLD]
+    in_block = [pa.fp_structure == FP_IN_BLOCK for pa in large]
+    forms_block = [pa.fp_structure == FP_IN_BLOCK and pa.full_point_count == u.order + 1 for pa in large]
 
     nets = list(find_dual_3nets(u, pair_full_points=pair_fp))
     cyclic_flags = [is_cyclic_3net(u, net) for net in nets]
 
-    has_large = bool(large_in_block)
+    has_large = bool(large)
     return UnitalReport(
         name=name,
         order=u.order,
-        is_fpr=is_fpr,
-        is_fpr_strict=is_fpr_strict,
+        is_fpr=all(pa.fpr for pa in pairs),
         is_sfpr=is_sfpr,
         embeddable_in_pg=is_sfpr,  # necessary condition only
         pairs=pairs,
         nets=nets,
         net_cyclic=cyclic_flags,
         has_large_set=has_large,
-        all_large_form_block=has_large and all(large_forms_block),
-        all_large_in_block=has_large and all(large_in_block),
-        some_large_not_in_block=has_large and not all(large_in_block),
-        no_large_in_block=has_large and not any(large_in_block),
+        all_large_form_block=has_large and all(forms_block),
+        all_large_in_block=has_large and all(in_block),
+        some_large_not_in_block=has_large and not all(in_block),
+        no_large_in_block=has_large and not any(in_block),
     )
 
 

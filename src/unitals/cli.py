@@ -20,9 +20,8 @@ import click
 from . import census as census_mod
 from . import formats, nets
 from .design import NotAUnital
-from .groups import structure_name
 from .hermitian import hermitian_unital
-from .persp import full_points, persp_group
+from .persp import full_points
 
 
 def _fail(code: str, message: str) -> None:
@@ -99,14 +98,14 @@ def fullpoints(file: str, pair: str) -> None:
     if not (1 <= b1 <= u.num_blocks and 1 <= b2 <= u.num_blocks) or b1 == b2:
         _fail("ARGS", f"block indices must be distinct and in 1..{u.num_blocks}")
     fp = full_points(u, b1, b2)
+    pa = census_mod.analyze_pair(u, b1, b2, fp=fp)
     click.echo(f"full points of ({b1},{b2}): {list(fp)}")
-    if len(fp) >= 2:
-        g = persp_group(u, b1, b2, fp=fp)
-        click.echo(f"group order {g.order()}, structure {structure_name(g)}")
+    if pa.group_order is not None:
+        click.echo(f"group order {pa.group_order}, structure {pa.group_name}")
     else:
         click.echo("group trivial (fewer than 2 full points)")
-    if u.blocks_disjoint(b1, b2):
-        click.echo(f"SFPR triple: {census_mod.is_sfpr_triple(u, b1, b2, fp=fp)}")
+    if pa.disjoint:
+        click.echo(f"SFPR triple: {pa.sfpr}")
     else:
         click.echo("blocks intersect; regularity flags apply to disjoint pairs only")
 
@@ -129,8 +128,7 @@ def dualnets(file: str, latin: bool) -> None:
             click.echo(nets.latin_square_from_3net(u, net).serialize())
 
 
-def _census_worker(args):
-    path, idx = args
+def _census_worker(path):
     try:
         u = formats.load_unital(path)
     except (formats.ParseError, NotAUnital) as e:
@@ -158,9 +156,9 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
     failures = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_census_worker, [(p, i) for i, p in enumerate(paths)])
+            results = pool.map(_census_worker, paths)
     else:
-        results = map(_census_worker, [(p, i) for i, p in enumerate(paths)])
+        results = map(_census_worker, paths)
     for path, report, error in results:
         if error is not None:
             failures.append((path, error))
@@ -206,10 +204,10 @@ def appendix_check() -> None:
         _fail("GOLDEN", f"latin square unexpectedly group-based ({based})")
     click.echo("coordinate latin square is not group-based (net is non-cyclic)")
 
-    g = persp_group(u, 1, 33)
-    if g.is_cyclic() or g.order() <= 5:
-        _fail("GOLDEN", f"perspectivity group of (1,33) changed: order {g.order()}")
-    click.echo(f"perspectivity group of (1,33): order {g.order()}, structure {structure_name(g)}")
+    pa = census_mod.analyze_pair(u, 1, 33)
+    if (pa.group_order, pa.group_name) != (120, "S5"):
+        _fail("GOLDEN", f"perspectivity group of (1,33) changed: order {pa.group_order}, structure {pa.group_name}")
+    click.echo(f"perspectivity group of (1,33): order {pa.group_order}, structure {pa.group_name}")
     click.echo("PASS")
 
 

@@ -33,21 +33,29 @@ class AbstractUnital:
     def all_blocks(self) -> tuple[tuple[int, ...], ...]:
         return self._blocks
 
+    def _block_pos(self, i: int) -> int:
+        if not 1 <= i <= len(self._blocks):
+            raise IndexError(f"block index {i} outside 1..{len(self._blocks)}")
+        return i - 1
+
     def block(self, i: int) -> tuple[int, ...]:
         """Points of block i (1-based index)."""
-        return self._blocks[i - 1]
+        return self._blocks[self._block_pos(i)]
 
     def block_set(self, i: int) -> frozenset[int]:
-        return self._block_sets[i - 1]
+        return self._block_sets[self._block_pos(i)]
 
     def block_through(self, p: int, q: int) -> int:
         """Index of the unique block containing both points."""
+        n = self.num_points
+        if not (1 <= p <= n and 1 <= q <= n):
+            raise IndexError(f"point ids ({p},{q}) outside 1..{n}")
         if p == q:
             raise ValueError("block_through needs two distinct points")
-        return self._pair_block[(p - 1) * self.num_points + (q - 1)]
+        return self._pair_block[(p - 1) * n + (q - 1)]
 
     def blocks_disjoint(self, i: int, j: int) -> bool:
-        return i != j and not (self._block_sets[i - 1] & self._block_sets[j - 1])
+        return i != j and not (self.block_set(i) & self.block_set(j))
 
     def points(self) -> range:
         return range(1, self.num_points + 1)

@@ -11,123 +11,86 @@ ambiguous keys fall back to a descriptive label.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
+from math import lcm
 
 MAX_GROUP_ORDER = 10_000
 
 
-class Perm:
-    """A permutation of {0..d-1}; ``a * b`` applies a first, then b."""
+def compose(a: tuple, b: tuple) -> tuple:
+    """The permutation that applies a first, then b (images of 0..d-1)."""
+    return tuple(map(b.__getitem__, a))
 
-    __slots__ = ("images",)
 
-    def __init__(self, images):
-        self.images = tuple(images)
-
-    @classmethod
-    def identity(cls, degree: int) -> "Perm":
-        return cls(range(degree))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        oi = other.images
-        return Perm(oi[i] for i in self.images)
-
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, im in enumerate(self.images):
-            inv[im] = i
-        return Perm(inv)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def is_identity(self) -> bool:
-        return all(i == im for i, im in enumerate(self.images))
-
-    def order(self) -> int:
-        n = 1
-        g = self
-        while not g.is_identity():
-            g = g * self
+def _cycle_lengths(p: tuple) -> list[int]:
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        n, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
             n += 1
-        return n
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Perm{self.images}"
+        if n:
+            lengths.append(n)
+    return lengths
 
 
 class PermGroup:
+    """All elements of a permutation group, each an image tuple.
+
+    Element orders come from cycle types, read once here; order, abelian
+    flag, spectrum, cyclicity and semiregularity all derive from them.
+    """
+
     def __init__(self, degree, generators, elements):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = frozenset(elements)
+        self._spectrum = Counter()
+        self._semiregular = True
+        for g in self.elements:
+            lengths = _cycle_lengths(g)
+            o = lcm(*lengths)
+            self._spectrum[o] += 1
+            if o > 1 and 1 in lengths:
+                self._semiregular = False
+        self._abelian = all(compose(a, b) == compose(b, a) for a, b in combinations(self.generators, 2))
 
     def order(self) -> int:
         return len(self.elements)
 
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(a * b == b * a for a in gens for b in gens)
+        return self._abelian
 
     def is_cyclic(self) -> bool:
-        n = self.order()
-        return any(g.order() == n for g in self.elements)
+        return self.order() in self._spectrum
 
     def is_semiregular(self) -> bool:
         """True when only the identity fixes a point."""
-        for g in self.elements:
-            if g.is_identity():
-                continue
-            if any(g.images[i] == i for i in range(self.degree)):
-                return False
-        return True
-
-    def orbits(self) -> list[frozenset[int]]:
-        seen = set()
-        out = []
-        for start in range(self.degree):
-            if start in seen:
-                continue
-            orb = {g.images[start] for g in self.elements}
-            seen |= orb
-            out.append(frozenset(orb))
-        return out
+        return self._semiregular
 
     def element_order_spectrum(self) -> dict[int, int]:
-        return dict(Counter(g.order() for g in self.elements))
+        return dict(self._spectrum)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
 
 def closure(generators, max_order: int = MAX_GROUP_ORDER) -> PermGroup:
-    """Enumerate the group generated by the given permutations."""
-    gens = [g for g in generators if not g.is_identity()]
-    if not gens:
-        degree = generators[0].degree if generators else 1
-        e = Perm.identity(degree)
-        return PermGroup(degree, (), {e})
-    degree = gens[0].degree
-    if any(g.degree != degree for g in gens):
+    """Enumerate the group generated by the given permutation tuples."""
+    degree = len(generators[0]) if generators else 1
+    identity = tuple(range(degree))
+    gens = list(dict.fromkeys(g for g in generators if g != identity))
+    if any(len(g) != degree for g in gens):
         raise ValueError("generators have mixed degrees")
-    identity = Perm.identity(degree)
     elements = {identity}
     frontier = [identity]
     while frontier:
         new = []
         for a in frontier:
             for g in gens:
-                c = a * g
+                c = compose(a, g)
                 if c not in elements:
                     elements.add(c)
                     new.append(c)
@@ -392,5 +355,5 @@ def group_from_cayley_table(table) -> PermGroup:
     The rows of an associative Latin square are the left translations;
     they already form a closed set of permutations isomorphic to the group.
     """
-    rows = [Perm(r) for r in table]
-    return PermGroup(len(rows), tuple(rows), rows)
+    rows = [tuple(r) for r in table]
+    return PermGroup(len(rows), rows, rows)

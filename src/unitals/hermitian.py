@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .design import AbstractUnital, validate_unital
 from .gf import GaloisField, is_prime
-from .groups import Perm, PermGroup, closure
+from .groups import PermGroup, closure
 from .plane import ProjectivePlane, cross_ratio, line_parameter, INFINITY
 
 MAX_Q = 5
@@ -249,14 +249,14 @@ def gamma1_analysis(emb: HermitianEmbedding, b1: int, b2: int) -> Gamma1Record:
         fwd = _line_perspectivity(plane, l1_pts, p, l2)
         for q in nuc:
             back = _line_perspectivity(plane, fwd, q, l1)
-            gens.append(Perm(index[pt] for pt in back))
-    group = closure(gens) if gens else closure([Perm.identity(len(l1_pts))])
+            gens.append(tuple(index[pt] for pt in back))
+    group = closure(gens or [tuple(range(len(l1_pts)))])
 
     v1 = None
     if group.order() > 1:
         fixed = set(range(len(l1_pts)))
         for g in group.generators:
-            fixed &= {i for i in fixed if g.images[i] == i}
+            fixed &= {i for i in fixed if g[i] == i}
         fixed_pts = {l1_pts[i] for i in fixed} - {z}
         if len(fixed_pts) == 1:
             v1 = next(iter(fixed_pts))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .design import AbstractUnital
-from .groups import Perm, PermGroup, closure
+from .groups import PermGroup, closure, compose
 
 
 class SameBlock(ValueError):
@@ -85,10 +85,4 @@ def persp_group(u: AbstractUnital, b1: int, b2: int, fp=None) -> PermGroup:
         raise NoFullPoints(f"blocks ({b1},{b2}) have no full points")
     forward = {p: perspectivity_map(u, b1, p, b2).images for p in fp}
     backward = {p: perspectivity_map(u, b2, p, b1).images for p in fp}
-    gens = []
-    for p in fp:
-        f = forward[p]
-        for q in fp:
-            b = backward[q]
-            gens.append(Perm(b[i] for i in f))
-    return closure(gens)
+    return closure([compose(forward[p], backward[q]) for p in fp for q in fp])

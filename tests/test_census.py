@@ -73,10 +73,6 @@ def test_fpr_triple_golden(appendix):
 def test_fpr_vacuous_vs_strict(appendix, appendix_pair_fp):
     pair = next(p for p, fp in appendix_pair_fp.items() if len(fp) == 1)
     assert is_fpr_triple(appendix, *pair)  # vacuous by default
-    strict = is_fpr_triple(appendix, *pair, strict=True)
-    assert strict in (True, False)  # well-defined, stronger condition
-    if not strict:
-        assert is_fpr_triple(appendix, *pair)
 
 
 def test_hermitian_pairs_strongly_regular(h3, h3_pair_fp=None):

@@ -97,3 +97,20 @@ def test_pair_lookup_agrees_with_scan(appendix):
         p, q = rng.sample(range(1, 66), 2)
         scan = [i for i in appendix.block_indices() if p in appendix.block_set(i) and q in appendix.block_set(i)]
         assert scan == [appendix.block_through(p, q)]
+
+
+def test_indices_below_one_rejected(appendix, h2):
+    # negative indexing used to wrap 0 to the last block or point row
+    from unitals.persp import full_points
+
+    for i in (0, -1):
+        with pytest.raises(IndexError):
+            appendix.block(i)
+        with pytest.raises(IndexError):
+            appendix.block_set(i)
+        with pytest.raises(IndexError):
+            h2.unital.block_through(i, 3)
+        with pytest.raises(IndexError):
+            h2.unital.block_through(3, i)
+    with pytest.raises(IndexError):
+        full_points(appendix, 0, 1)
