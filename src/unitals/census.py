@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .design import AbstractUnital
 from .groups import structure_name
 from .nets import find_dual_3nets, is_cyclic_3net
-from .persp import SameBlock, full_points, persp_group
+from .persp import SameBlock, all_pair_full_points, full_points, persp_group
 
 LARGE_SET_THRESHOLD = 3
 
@@ -54,6 +54,7 @@ class UnitalReport:
     is_fpr: bool
     is_sfpr: bool
     embeddable_in_pg: bool  # contrapositive: non-SFPR unitals cannot embed
+    group_keys: frozenset  # (full points, group name) of the pairs with >= 2 full points
     pairs: list[PairAnalysis] = field(default_factory=list)
     nets: list[tuple] = field(default_factory=list)
     net_cyclic: list[bool] = field(default_factory=list)
@@ -139,12 +140,6 @@ def is_sfpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None) -> bool:
     return _disjoint_pair(u, b1, b2, fp).sfpr
 
 
-def all_pair_full_points(u: AbstractUnital) -> dict:
-    """Full points of every disjoint block pair; the workhorse shared by
-    regularity, net discovery and the census tables."""
-    return {(b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()}
-
-
 def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:
     pair_fp = all_pair_full_points(u)
     pairs = [analyze_pair(u, b1, b2, fp=fp) for (b1, b2), fp in pair_fp.items()]
@@ -163,6 +158,7 @@ def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:
         is_fpr=all(pa.fpr for pa in pairs),
         is_sfpr=is_sfpr,
         embeddable_in_pg=is_sfpr,  # necessary condition only
+        group_keys=frozenset((pa.full_point_count, pa.group_name) for pa in pairs if pa.full_point_count >= 2),
         pairs=pairs,
         nets=nets,
         net_cyclic=cyclic_flags,
@@ -180,12 +176,7 @@ def group_table_rows(reports) -> list[tuple[int, str, int]]:
     unital once per row key."""
     counter: Counter = Counter()
     for rep in reports:
-        keys = {
-            (pa.full_point_count, pa.group_name)
-            for pa in rep.pairs
-            if pa.disjoint and pa.full_point_count >= 2
-        }
-        counter.update(keys)
+        counter.update(rep.group_keys)
     return [(fp, name, count) for (fp, name), count in sorted(counter.items())]
 
 

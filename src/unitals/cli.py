@@ -11,6 +11,7 @@ stderr.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -129,11 +130,14 @@ def dualnets(file: str, latin: bool) -> None:
 
 
 def _census_worker(path):
+    """Classify one file; the report comes back without its pair records and
+    nets, since the tables read only its flags and group keys."""
     try:
         u = formats.load_unital(path)
     except (formats.ParseError, NotAUnital) as e:
         return (path, None, str(e))
-    return (path, census_mod.classify_unital(u, name=os.path.basename(path)), None)
+    report = census_mod.classify_unital(u, name=os.path.basename(path))
+    return (path, dataclasses.replace(report, pairs=[], nets=[], net_cyclic=[]), None)
 
 
 @main.command("census")
@@ -142,6 +146,9 @@ def _census_worker(path):
 @click.option("--library", default=None, help="library label (default: directory name)")
 def census_cmd(directory: str, prefix: str, library: str | None) -> None:
     """Classify every unital file in DIRECTORY and write table CSVs."""
+    out_dir = os.path.dirname(os.path.abspath(prefix))
+    if not os.path.isdir(out_dir):
+        _fail("OUT", f"--out directory {out_dir} does not exist")
     paths = sorted(
         os.path.join(directory, f)
         for f in os.listdir(directory)

@@ -8,6 +8,7 @@ queried concurrently.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 
 
@@ -15,8 +16,19 @@ class NotAUnital(ValueError):
     """The given point/block data violates the unital design axioms."""
 
 
+def block_ids(mask: int):
+    """The blocks of a bitset over blocks (bit i-1 for block i), in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
 class AbstractUnital:
-    __slots__ = ("order", "num_points", "_blocks", "_block_sets", "_pair_block")
+    """`point_blocks[p-1]` is the bitset of the blocks through point p and
+    `block_meets[i-1]` that of the blocks meeting block i, itself included."""
+
+    __slots__ = ("order", "num_points", "point_blocks", "block_meets", "_blocks", "_block_sets", "_pair_block")
 
     def __init__(self, order, num_points, blocks, pair_block):
         self.order = order
@@ -24,6 +36,12 @@ class AbstractUnital:
         self._blocks = blocks
         self._block_sets = tuple(frozenset(b) for b in blocks)
         self._pair_block = pair_block
+        through = [0] * num_points
+        for i, blk in enumerate(blocks):
+            for p in blk:
+                through[p - 1] |= 1 << i
+        self.point_blocks = tuple(through)
+        self.block_meets = tuple(reduce(int.__or__, (through[p - 1] for p in blk)) for blk in blocks)
 
     @property
     def num_blocks(self) -> int:
@@ -55,7 +73,7 @@ class AbstractUnital:
         return self._pair_block[(p - 1) * n + (q - 1)]
 
     def blocks_disjoint(self, i: int, j: int) -> bool:
-        return i != j and not (self.block_set(i) & self.block_set(j))
+        return i != j and not self.block_meets[self._block_pos(i)] >> self._block_pos(j) & 1
 
     def points(self) -> range:
         return range(1, self.num_points + 1)
@@ -65,12 +83,8 @@ class AbstractUnital:
 
     def disjoint_block_pairs(self):
         """All unordered disjoint block pairs (i, j) with i < j."""
-        sets = self._block_sets
-        for i in range(len(sets)):
-            si = sets[i]
-            for j in range(i + 1, len(sets)):
-                if not (si & sets[j]):
-                    yield (i + 1, j + 1)
+        for i, meets in enumerate(self.block_meets, start=1):
+            yield from ((i, j) for j in range(i + 1, self.num_blocks + 1) if not meets >> (j - 1) & 1)
 
     def __repr__(self) -> str:
         return f"AbstractUnital(order={self.order}, points={self.num_points}, blocks={self.num_blocks})"

@@ -56,15 +56,15 @@ def _parse_json(text: str, name: str) -> UnitalFile:
     for key in ("order", "points", "blocks"):
         if key not in obj:
             raise ParseError(f"missing JSON field {key!r}")
-    blocks = []
-    for i, blk in enumerate(obj["blocks"], start=1):
-        blocks.append(_check_ids(blk, i))
-    return UnitalFile(
-        name=obj.get("name", name),
-        order=int(obj["order"]),
-        points=int(obj["points"]),
-        blocks=tuple(blocks),
-    )
+    if not isinstance(obj["blocks"], list) or not all(isinstance(b, list) for b in obj["blocks"]):
+        raise ParseError("JSON field 'blocks' must be a list of lists of point ids")
+    blocks = tuple(_check_ids(blk, i) for i, blk in enumerate(obj["blocks"], start=1))
+    order, points = obj["order"], obj["points"]
+    if type(order) is not int or type(points) is not int:
+        raise ParseError(f"JSON fields 'order' and 'points' must be integers, got {order!r} and {points!r}")
+    if blocks and order != len(blocks[0]) - 1:
+        raise ParseError(f"JSON field 'order' is {order}, but block 1 has {len(blocks[0])} points")
+    return UnitalFile(name=obj.get("name", name), order=order, points=points, blocks=blocks)
 
 
 def _parse_text(text: str, name: str) -> UnitalFile:
@@ -87,7 +87,9 @@ def _parse_text(text: str, name: str) -> UnitalFile:
 
 
 def _check_ids(ids, where: int) -> tuple[int, ...]:
-    ids = tuple(int(x) for x in ids)
+    ids = tuple(ids)
+    if not all(type(x) is int for x in ids):
+        raise ParseError(f"non-integer point id in {list(ids)}", line=where)
     if any(x < 1 for x in ids):
         raise ParseError("point ids must be positive", line=where)
     return ids
@@ -113,7 +115,11 @@ def serialize_json(u: AbstractUnital, name: str = "unital") -> str:
 
 def load_unital(path) -> AbstractUnital:
     with open(path, encoding="utf-8") as fh:
-        return parse_unital(fh.read(), name=str(path)).validate()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}") from None
+    return parse_unital(text, name=str(path)).validate()
 
 
 def appendix_text() -> str:

@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 from .design import AbstractUnital
 from .groups import group_from_cayley_table, structure_name
-from .persp import full_points, persp_group
+from .persp import all_pair_full_points, full_points, persp_group
 
 
 class TooFewBlocks(ValueError):
@@ -87,9 +87,7 @@ def find_dual_3nets(u: AbstractUnital, pair_full_points=None) -> tuple:
     points over all disjoint pairs may be supplied.
     """
     if pair_full_points is None:
-        pair_full_points = {
-            (b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()
-        }
+        pair_full_points = all_pair_full_points(u)
     nets = set()
     for (b1, b2), fp in pair_full_points.items():
         if len(fp) < u.order + 1:

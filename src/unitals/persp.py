@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .design import AbstractUnital
+from .design import AbstractUnital, block_ids
 from .groups import PermGroup, closure, compose
 
 
@@ -20,31 +20,46 @@ class NoFullPoints(ValueError):
     pass
 
 
+def _full_point_masks(u: AbstractUnital, b1: int) -> list[tuple[int, int]]:
+    """The kernel: (p, hits) for each point p off block b1, where bit b-1 of
+    the bitset `hits` is set exactly when p is a full point of (b1, b), for
+    every block b != b1.  The blocks through p that meet b1 are its joins to
+    b1, so `hits` is the AND of their meet-masks, less the blocks through p.
+    """
+    s1 = u.block_set(b1)
+    meets, blocks = u.block_meets, u.all_blocks
+    hits = [~on_p for on_p in u.point_blocks]
+    for c in block_ids(meets[b1 - 1]):
+        for p in blocks[c - 1]:
+            hits[p - 1] &= meets[c - 1]
+    return [(p, h) for p, h in enumerate(hits, start=1) if p not in s1]
+
+
 def full_points(u: AbstractUnital, b1: int, b2: int) -> tuple[int, ...]:
-    """All points P off both blocks whose joins to b1 each meet b2.
+    """All points P off both blocks whose joins to b1 each meet b2, in
+    increasing order, read off the kernel's sweep over the points off b1.
 
     Every such P defines the central projection b1 -> b2, so these are
     exactly the centers of well-defined perspectivities between the pair.
     """
     if b1 == b2:
         raise SameBlock("full points need two distinct blocks")
-    pts1 = u.block(b1)
-    s2 = u.block_set(b2)
-    excluded = u.block_set(b1) | s2
-    num_points = u.num_points
-    pair_block = u._pair_block
-    block_sets = u._block_sets
-    out = []
-    for p in range(1, num_points + 1):
-        if p in excluded:
-            continue
-        row = (p - 1) * num_points
-        for q in pts1:
-            if not (block_sets[pair_block[row + q - 1] - 1] & s2):
-                break
-        else:
-            out.append(p)
-    return tuple(out)
+    u.block(b2)  # IndexError outside 1..num_blocks
+    return tuple(p for p, hits in _full_point_masks(u, b1) if hits >> (b2 - 1) & 1)
+
+
+def all_pair_full_points(u: AbstractUnital) -> dict:
+    """Full points of every disjoint block pair, in the order of
+    `disjoint_block_pairs`, from one kernel sweep per block."""
+    out = dict.fromkeys(u.disjoint_block_pairs(), ())
+    for b1, meets1 in enumerate(u.block_meets, start=1):
+        later = ~meets1 >> b1 << b1  # blocks b2 > b1 disjoint from b1, unbounded above
+        row = {}
+        for p, hits in _full_point_masks(u, b1):
+            for b2 in block_ids(hits & later):
+                row.setdefault(b2, []).append(p)
+        out.update(((b1, b2), tuple(fp)) for b2, fp in row.items())
+    return out
 
 
 @dataclass(frozen=True)

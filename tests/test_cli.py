@@ -4,8 +4,15 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from unitals import cli
 from unitals.cli import main
-from unitals.formats import appendix_text, serialize_text
+from unitals.formats import appendix_text, serialize_json, serialize_text
+
+MALFORMED = {
+    "points.json": b'{"order": 2, "points": "x", "blocks": [[1, 2, 3]]}',
+    "blocks.json": b'{"order": 2, "points": 9, "blocks": 5}',
+    "latin1.txt": b"1 2 3\n\xff\n",
+}
 
 
 @pytest.fixture
@@ -32,6 +39,26 @@ def test_validate_parse_error(runner, tmp_path):
     result = runner.invoke(main, ["validate", str(bad)])
     assert result.exit_code == 1
     assert "ERROR PARSE:" in result.output
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_validate_malformed_input(runner, tmp_path, name):
+    bad = tmp_path / name
+    bad.write_bytes(MALFORMED[name])
+    result = runner.invoke(main, ["validate", str(bad)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("ERROR PARSE:") and result.output.count("ERROR") == 1
+
+
+def test_validate_json_header_must_match_blocks(runner, tmp_path, h2):
+    obj = json.loads(serialize_json(h2.unital, "h2"))
+    for key, value, error in (("order", 7, "PARSE: JSON field 'order' is 7"), ("points", 10, "NOT_A_UNITAL: point count 10")):
+        bad = tmp_path / f"{key}.json"
+        bad.write_text(json.dumps(dict(obj, **{key: value})))
+        result = runner.invoke(main, ["validate", str(bad)])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"ERROR {error}")
 
 
 def test_validate_not_a_unital(runner, tmp_path):
@@ -117,6 +144,45 @@ def test_census_writes_tables(runner, tmp_path, h2, monkeypatch):
         rows = list(csv.reader(fh))
     assert rows[0] == ["set", "property", "count"]
     assert rows[1][0] == "Omega"
+
+
+def test_census_skips_and_counts_malformed_files(runner, tmp_path, h2, monkeypatch):
+    src = tmp_path / "lib"
+    src.mkdir()
+    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    for name, content in MALFORMED.items():
+        (src / name).write_bytes(content)
+    monkeypatch.setenv("UNITAL_THREADS", "1")
+    prefix = str(tmp_path / "census")
+    result = runner.invoke(main, ["census", str(src), "--out", prefix, "--library", "demo"])
+    assert result.exit_code == 0
+    assert "census of 1 unital(s)" in result.output and "3 file(s) skipped" in result.output
+    for name in MALFORMED:
+        assert f"skipped {src / name}: " in result.output
+    with open(prefix + "_totals.csv") as fh:
+        assert list(csv.reader(fh))[1] == ["demo", "1", "1", "1"]
+
+
+def test_census_checks_out_dir_before_classifying(runner, tmp_path, h2, monkeypatch):
+    src = tmp_path / "lib"
+    src.mkdir()
+    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    classified = []
+    monkeypatch.setenv("UNITAL_THREADS", "1")
+    monkeypatch.setattr(cli, "_census_worker", classified.append)
+    result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "missing" / "census")])
+    assert result.exit_code == 1
+    assert result.output.startswith("ERROR OUT:") and result.output.count("ERROR") == 1
+    assert classified == []
+
+
+def test_census_worker_sends_table_fields_only(tmp_path, h2):
+    p = tmp_path / "h2.txt"
+    p.write_text(serialize_text(h2.unital, "h2"))
+    path, report, error = cli._census_worker(str(p))
+    assert (path, error) == (str(p), None)
+    assert report.pairs == [] and report.nets == [] and report.net_cyclic == []
+    assert report.group_keys == {(3, "C3")} and report.is_fpr and report.is_sfpr
 
 
 def test_census_empty_dir(runner, tmp_path):

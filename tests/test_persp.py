@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from unitals.design import validate_unital
 from unitals.groups import structure_name
 from unitals.persp import (
     NoFullPoints,
     NotAFullPoint,
     SameBlock,
+    all_pair_full_points,
     full_points,
     persp_group,
     perspectivity_map,
@@ -14,6 +18,12 @@ from unitals.persp import (
 def test_same_block_rejected(appendix):
     with pytest.raises(SameBlock):
         full_points(appendix, 5, 5)
+
+
+def test_block_index_out_of_range_rejected(appendix):
+    for b1, b2 in [(1, 0), (1, -1), (1, 209), (0, 1), (209, 1)]:
+        with pytest.raises(IndexError):
+            full_points(appendix, b1, b2)
 
 
 def test_full_points_symmetry(appendix):
@@ -153,3 +163,48 @@ def test_h3_disjoint_pair_groups_cyclic_dividing_8(h3):
             g = persp_group(u, b1, b2, fp=fp)
             assert g.is_cyclic()
             assert 8 % g.order() == 0
+
+
+def _full_points_by_definition(u) -> dict:
+    """Full points of every ordered block pair, from the definition alone: a
+    point P off both blocks is full exactly when every block through P that
+    meets b1 also meets b2.  Uses only the block list."""
+    blocks = [frozenset(b) for b in u.all_blocks]
+    meets = [frozenset(j for j, c in enumerate(blocks) if b & c) for b in blocks]
+    through = {p: [j for j, c in enumerate(blocks) if p in c] for p in u.points()}
+    out = {}
+    for i, bi in enumerate(blocks):
+        joins = [(p, frozenset(c for c in through[p] if c in meets[i])) for p in u.points() if p not in bi]
+        for j, bj in enumerate(blocks):
+            if j != i:
+                out[i + 1, j + 1] = tuple(p for p, js in joins if p not in bj and js <= meets[j])
+    return out
+
+
+def _relabelled_appendix(appendix):
+    rng = random.Random(2026)
+    labels = list(appendix.points())
+    rng.shuffle(labels)
+    blocks = [[labels[p - 1] for p in blk] for blk in appendix.all_blocks]
+    rng.shuffle(blocks)
+    return validate_unital(appendix.num_points, blocks)
+
+
+@pytest.mark.parametrize("name", ["appendix", "H(2)", "H(3)", "relabelled appendix"])
+def test_full_points_match_definition_on_all_ordered_pairs(name, appendix, h2, h3):
+    u = {"appendix": appendix, "H(2)": h2.unital, "H(3)": h3.unital}.get(name) or _relabelled_appendix(appendix)
+    expected = _full_points_by_definition(u)
+    assert {pair: full_points(u, *pair) for pair in expected} == expected
+
+
+@pytest.mark.parametrize("name", ["H(4)", "appendix"])
+def test_all_pair_full_points_match_definition(name, appendix, h4):
+    u = h4.unital if name == "H(4)" else appendix
+    expected = {
+        (b1, b2): fp
+        for (b1, b2), fp in _full_points_by_definition(u).items()
+        if b1 < b2 and not u.block_set(b1) & u.block_set(b2)
+    }
+    got = all_pair_full_points(u)
+    assert got == expected
+    assert list(got) == sorted(expected)
