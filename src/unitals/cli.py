@@ -30,6 +30,13 @@ def _fail(code: str, message: str) -> None:
     sys.exit(1)
 
 
+def _check_out_dir(option: str, path: str) -> None:
+    """Fail before any work is done when the directory of an output path is missing."""
+    out_dir = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(out_dir):
+        _fail("OUT", f"{option} directory {out_dir} does not exist")
+
+
 def _worker_count() -> int:
     raw = os.environ.get("UNITAL_THREADS", "0")
     try:
@@ -63,6 +70,9 @@ def validate(file: str) -> None:
 @click.option("--coords", type=click.Path(dir_okay=False), default=None, help="coordinate side file")
 def hermitian(q: int, out: str | None, coords: str | None) -> None:
     """Construct H(q) and write it in JSON format."""
+    for option, path in (("--out", out), ("--coords", coords)):
+        if path:
+            _check_out_dir(option, path)
     try:
         emb = hermitian_unital(q)
     except ValueError as e:
@@ -146,9 +156,7 @@ def _census_worker(path):
 @click.option("--library", default=None, help="library label (default: directory name)")
 def census_cmd(directory: str, prefix: str, library: str | None) -> None:
     """Classify every unital file in DIRECTORY and write table CSVs."""
-    out_dir = os.path.dirname(os.path.abspath(prefix))
-    if not os.path.isdir(out_dir):
-        _fail("OUT", f"--out directory {out_dir} does not exist")
+    _check_out_dir("--out", prefix)
     paths = sorted(
         os.path.join(directory, f)
         for f in os.listdir(directory)

@@ -58,7 +58,10 @@ def _parse_json(text: str, name: str) -> UnitalFile:
             raise ParseError(f"missing JSON field {key!r}")
     if not isinstance(obj["blocks"], list) or not all(isinstance(b, list) for b in obj["blocks"]):
         raise ParseError("JSON field 'blocks' must be a list of lists of point ids")
-    blocks = tuple(_check_ids(blk, i) for i, blk in enumerate(obj["blocks"], start=1))
+    blocks = tuple(map(tuple, obj["blocks"]))
+    for i, blk in enumerate(blocks, start=1):
+        if not all(type(x) is int and x > 0 for x in blk):
+            raise ParseError(f"point ids must be positive integers, got {list(blk)} (block {i})")
     order, points = obj["order"], obj["points"]
     if type(order) is not int or type(points) is not int:
         raise ParseError(f"JSON fields 'order' and 'points' must be integers, got {order!r} and {points!r}")
@@ -78,21 +81,14 @@ def _parse_text(text: str, name: str) -> UnitalFile:
             ids = [int(x) for x in parts]
         except ValueError:
             raise ParseError(f"non-integer token in {line!r}", line=lineno) from None
-        blocks.append(_check_ids(ids, lineno))
+        if min(ids) < 1:
+            raise ParseError("point ids must be positive", line=lineno)
+        blocks.append(tuple(ids))
     if not blocks:
         raise ParseError("no blocks found")
     points = max(max(b) for b in blocks)
     order = len(blocks[0]) - 1
     return UnitalFile(name=name, order=order, points=points, blocks=tuple(blocks))
-
-
-def _check_ids(ids, where: int) -> tuple[int, ...]:
-    ids = tuple(ids)
-    if not all(type(x) is int for x in ids):
-        raise ParseError(f"non-integer point id in {list(ids)}", line=where)
-    if any(x < 1 for x in ids):
-        raise ParseError("point ids must be positive", line=where)
-    return ids
 
 
 def serialize_text(u: AbstractUnital, name: str = "unital") -> str:

@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 from .design import AbstractUnital
 from .groups import group_from_cayley_table, structure_name
-from .persp import all_pair_full_points, full_points, persp_group
+from .persp import all_pair_full_points, full_points, persp_group, perspectivity_map
 
 
 class TooFewBlocks(ValueError):
@@ -110,24 +110,22 @@ def max_knet_check(u: AbstractUnital, net) -> bool:
 
 def latin_square_from_3net(u: AbstractUnital, net) -> LatinSquare:
     """Coordinate latin square of a dual 3-net, rows/columns/symbols labeled
-    by the sorted point order within each block."""
+    by the sorted point order within each block.
+
+    Building the square is the check.  Row p is the projection of b2 onto b3
+    from p in b1, which exists exactly when p is off b2 and b3 and each of its
+    joins to b2 meets b3.  A latin result rules out b2 meeting b3 (that
+    point's column would be constant), and its rows and columns say that the
+    joins of b1 x b3 and of b2 x b3 meet the third block: a dual 3-net.
+    """
     net = tuple(sorted(net))
     if len(net) != 3:
         raise NotA3Net(f"need exactly 3 blocks, got {len(net)}")
-    if not is_dual_knet(u, net):
-        raise NotA3Net(f"blocks {net} do not form a dual 3-net")
-    b1, b2, b3 = (u.block(i) for i in net)
-    pos3 = {p: i for i, p in enumerate(b3)}
-    s3 = u.block_set(net[2])
-    m = u.order + 1
-    rows = []
-    for p in b1:
-        row = []
-        for q in b2:
-            hit = u.block_set(u.block_through(p, q)) & s3
-            row.append(pos3[next(iter(hit))])
-        rows.append(tuple(row))
-    return LatinSquare(m, tuple(rows))
+    b1, b2, b3 = net
+    try:
+        return LatinSquare(u.order + 1, tuple(perspectivity_map(u, b2, p, b3) for p in u.block(b1)))
+    except ValueError as e:  # NotAFullPoint, or a square that is not latin
+        raise NotA3Net(f"blocks {net} do not form a dual 3-net") from e
 
 
 def parastrophes(sq: LatinSquare) -> tuple[LatinSquare, ...]:

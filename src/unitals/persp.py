@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .design import AbstractUnital, block_ids
 from .groups import PermGroup, closure, compose
 
@@ -62,35 +60,29 @@ def all_pair_full_points(u: AbstractUnital) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Perspectivity:
-    center: int
-    source: int
-    target: int
-    images: tuple[int, ...]  # position in source block -> position in target block
-
-
-def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> Perspectivity:
-    """The projection of b1 onto b2 with the given full point as center."""
-    pts1, pts2 = u.block(b1), u.block(b2)
-    excluded = u.block_set(b1) | u.block_set(b2)
-    if center in excluded:
+def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> tuple[int, ...]:
+    """The projection of b1 onto b2 with the given full point as center, as
+    an image tuple: entry i is the position in b2 of the image of the i-th
+    point of b1.  The joins of the center to b2 name their points of b2, so
+    each point of b1 is mapped by looking up its join."""
+    if center in u.block_set(b1) or center in u.block_set(b2):
         raise NotAFullPoint(f"point {center} lies on block {b1} or {b2}")
-    pos2 = {p: i for i, p in enumerate(pts2)}
-    images = []
-    for q in pts1:
-        blk = u.block_set(u.block_through(center, q))
-        hit = blk & u.block_set(b2)
-        if not hit:
-            raise NotAFullPoint(f"point {center} is not a full point of ({b1},{b2})")
-        images.append(pos2[next(iter(hit))])
-    assert len(set(images)) == len(images)
-    return Perspectivity(center=center, source=b1, target=b2, images=tuple(images))
+    join = u.block_through
+    target = {join(center, q): i for i, q in enumerate(u.block(b2))}
+    try:
+        return tuple(target[join(center, p)] for p in u.block(b1))
+    except KeyError:
+        raise NotAFullPoint(f"point {center} is not a full point of ({b1},{b2})") from None
 
 
 def persp_group(u: AbstractUnital, b1: int, b2: int, fp=None) -> PermGroup:
-    """Group generated by the to-and-back projections over all pairs of
-    full points, acting on the positions of b1.
+    """Group generated by the to-and-back projections phi_Q^-1 phi_P over all
+    pairs of full points P, Q, acting on the positions of b1.
+
+    Since phi_Q^-1 phi_P = (phi_P0^-1 phi_Q)^-1 (phi_P0^-1 phi_P) for any one
+    full point P0, the maps phi_P0^-1 phi_P alone generate it: one backward
+    map through P0 = fp[0] and one forward map per full point.  The P = P0
+    term is the identity, which keeps the degree at n+1 when |fp| = 1.
 
     Precomputed full points may be passed to avoid rescanning.
     """
@@ -98,6 +90,5 @@ def persp_group(u: AbstractUnital, b1: int, b2: int, fp=None) -> PermGroup:
         fp = full_points(u, b1, b2)
     if not fp:
         raise NoFullPoints(f"blocks ({b1},{b2}) have no full points")
-    forward = {p: perspectivity_map(u, b1, p, b2).images for p in fp}
-    backward = {p: perspectivity_map(u, b2, p, b1).images for p in fp}
-    return closure([compose(forward[p], backward[q]) for p in fp for q in fp])
+    back = perspectivity_map(u, b2, fp[0], b1)
+    return closure([compose(perspectivity_map(u, b1, p, b2), back) for p in fp])

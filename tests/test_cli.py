@@ -87,6 +87,16 @@ def test_hermitian_files(runner, tmp_path):
     assert len(lines) == 28
 
 
+@pytest.mark.parametrize("option", ["--out", "--coords"])
+def test_hermitian_checks_out_dirs_before_building(runner, tmp_path, monkeypatch, option):
+    built = []
+    monkeypatch.setattr(cli, "hermitian_unital", built.append)
+    result = runner.invoke(main, ["hermitian", "--q", "2", option, str(tmp_path / "missing" / "x.json")])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"ERROR OUT: {option} directory") and result.output.count("ERROR") == 1
+    assert built == []
+
+
 def test_hermitian_bad_order(runner):
     result = runner.invoke(main, ["hermitian", "--q", "6"])
     assert result.exit_code == 1

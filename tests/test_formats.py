@@ -56,6 +56,14 @@ def test_non_integer_token():
     assert exc.value.line == 2
 
 
+def test_json_bad_block_reports_block_index():
+    text = '{"order": 2,\n "points": 9,\n "blocks": [[1, 2, 3],\n  [4, "a", 6]]}'
+    with pytest.raises(ParseError) as exc:
+        parse_unital(text)
+    assert exc.value.line is None
+    assert str(exc.value).endswith("(block 2)")
+
+
 def test_nonpositive_ids_rejected():
     with pytest.raises(ParseError, match="positive"):
         parse_unital("0 1 2\n")

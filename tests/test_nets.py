@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -102,6 +103,36 @@ def test_latin_square_rejects_non_net(appendix):
         latin_square_from_3net(appendix, (1, 33, 2))
     with pytest.raises(NotA3Net):
         latin_square_from_3net(appendix, (1, 33, 200, 5))
+
+
+def _square_by_definition(u, net):
+    """Cell (i, j): the position in b3 of the point of b3 on the block through
+    the i-th point of b1 and the j-th point of b2, from the block sets alone."""
+    b1, b2, b3 = (sorted(u.block_set(b)) for b in sorted(net))
+    sets = [frozenset(b) for b in u.all_blocks]
+    return tuple(
+        tuple(b3.index(next(iter(next(s for s in sets if {p, q} <= s) & set(b3)))) for q in b2) for p in b1
+    )
+
+
+def test_latin_square_raises_exactly_off_dual_3nets(appendix, appendix_pair_fp, h2):
+    """All appendix nets, fixed-seed triples (1, b, c) of the appendix unital
+    and every ordered triple of H(2), repeated blocks included."""
+    nets = find_dual_3nets(appendix, pair_full_points=appendix_pair_fp)
+    assert len(nets) == 86
+    rng = random.Random(11)
+    cases = [(appendix, net) for net in nets]
+    cases += [(appendix, (1, *rng.sample(range(2, appendix.num_blocks + 1), 2))) for _ in range(2000)]
+    cases += [(h2.unital, t) for t in product(h2.unital.block_indices(), repeat=3)]
+    found = 0
+    for u, net in cases:
+        if is_dual_knet(u, net):
+            found += 1
+            assert latin_square_from_3net(u, net).rows == _square_by_definition(u, net)
+        else:
+            with pytest.raises(NotA3Net):
+                latin_square_from_3net(u, net)
+    assert found > 86
 
 
 def test_latin_square_row_column_property(h4, h4_triangles):

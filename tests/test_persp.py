@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from unitals import persp
 from unitals.design import validate_unital
-from unitals.groups import structure_name
+from unitals.groups import closure, structure_name
 from unitals.persp import (
     NoFullPoints,
     NotAFullPoint,
@@ -67,20 +68,20 @@ def test_perspectivity_is_position_bijection(appendix):
     fp = full_points(appendix, 1, 33)
     for p in fp:
         pm = perspectivity_map(appendix, 1, p, 33)
-        assert sorted(pm.images) == list(range(appendix.order + 1))
+        assert sorted(pm) == list(range(appendix.order + 1))
 
 
 def test_perspectivity_round_trip_is_identity(appendix):
     fp = full_points(appendix, 1, 33)
     p = fp[0]
-    fwd = perspectivity_map(appendix, 1, p, 33).images
-    back = perspectivity_map(appendix, 33, p, 1).images
+    fwd = perspectivity_map(appendix, 1, p, 33)
+    back = perspectivity_map(appendix, 33, p, 1)
     assert [back[i] for i in fwd] == list(range(appendix.order + 1))
 
 
 def test_distinct_centers_give_distinct_maps(appendix):
     fp = full_points(appendix, 1, 33)
-    maps = {perspectivity_map(appendix, 1, p, 33).images for p in fp}
+    maps = {perspectivity_map(appendix, 1, p, 33) for p in fp}
     assert len(maps) == len(fp)
 
 
@@ -106,7 +107,7 @@ def test_hermitian_projection_index_pattern(h4):
         for i in range(q + 1):
             src = pts_a.index(h4.coord_to_point[a_pts[i]])
             dst = pts_b.index(h4.coord_to_point[b_pts[(-i - k) % (q + 1)]])
-            assert pm.images[src] == dst
+            assert pm[src] == dst
 
 
 def test_not_a_full_point_rejected(appendix):
@@ -118,12 +119,25 @@ def test_not_a_full_point_rejected(appendix):
     )
     with pytest.raises(NotAFullPoint):
         perspectivity_map(appendix, 1, non_full, 33)
+    for on_block in (appendix.block(1)[0], appendix.block(33)[0]):
+        with pytest.raises(NotAFullPoint):
+            perspectivity_map(appendix, 1, on_block, 33)
 
 
 def test_single_full_point_gives_trivial_group(h4, h4_pair_fp):
     pair = next(k for k, v in h4_pair_fp.items() if len(v) == 1)
     g = persp_group(h4.unital, *pair, fp=h4_pair_fp[pair])
     assert g.order() == 1
+    assert g.degree == h4.q + 1
+
+
+def test_persp_group_projects_once_per_full_point_and_once_back(appendix, monkeypatch):
+    calls = []
+    real = persp.perspectivity_map
+    monkeypatch.setattr(persp, "perspectivity_map", lambda *args: calls.append(args) or real(*args))
+    fp = full_points(appendix, 1, 33)
+    persp_group(appendix, 1, 33, fp=fp)
+    assert sorted(calls) == sorted([(appendix, 33, fp[0], 1)] + [(appendix, 1, p, 33) for p in fp])
 
 
 def test_no_full_points_raises(appendix, appendix_pair_fp):
@@ -208,3 +222,58 @@ def test_all_pair_full_points_match_definition(name, appendix, h4):
     got = all_pair_full_points(u)
     assert got == expected
     assert list(got) == sorted(expected)
+
+
+def _persp_group_by_definition(u):
+    """For a pair (b1, b2), the elements of its perspectivity group, or None
+    when it has no full point, from the definition and the block sets alone:
+    a full point P off both blocks has every join to b1 meeting b2; center P
+    sends q on b1 to the point of b2 on the block through P and q; and the
+    to-and-back maps phi_Q^-1 phi_P over all ordered pairs of full points
+    P, Q generate the group."""
+    sets = [frozenset(b) for b in u.all_blocks]
+    join = {(p, q): s for s in sets for p in s for q in s if p != q}
+
+    def project(center, src, dst):
+        return {q: next(iter(join[center, q] & sets[dst - 1])) for q in sets[src - 1]}
+
+    def elements(b1, b2):
+        s1, s2 = sets[b1 - 1], sets[b2 - 1]
+        fp = [p for p in u.points() if p not in s1 | s2 and all(join[p, q] & s2 for q in s1)]
+        if not fp:
+            return None
+        pos1 = {q: i for i, q in enumerate(sorted(s1))}
+        fwd = {p: project(p, b1, b2) for p in fp}
+        back = {p: project(p, b2, b1) for p in fp}
+        return closure([tuple(pos1[back[q][fwd[p][x]]] for x in sorted(s1)) for p in fp for q in fp]).elements
+
+    return elements
+
+
+@pytest.mark.parametrize("name", ["appendix", "H(3)"])
+def test_persp_group_matches_definition(name, appendix, appendix_pair_fp, h3):
+    """Every disjoint pair with >= 2 full points, both ways round."""
+    u = appendix if name == "appendix" else h3.unital
+    pair_fp = appendix_pair_fp if name == "appendix" else all_pair_full_points(u)
+    reference = _persp_group_by_definition(u)
+    pairs = [(b1, b2, fp) for (b1, b2), fp in pair_fp.items() if len(fp) >= 2]
+    pairs += [(b2, b1, fp) for b1, b2, fp in pairs]
+    assert len(pairs) >= 1000
+    got = {(b1, b2): persp_group(u, b1, b2, fp=fp).elements for b1, b2, fp in pairs}
+    assert got == {(b1, b2): reference(b1, b2) for b1, b2, _ in pairs}
+
+
+def test_persp_group_of_intersecting_pairs_matches_definition(appendix, h4):
+    """A fixed-seed sample of intersecting pairs.  In these unitals no
+    intersecting pair has a full point, so the definition gives no group and
+    persp_group must refuse the pair."""
+    rng = random.Random(4)
+    for u in (appendix, h4.unital):
+        reference = _persp_group_by_definition(u)
+        ordered = (rng.sample(u.block_indices(), 2) for _ in range(800))
+        pairs = [(b1, b2) for b1, b2 in ordered if not u.blocks_disjoint(b1, b2)]
+        assert len(pairs) >= 250
+        for b1, b2 in pairs:
+            assert reference(b1, b2) is None
+            with pytest.raises(NoFullPoints):
+                persp_group(u, b1, b2)
