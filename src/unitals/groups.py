@@ -348,12 +348,3 @@ def structure_name(group: PermGroup) -> str:
     spec_str = ", ".join(f"{o}:{c}" for o, c in sorted(spectrum.items()))
     return f"G(order={n}, spectrum={{{spec_str}}})"
 
-
-def group_from_cayley_table(table) -> PermGroup:
-    """Regular permutation group of a group given by its Cayley table.
-
-    The rows of an associative Latin square are the left translations;
-    they already form a closed set of permutations isomorphic to the group.
-    """
-    rows = [tuple(r) for r in table]
-    return PermGroup(len(rows), rows, rows)

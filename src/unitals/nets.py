@@ -12,10 +12,10 @@ or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .design import AbstractUnital
-from .groups import group_from_cayley_table, structure_name
+from .groups import PermGroup, compose, structure_name
 from .persp import all_pair_full_points, full_points, persp_group, perspectivity_map
 
 
@@ -33,9 +33,11 @@ class LatinSquare:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if len(self.rows) != self.m:
+            raise ValueError(f"need {self.m} rows, got {len(self.rows)}")
         sym = set(range(self.m))
         for r in self.rows:
-            if set(r) != sym:
+            if len(r) != self.m or set(r) != sym:
                 raise ValueError("row is not a permutation of the symbols")
         for j in range(self.m):
             if {r[j] for r in self.rows} != sym:
@@ -128,55 +130,23 @@ def latin_square_from_3net(u: AbstractUnital, net) -> LatinSquare:
         raise NotA3Net(f"blocks {net} do not form a dual 3-net") from e
 
 
-def parastrophes(sq: LatinSquare) -> tuple[LatinSquare, ...]:
-    """The six squares obtained by permuting the (row, column, symbol) roles."""
-    triples = [(i, j, sq.rows[i][j]) for i in range(sq.m) for j in range(sq.m)]
-    out = []
-    seen = set()
-    for perm in permutations(range(3)):
-        grid = [[0] * sq.m for _ in range(sq.m)]
-        for t in triples:
-            grid[t[perm[0]]][t[perm[1]]] = t[perm[2]]
-        rows = tuple(tuple(r) for r in grid)
-        if rows not in seen:
-            seen.add(rows)
-            out.append(LatinSquare(sq.m, rows))
-    return tuple(out)
-
-
-def loop_reduction(sq: LatinSquare) -> LatinSquare:
-    """Principal isotope in reduced form: first row and column are the
-    identity, so the square is the table of a loop with identity 0."""
-    relabel = [0] * sq.m
-    for j, s in enumerate(sq.rows[0]):
-        relabel[s] = j
-    rows2 = [tuple(relabel[x] for x in row) for row in sq.rows]
-    order = sorted(range(sq.m), key=lambda i: rows2[i][0])
-    return LatinSquare(sq.m, tuple(rows2[i] for i in order))
-
-
-def _is_associative(rows) -> bool:
-    m = len(rows)
-    return all(
-        rows[rows[a][b]][c] == rows[a][rows[b][c]]
-        for a in range(m)
-        for b in range(m)
-        for c in range(m)
-    )
-
-
 def is_group_based(sq: LatinSquare) -> str | None:
     """Name of the group the square is based on, or None.
 
-    Each parastrophe is normalized to a loop; an associative loop is a
-    group, and by Albert's theorem a loop isotopic to a group is isomorphic
-    to it, so the test is exact for the whole main class.
+    With the symbols relabelled so that row 0 reads 0..m-1, each row r is
+    the column map r0^-1 r: m distinct maps, the identity among them, that
+    send column 0 everywhere.  Closed under composition, they are a regular
+    group and the square is an isotope of its table; conversely an isotope
+    c(a(x) b(y)) of a group G gives the group of maps b^-1 L_g b.  Isotopy
+    and parastrophy keep group-basedness: one test decides the main class.
     """
-    for para in parastrophes(sq):
-        reduced = loop_reduction(para)
-        if _is_associative(reduced.rows):
-            return structure_name(group_from_cayley_table(reduced.rows))
-    return None
+    relabel = [0] * sq.m
+    for j, s in enumerate(sq.rows[0]):
+        relabel[s] = j
+    maps = {tuple(relabel[x] for x in row) for row in sq.rows}
+    if any(compose(a, b) not in maps for a in maps for b in maps):
+        return None
+    return structure_name(PermGroup(sq.m, maps, maps))
 
 
 def satisfies_quadrangle_criterion(sq: LatinSquare) -> bool:

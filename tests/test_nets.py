@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -13,12 +13,11 @@ from unitals.nets import (
     is_dual_knet,
     is_group_based,
     latin_square_from_3net,
-    loop_reduction,
     max_knet_check,
-    parastrophes,
     persp_groups_of_3net,
     satisfies_quadrangle_criterion,
 )
+from unitals.groups import closure, compose
 from unitals.persp import full_points
 
 APPENDIX_NET = (1, 33, 200)
@@ -153,27 +152,68 @@ def test_h4_triangle_square_is_c5(h4, h4_triangles):
     assert is_group_based(sq) == "C5"
 
 
-def test_parastrophes_contain_transpose():
-    sq = LatinSquare(5, APPENDIX_SQUARE)
-    transpose = tuple(tuple(sq.rows[j][i] for j in range(5)) for i in range(5))
-    assert transpose in {p.rows for p in parastrophes(sq)}
+def test_latin_square_needs_m_rows_of_m_symbols():
+    rows = z5_table().rows
+    with pytest.raises(ValueError):
+        LatinSquare(5, rows + rows[:1])
+    with pytest.raises(ValueError):
+        LatinSquare(5, rows[:4])
+    with pytest.raises(ValueError):
+        LatinSquare(5, tuple(r + r[:1] for r in rows))
 
 
-def test_parastrophes_of_symmetric_square_may_collapse():
-    sq = z5_table()  # symmetric: fewer than 6 distinct parastrophes
-    assert len(parastrophes(sq)) < 6
+def _parastrophes(rows):
+    """The six squares obtained by permuting the (row, column, symbol) roles."""
+    m = len(rows)
+    triples = [(i, j, rows[i][j]) for i in range(m) for j in range(m)]
+    for perm in permutations(range(3)):
+        grid = [[0] * m for _ in range(m)]
+        for t in triples:
+            grid[t[perm[0]]][t[perm[1]]] = t[perm[2]]
+        yield LatinSquare(m, tuple(map(tuple, grid)))
+
+
+def _group_table(*generators):
+    elems = sorted(closure(generators).elements)
+    index = {g: i for i, g in enumerate(elems)}
+    return tuple(tuple(index[compose(a, b)] for b in elems) for a in elems)
+
+
+def _switched_c8_table():
+    """C8's table with the intercalate on rows and columns 0, 4 switched."""
+    rows = [[(i + j) % 8 for j in range(8)] for i in range(8)]
+    rows[0][0], rows[0][4], rows[4][0], rows[4][4] = 4, 0, 0, 4
+    return tuple(map(tuple, rows))
+
+
+MAIN_CLASS_CASES = (
+    (_group_table((1, 2, 3, 0)), "C4"),
+    (_group_table((1, 0, 3, 2), (2, 3, 0, 1)), "C2 x C2"),
+    (z5_table().rows, "C5"),
+    (_group_table((1, 2, 3, 4, 5, 0)), "C6"),
+    (_group_table((1, 0, 2), (1, 2, 0)), "S3"),
+    (_group_table((1, 2, 3, 4, 5, 6, 7, 0)), "C8"),
+    (_group_table((1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)), "C4 x C2"),
+    (_group_table((1, 2, 3, 0), (3, 2, 1, 0)), "D8"),
+    # left multiplication by i and j on 1, i, j, k, -1, -i, -j, -k
+    (_group_table((1, 4, 3, 6, 5, 0, 7, 2), (2, 7, 4, 1, 6, 3, 0, 5)), "Q8"),
+    (APPENDIX_SQUARE, None),
+    (_switched_c8_table(), None),
+)
 
 
 def test_group_based_invariant_across_parastrophes():
-    for sq in (z5_table(), LatinSquare(5, APPENDIX_SQUARE)):
-        verdicts = {is_group_based(p) is not None for p in parastrophes(sq)}
-        assert len(verdicts) == 1
-
-
-def test_loop_reduction_produces_identity_borders():
-    red = loop_reduction(LatinSquare(5, APPENDIX_SQUARE))
-    assert red.rows[0] == tuple(range(5))
-    assert tuple(r[0] for r in red.rows) == tuple(range(5))
+    """Every parastrophe of fixed-seed isotopes keeps the group's name, and
+    the quadrangle criterion agrees."""
+    rng = random.Random(5)
+    for rows, name in MAIN_CLASS_CASES:
+        m = len(rows)
+        for _ in range(2):
+            rp, cp, sp = (rng.sample(range(m), m) for _ in range(3))
+            isotope = tuple(tuple(sp[rows[rp[i]][cp[j]]] for j in range(m)) for i in range(m))
+            for sq in _parastrophes(isotope):
+                assert is_group_based(sq) == name
+                assert satisfies_quadrangle_criterion(sq) == (name is not None)
 
 
 def test_z5_is_group_based():
