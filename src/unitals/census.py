@@ -18,9 +18,9 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .design import AbstractUnital
-from .groups import structure_name
+from .groups import closure, structure_name
 from .nets import find_dual_3nets, is_cyclic_3net
-from .persp import SameBlock, all_pair_full_points, full_points, persp_group
+from .persp import SameBlock, all_pair_full_points, full_points, persp_generators
 
 LARGE_SET_THRESHOLD = 3
 
@@ -88,13 +88,16 @@ def _classify_structure(u: AbstractUnital, fp, container) -> str:
     return FP_OTHER
 
 
-def analyze_pair(u: AbstractUnital, b1: int, b2: int, fp=None) -> PairAnalysis:
-    """Everything the census needs of one block pair, with its perspectivity
-    group built once.
+def analyze_pair(u: AbstractUnital, b1: int, b2: int, fp=None, groups=None) -> PairAnalysis:
+    """Everything the census needs of one block pair.
 
     For a disjoint pair, FPR holds when the full points lie in one block
     disjoint from both (vacuously with at most one full point), and SFPR
     when moreover the group is cyclic and semi-regular.
+
+    `groups` maps the sorted tuple of a pair's distinct perspectivity
+    generators to (order, name, cyclic and semiregular), so each distinct
+    generator set is closed once; by default the pair gets a fresh dict.
     """
     if b1 == b2:
         raise SameBlock("a pair needs two distinct blocks")
@@ -104,20 +107,25 @@ def analyze_pair(u: AbstractUnital, b1: int, b2: int, fp=None) -> PairAnalysis:
     container = group = None
     if len(fp) >= 2:
         container = _containing_block(u, fp)
-        group = persp_group(u, b1, b2, fp=fp)
+        key = tuple(sorted(set(persp_generators(u, b1, b2, fp=fp))))
+        groups = {} if groups is None else groups
+        if key not in groups:
+            g = closure(key)
+            groups[key] = (g.order(), structure_name(g), g.is_cyclic() and g.is_semiregular())
+        group = groups[key]
     fpr = sfpr = None
     if disjoint:
         fpr = len(fp) <= 1 or (
             container is not None and u.blocks_disjoint(container, b1) and u.blocks_disjoint(container, b2)
         )
-        sfpr = fpr and (group is None or (group.is_cyclic() and group.is_semiregular()))
+        sfpr = fpr and (group is None or group[2])
     return PairAnalysis(
         b1=b1,
         b2=b2,
         disjoint=disjoint,
         full_point_count=len(fp),
-        group_order=None if group is None else group.order(),
-        group_name=None if group is None else structure_name(group),
+        group_order=None if group is None else group[0],
+        group_name=None if group is None else group[1],
         fp_structure=_classify_structure(u, fp, container),
         fpr=fpr,
         sfpr=sfpr,
@@ -142,7 +150,8 @@ def is_sfpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None) -> bool:
 
 def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:
     pair_fp = all_pair_full_points(u)
-    pairs = [analyze_pair(u, b1, b2, fp=fp) for (b1, b2), fp in pair_fp.items()]
+    groups: dict = {}
+    pairs = [analyze_pair(u, b1, b2, fp=fp, groups=groups) for (b1, b2), fp in pair_fp.items()]
     is_sfpr = all(pa.sfpr for pa in pairs)
     large = [pa for pa in pairs if pa.full_point_count >= LARGE_SET_THRESHOLD]
     in_block = [pa.fp_structure == FP_IN_BLOCK for pa in large]

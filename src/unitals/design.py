@@ -28,14 +28,14 @@ class AbstractUnital:
     """`point_blocks[p-1]` is the bitset of the blocks through point p and
     `block_meets[i-1]` that of the blocks meeting block i, itself included."""
 
-    __slots__ = ("order", "num_points", "point_blocks", "block_meets", "_blocks", "_block_sets", "_pair_block")
+    __slots__ = ("order", "num_points", "point_blocks", "block_meets", "_blocks", "_block_sets", "_join_rows")
 
-    def __init__(self, order, num_points, blocks, pair_block):
+    def __init__(self, order, num_points, blocks, join_rows):
         self.order = order
         self.num_points = num_points
         self._blocks = blocks
         self._block_sets = tuple(frozenset(b) for b in blocks)
-        self._pair_block = pair_block
+        self._join_rows = join_rows
         through = [0] * num_points
         for i, blk in enumerate(blocks):
             for p in blk:
@@ -63,6 +63,12 @@ class AbstractUnital:
     def block_set(self, i: int) -> frozenset[int]:
         return self._block_sets[self._block_pos(i)]
 
+    def join_row(self, p: int) -> tuple[int, ...]:
+        """Entry q-1 is the index of the block through points p and q (0 at q = p)."""
+        if not 1 <= p <= self.num_points:
+            raise IndexError(f"point id {p} outside 1..{self.num_points}")
+        return self._join_rows[p - 1]
+
     def block_through(self, p: int, q: int) -> int:
         """Index of the unique block containing both points."""
         n = self.num_points
@@ -70,7 +76,7 @@ class AbstractUnital:
             raise IndexError(f"point ids ({p},{q}) outside 1..{n}")
         if p == q:
             raise ValueError("block_through needs two distinct points")
-        return self._pair_block[(p - 1) * n + (q - 1)]
+        return self._join_rows[p - 1][q - 1]
 
     def blocks_disjoint(self, i: int, j: int) -> bool:
         return i != j and not self.block_meets[self._block_pos(i)] >> self._block_pos(j) & 1
@@ -110,7 +116,7 @@ def validate_unital(num_points: int, raw_blocks) -> AbstractUnital:
     if len(blocks) != expected_blocks:
         raise NotAUnital(f"block count {len(blocks)} != n^2(n^2-n+1) = {expected_blocks}")
 
-    pair_block = [0] * (num_points * num_points)
+    rows = [[0] * num_points for _ in range(num_points)]
     for idx, blk in enumerate(blocks, start=1):
         if len(blk) != size:
             raise NotAUnital(f"block {idx} has size {len(blk)} != {size}")
@@ -119,14 +125,12 @@ def validate_unital(num_points: int, raw_blocks) -> AbstractUnital:
         if blk[0] < 1 or blk[-1] > num_points:
             raise NotAUnital(f"block {idx} has a point id outside 1..{num_points}")
         for p, q in combinations(blk, 2):
-            key = (p - 1) * num_points + (q - 1)
-            if pair_block[key]:
-                raise NotAUnital(f"pair ({p},{q}) covered by blocks {pair_block[key]} and {idx}")
-            pair_block[key] = idx
-            pair_block[(q - 1) * num_points + (p - 1)] = idx
+            if rows[p - 1][q - 1]:
+                raise NotAUnital(f"pair ({p},{q}) covered by blocks {rows[p - 1][q - 1]} and {idx}")
+            rows[p - 1][q - 1] = rows[q - 1][p - 1] = idx
 
-    covered = sum(1 for v in pair_block if v) // 2
+    covered = sum(1 for row in rows for v in row if v) // 2
     if covered != num_points * (num_points - 1) // 2:
         raise NotAUnital("some point pair is covered by no block")
 
-    return AbstractUnital(n, num_points, tuple(blocks), tuple(pair_block))
+    return AbstractUnital(n, num_points, tuple(blocks), tuple(map(tuple, rows)))

@@ -110,11 +110,13 @@ def serialize_json(u: AbstractUnital, name: str = "unital") -> str:
 
 
 def load_unital(path) -> AbstractUnital:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as e:
-            raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}") from None
+    except OSError as e:
+        raise ParseError(f"cannot read file: {e.strerror or e}") from None
     return parse_unital(text, name=str(path)).validate()
 
 

@@ -35,15 +35,20 @@ def _full_point_masks(u: AbstractUnital, b1: int) -> list[tuple[int, int]]:
 
 def full_points(u: AbstractUnital, b1: int, b2: int) -> tuple[int, ...]:
     """All points P off both blocks whose joins to b1 each meet b2, in
-    increasing order, read off the kernel's sweep over the points off b1.
+    increasing order.
 
     Every such P defines the central projection b1 -> b2, so these are
     exactly the centers of well-defined perspectivities between the pair.
+    A join of P to b1 that misses b2 is a block meeting b1 but not b2, so
+    the full points are the points off b1 and b2 on no such block.
     """
     if b1 == b2:
         raise SameBlock("full points need two distinct blocks")
-    u.block(b2)  # IndexError outside 1..num_blocks
-    return tuple(p for p, hits in _full_point_masks(u, b1) if hits >> (b2 - 1) & 1)
+    off = {*u.block(b1), *u.block(b2)}  # IndexError outside 1..num_blocks
+    meets, blocks = u.block_meets, u.all_blocks
+    for c in block_ids(meets[b1 - 1] & ~meets[b2 - 1]):
+        off.update(blocks[c - 1])
+    return tuple(p for p in u.points() if p not in off)
 
 
 def all_pair_full_points(u: AbstractUnital) -> dict:
@@ -63,32 +68,34 @@ def all_pair_full_points(u: AbstractUnital) -> dict:
 def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> tuple[int, ...]:
     """The projection of b1 onto b2 with the given full point as center, as
     an image tuple: entry i is the position in b2 of the image of the i-th
-    point of b1.  The joins of the center to b2 name their points of b2, so
-    each point of b1 is mapped by looking up its join."""
-    if center in u.block_set(b1) or center in u.block_set(b2):
+    point of b1.  The center's join row names the join of each point, so
+    each point of b1 is mapped by looking up its join among b2's."""
+    join = u.join_row(center)
+    pts1, pts2 = u.block(b1), u.block(b2)
+    if center in pts1 or center in pts2:
         raise NotAFullPoint(f"point {center} lies on block {b1} or {b2}")
-    join = u.block_through
-    target = {join(center, q): i for i, q in enumerate(u.block(b2))}
+    target = {join[q - 1]: i for i, q in enumerate(pts2)}
     try:
-        return tuple(target[join(center, p)] for p in u.block(b1))
+        return tuple(target[join[p - 1]] for p in pts1)
     except KeyError:
         raise NotAFullPoint(f"point {center} is not a full point of ({b1},{b2})") from None
 
 
-def persp_group(u: AbstractUnital, b1: int, b2: int, fp=None) -> PermGroup:
-    """Group generated by the to-and-back projections phi_Q^-1 phi_P over all
-    pairs of full points P, Q, acting on the positions of b1.
-
-    Since phi_Q^-1 phi_P = (phi_P0^-1 phi_Q)^-1 (phi_P0^-1 phi_P) for any one
-    full point P0, the maps phi_P0^-1 phi_P alone generate it: one backward
-    map through P0 = fp[0] and one forward map per full point.  The P = P0
-    term is the identity, which keeps the degree at n+1 when |fp| = 1.
-
-    Precomputed full points may be passed to avoid rescanning.
-    """
+def persp_generators(u: AbstractUnital, b1: int, b2: int, fp=None) -> list[tuple[int, ...]]:
+    """The maps phi_P0^-1 phi_P on the positions of b1, one per full point P,
+    with P0 = fp[0]; they generate the perspectivity group, since
+    phi_Q^-1 phi_P = (phi_P0^-1 phi_Q)^-1 (phi_P0^-1 phi_P).  The P = P0 term
+    is the identity, which keeps the degree at n+1 when |fp| = 1.
+    Precomputed full points may be passed to avoid rescanning."""
     if fp is None:
         fp = full_points(u, b1, b2)
     if not fp:
         raise NoFullPoints(f"blocks ({b1},{b2}) have no full points")
     back = perspectivity_map(u, b2, fp[0], b1)
-    return closure([compose(perspectivity_map(u, b1, p, b2), back) for p in fp])
+    return [compose(perspectivity_map(u, b1, p, b2), back) for p in fp]
+
+
+def persp_group(u: AbstractUnital, b1: int, b2: int, fp=None) -> PermGroup:
+    """Group generated by the to-and-back projections phi_Q^-1 phi_P over all
+    pairs of full points P, Q, acting on the positions of b1."""
+    return closure(persp_generators(u, b1, b2, fp))

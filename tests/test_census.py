@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from unitals import census
 from unitals.census import (
     FP_EMPTY,
     FP_IN_BLOCK,
@@ -101,6 +102,21 @@ def test_classify_appendix(appendix):
     assert len(rep.nets) == 86
     assert (1, 33, 200) in rep.nets
     assert rep.has_large_set
+
+
+@pytest.mark.parametrize("name, closures", [("appendix", 129), ("h3", 6), ("h4", 6)])
+def test_classify_closes_each_generator_set_once(request, monkeypatch, name, closures):
+    """classify_unital shares one group dict across its pairs: one closure
+    per distinct generator set, and the same records as analysing every
+    pair on its own with a fresh dict."""
+    fixture = request.getfixturevalue(name)
+    u = getattr(fixture, "unital", fixture)
+    calls = []
+    real = census.closure
+    monkeypatch.setattr(census, "closure", lambda gens: calls.append(gens) or real(gens))
+    pairs = classify_unital(u, name).pairs
+    assert len(calls) == len(set(calls)) == closures
+    assert pairs == [analyze_pair(u, b1, b2, fp=fp) for (b1, b2), fp in all_pair_full_points(u).items()]
 
 
 def test_group_table_rows(h2, h3):

@@ -1,10 +1,11 @@
+import builtins
 import csv
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from unitals import cli
+from unitals import cli, formats
 from unitals.cli import main
 from unitals.formats import appendix_text, serialize_json, serialize_text
 
@@ -171,6 +172,46 @@ def test_census_skips_and_counts_malformed_files(runner, tmp_path, h2, monkeypat
         assert f"skipped {src / name}: " in result.output
     with open(prefix + "_totals.csv") as fh:
         assert list(csv.reader(fh))[1] == ["demo", "1", "1", "1"]
+
+
+@pytest.fixture
+def unreadable(monkeypatch):
+    """Opening a file named locked.txt fails as a file without read
+    permission does (permission bits do not stop a superuser, so `open`
+    is replaced instead)."""
+
+    def fake_open(path, *args, **kwargs):
+        if str(path).endswith("locked.txt"):
+            raise PermissionError(13, "Permission denied", str(path))
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(formats, "open", fake_open, raising=False)
+
+
+def test_census_skips_and_counts_unreadable_files(runner, tmp_path, h2, monkeypatch, unreadable):
+    src = tmp_path / "lib"
+    src.mkdir()
+    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    (src / "locked.txt").write_text(serialize_text(h2.unital, "h2"))
+    monkeypatch.setenv("UNITAL_THREADS", "1")
+    result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "census")])
+    assert result.exit_code == 0
+    assert "census of 1 unital(s)" in result.output and "1 file(s) skipped" in result.output
+    assert f"skipped {src / 'locked.txt'}: cannot read file: Permission denied" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["validate"], "PARSE"), (["fullpoints", "--blocks", "1,2"], "LOAD"), (["dualnets"], "LOAD")],
+    ids=["validate", "fullpoints", "dualnets"],
+)
+def test_unreadable_file_gives_one_error_line(runner, tmp_path, h2, unreadable, args, code):
+    locked = tmp_path / "locked.txt"
+    locked.write_text(serialize_text(h2.unital, "h2"))
+    result = runner.invoke(main, [args[0], str(locked), *args[1:]])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"ERROR {code}: cannot read file") and result.output.count("ERROR") == 1
 
 
 def test_census_checks_out_dir_before_classifying(runner, tmp_path, h2, monkeypatch):

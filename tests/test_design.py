@@ -114,3 +114,20 @@ def test_indices_below_one_rejected(appendix, h2):
             h2.unital.block_through(3, i)
     with pytest.raises(IndexError):
         full_points(appendix, 0, 1)
+
+
+def test_join_row_agrees_with_block_through(h2):
+    u = h2.unital
+    for p in u.points():
+        row = u.join_row(p)
+        assert len(row) == u.num_points
+        for q in u.points():
+            if q != p:
+                assert row[q - 1] == u.block_through(p, q)
+                assert {p, q} <= u.block_set(row[q - 1])
+
+
+def test_join_row_rejects_ids_outside_range(h2):
+    for p in (0, -1, -9, h2.unital.num_points + 1):
+        with pytest.raises(IndexError):
+            h2.unital.join_row(p)

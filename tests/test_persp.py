@@ -3,7 +3,7 @@ import random
 import pytest
 
 from unitals import persp
-from unitals.design import validate_unital
+from unitals.design import AbstractUnital, validate_unital
 from unitals.groups import closure, structure_name
 from unitals.persp import (
     NoFullPoints,
@@ -122,6 +122,22 @@ def test_not_a_full_point_rejected(appendix):
     for on_block in (appendix.block(1)[0], appendix.block(33)[0]):
         with pytest.raises(NotAFullPoint):
             perspectivity_map(appendix, 1, on_block, 33)
+
+
+def test_perspectivity_map_center_out_of_range(appendix):
+    for center in (0, -1, appendix.num_points + 1):
+        with pytest.raises(IndexError):
+            perspectivity_map(appendix, 1, center, 33)
+
+
+def test_perspectivity_layer_reads_join_rows(appendix, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("block_through called")
+
+    monkeypatch.setattr(AbstractUnital, "block_through", refuse)
+    fp = full_points(appendix, 1, 33)
+    assert persp_group(appendix, 1, 33, fp=fp).order() == 120
+    assert all_pair_full_points(appendix)[(1, 33)] == fp
 
 
 def test_single_full_point_gives_trivial_group(h4, h4_pair_fp):
