@@ -103,8 +103,9 @@ def closure(generators, max_order: int = MAX_GROUP_ORDER) -> PermGroup:
 # ----------------------------------------------------------------------
 # structure naming
 #
-# The catalog is built from abstract multiplication tables, which is enough
-# to compute the (order, abelian, spectrum) key of each model group.
+# The catalog is built from abstract multiplication tables, which give the
+# order and spectrum of each model group; whether a model is abelian is
+# known from how it is built.
 
 
 def _orders_from_mult(elems, mult, identity) -> Counter:
@@ -116,10 +117,6 @@ def _orders_from_mult(elems, mult, identity) -> Counter:
             n += 1
         spectrum[n] += 1
     return spectrum
-
-
-def _abelian_from_mult(elems, mult) -> bool:
-    return all(mult(a, b) == mult(b, a) for a in elems for b in elems)
 
 
 def _cyclic_product(factors):
@@ -271,53 +268,47 @@ def _is_prime_power(q) -> bool:
 
 
 def _build_catalog():
-    models: list[tuple[str, tuple]] = []
-
-    for pps in _abelian_models(24):
-        models.append((_abelian_name(pps), _cyclic_product(pps)))
-
-    for m in range(3, 13):  # dihedral groups, named by their order
-        name = "S3" if m == 3 else f"D{2 * m}"
-        models.append((name, _metacyclic(m, 2, m - 1)))
-
-    models.append(("Q8", _dicyclic(2)))
-    models.append(("C3 : C4", _dicyclic(3)))
-    models.append(("Q16", _dicyclic(4)))
-    models.append(("Dic5", _dicyclic(5)))
-    models.append(("Dic6", _dicyclic(6)))
-
-    models.append(("SD16", _metacyclic(8, 2, 3)))
-    models.append(("M16", _metacyclic(8, 2, 5)))
-    models.append(("C4 : C4", _metacyclic(4, 4, 3)))
-    models.append(("C5 : C4", _metacyclic(5, 4, 2)))  # Frobenius group of order 20
-    models.append(("C7 : C3", _metacyclic(7, 3, 2)))
-    models.append(("C3 : C8", _metacyclic(3, 8, 2)))
-
-    models.append(("A4", _sym(4, even_only=True)))
-    models.append(("S4", _sym(4)))
-    models.append(("A5", _sym(5, even_only=True)))
-    models.append(("S5", _sym(5)))
-
-    models.append(("(C3 x C3) : C2", _gen_dihedral((3, 3))))
-    models.append(("C3 x S3", _direct(_cyclic_product((3,)), _metacyclic(3, 2, 2))))
-    models.append(("C2 x D8", _direct(_cyclic_product((2,)), _metacyclic(4, 2, 3))))
-    models.append(("C2 x Q8", _direct(_cyclic_product((2,)), _dicyclic(2))))
-    models.append(("C2 x A4", _direct(_cyclic_product((2,)), _sym(4, even_only=True))))
-    models.append(("C4 x S3", _direct(_cyclic_product((4,)), _metacyclic(3, 2, 2))))
-    models.append(("C2 x C2 x S3", _direct(_cyclic_product((2, 2)), _metacyclic(3, 2, 2))))
-    models.append(("C2 x (C3 : C4)", _direct(_cyclic_product((2,)), _dicyclic(3))))
-    models.append(("C3 x D8", _direct(_cyclic_product((3,)), _metacyclic(4, 2, 3))))
-    models.append(("C3 x Q8", _direct(_cyclic_product((3,)), _dicyclic(2))))
-    models.append(("SL(2,3)", _sl23()))
+    abelian = [(_abelian_name(pps), _cyclic_product(pps)) for pps in _abelian_models(24)]
+    # dihedral groups, named by their order
+    nonabelian = [("S3" if m == 3 else f"D{2 * m}", _metacyclic(m, 2, m - 1)) for m in range(3, 13)]
+    nonabelian += [
+        ("Q8", _dicyclic(2)),
+        ("C3 : C4", _dicyclic(3)),
+        ("Q16", _dicyclic(4)),
+        ("Dic5", _dicyclic(5)),
+        ("Dic6", _dicyclic(6)),
+        ("SD16", _metacyclic(8, 2, 3)),
+        ("M16", _metacyclic(8, 2, 5)),
+        ("C4 : C4", _metacyclic(4, 4, 3)),
+        ("C5 : C4", _metacyclic(5, 4, 2)),  # Frobenius group of order 20
+        ("C7 : C3", _metacyclic(7, 3, 2)),
+        ("C3 : C8", _metacyclic(3, 8, 2)),
+        ("A4", _sym(4, even_only=True)),
+        ("S4", _sym(4)),
+        ("A5", _sym(5, even_only=True)),
+        ("S5", _sym(5)),
+        ("(C3 x C3) : C2", _gen_dihedral((3, 3))),
+        ("C3 x S3", _direct(_cyclic_product((3,)), _metacyclic(3, 2, 2))),
+        ("C2 x D8", _direct(_cyclic_product((2,)), _metacyclic(4, 2, 3))),
+        ("C2 x Q8", _direct(_cyclic_product((2,)), _dicyclic(2))),
+        ("C2 x A4", _direct(_cyclic_product((2,)), _sym(4, even_only=True))),
+        ("C4 x S3", _direct(_cyclic_product((4,)), _metacyclic(3, 2, 2))),
+        ("C2 x C2 x S3", _direct(_cyclic_product((2, 2)), _metacyclic(3, 2, 2))),
+        ("C2 x (C3 : C4)", _direct(_cyclic_product((2,)), _dicyclic(3))),
+        ("C3 x D8", _direct(_cyclic_product((3,)), _metacyclic(4, 2, 3))),
+        ("C3 x Q8", _direct(_cyclic_product((3,)), _dicyclic(2))),
+        ("SL(2,3)", _sl23()),
+    ]
 
     catalog: dict[tuple, str | None] = {}
-    for name, (elems, mult, identity) in models:
-        spectrum = _orders_from_mult(elems, mult, identity)
-        key = (len(elems), _abelian_from_mult(elems, mult), frozenset(spectrum.items()))
-        if key in catalog and catalog[key] != name:
-            catalog[key] = None  # ambiguous; force the fallback label
-        else:
-            catalog[key] = name
+    for is_abelian, models in ((True, abelian), (False, nonabelian)):
+        for name, (elems, mult, identity) in models:
+            spectrum = _orders_from_mult(elems, mult, identity)
+            key = (len(elems), is_abelian, frozenset(spectrum.items()))
+            if key in catalog and catalog[key] != name:
+                catalog[key] = None  # ambiguous; force the fallback label
+            else:
+                catalog[key] = name
     return catalog
 
 

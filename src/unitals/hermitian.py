@@ -2,17 +2,18 @@
 
 The Hermitian form is fixed as the identity form sum(x_i^(q+1)); all
 Hermitian polarities are projectively equivalent to it, so nothing is
-lost.  The curve (set of self-conjugate points) has q^3+1 points and the
-(q+1)-secant sections form the blocks of the Hermitian unital, giving a
-natural embedding whose point/line maps are retained for the geometric
-analyses: polar triangles, Baer-subline tests, nuclei and the affine
-perspectivity group of a disjoint block pair.
+lost.  The curve (set of self-conjugate points) has q^3+1 points.  Like
+any embedded unital (`embedded_unital`), its blocks are its secant lines,
+found as the joins of its points; the natural embedding's point/line maps
+are retained for the geometric analyses: polar triangles, Baer-subline
+tests, nuclei and the affine perspectivity group of a disjoint block pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .design import AbstractUnital, validate_unital
 from .gf import GaloisField, is_prime
@@ -105,10 +106,30 @@ class HermitianEmbedding:
     line_to_block: dict  # plane line -> block index
 
     def block_line(self, i: int):
+        if not 1 <= i <= len(self.line_coords):
+            raise IndexError(f"block index {i} outside 1..{len(self.line_coords)}")
         return self.line_coords[i - 1]
 
     def point(self, pid: int):
+        if not 1 <= pid <= len(self.point_coords):
+            raise IndexError(f"point id {pid} outside 1..{len(self.point_coords)}")
         return self.point_coords[pid - 1]
+
+
+def embedded_unital(plane: ProjectivePlane, points) -> tuple[AbstractUnital, tuple]:
+    """The unital a plane point set carries, with the line of each block.
+
+    Point i is the i-th given point (1-based).  The blocks are the secant
+    lines, the joins of two of the points, listed in `plane.lines` order;
+    a tangent line holds one point and is no join.  Raises NotAUnital when
+    the secant sections do not form a unital.
+    """
+    pts = tuple(points)
+    on_line: dict = {}
+    for (i, p), (j, q) in combinations(enumerate(pts, start=1), 2):
+        on_line.setdefault(plane.line_through(p, q), set()).update((i, j))
+    block_lines = tuple(l for l in plane.lines if l in on_line)
+    return validate_unital(len(pts), [on_line[l] for l in block_lines]), block_lines
 
 
 @lru_cache(maxsize=None)
@@ -116,28 +137,15 @@ def hermitian_unital(q: int) -> HermitianEmbedding:
     """Construct H(q) with its natural embedding in PG(2,q^2)."""
     plane = hermitian_plane(q)
     curve = self_conjugate_points(plane)
-    assert len(curve) == q**3 + 1
-    coord_to_point = {p: i for i, p in enumerate(curve, start=1)}
-
-    blocks = []
-    block_lines = []
-    for line in plane.lines:
-        if is_self_conjugate(plane, line):
-            continue
-        blk = sorted(coord_to_point[p] for p in plane.points_on_line(line) if p in coord_to_point)
-        blocks.append(blk)
-        block_lines.append(line)
-
-    unital = validate_unital(len(curve), blocks)
-    line_to_block = {l: i for i, l in enumerate(block_lines, start=1)}
+    unital, block_lines = embedded_unital(plane, curve)
     return HermitianEmbedding(
         q=q,
         plane=plane,
         unital=unital,
-        point_coords=tuple(curve),
-        line_coords=tuple(block_lines),
-        coord_to_point=coord_to_point,
-        line_to_block=line_to_block,
+        point_coords=curve,
+        line_coords=block_lines,
+        coord_to_point={p: i for i, p in enumerate(curve, start=1)},
+        line_to_block={l: i for i, l in enumerate(block_lines, start=1)},
     )
 
 

@@ -31,7 +31,6 @@ class ProjectivePlane:
         self.points: tuple[tuple[int, int, int], ...] = tuple(pts)
         self.lines = self.points  # duality: same normalized triples
         self._points_on_line: dict = {}
-        self._lines_through_point: dict = {}
 
     @property
     def num_points(self) -> int:
@@ -79,12 +78,9 @@ class ProjectivePlane:
             self._points_on_line[line] = cached
         return cached
 
-    def lines_through_point(self, point) -> tuple:
-        cached = self._lines_through_point.get(point)
-        if cached is None:
-            cached = tuple(l for l in self.lines if self.incident(point, l))
-            self._lines_through_point[point] = cached
-        return cached
+    # incidence is symmetric and lines are the same triples as points, so
+    # the lines through a point are the points on the line of that triple
+    lines_through_point = points_on_line
 
     def __repr__(self) -> str:
         return f"ProjectivePlane(order={self.order})"

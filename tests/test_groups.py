@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from unitals.groups import PermGroup, closure, compose, structure_name
+from unitals.groups import PermGroup, _build_catalog, closure, compose, structure_name
 
 
 def cyc(images):
@@ -116,6 +117,17 @@ def test_structure_name_catalog_sample():
     assert structure_name(g) == "C6"
     s4 = closure([cyc((1, 0, 2, 3)), cyc((1, 2, 3, 0))])
     assert structure_name(s4) == "S4"
+
+
+def test_structure_name_catalog_is_pinned():
+    # keys and names as first recorded, when each model's abelian flag was
+    # computed from its multiplication table; a misflagged model changes them
+    catalog = _build_catalog()
+    assert len(catalog) == 71
+    assert [name for name in catalog.values() if name is None] == [None]
+    items = sorted((n, abelian, tuple(sorted(spectrum)), name) for (n, abelian, spectrum), name in catalog.items())
+    digest = hashlib.sha256(repr(items).encode()).hexdigest()
+    assert digest == "25d8a1f2f56443dae88042d4370e61d578435fa777ec25018d1c01e9eac3823a"
 
 
 def test_structure_name_fallback_is_descriptive():

@@ -1,5 +1,6 @@
 import pytest
 
+from unitals.design import NotAUnital
 from unitals.gf import GaloisField
 from unitals.hermitian import (
     NotCollinear,
@@ -7,6 +8,7 @@ from unitals.hermitian import (
     all_polar_triangles,
     are_conjugate_lines,
     base_prime_power,
+    embedded_unital,
     gamma1_analysis,
     hermitian_plane,
     hermitian_unital,
@@ -75,6 +77,62 @@ def test_hermitian_unital_is_design(q):
     assert u.order == q
     assert u.num_points == q**3 + 1
     assert u.num_blocks == q * q * (q * q - q + 1)
+
+
+def _reference_hermitian(q):
+    """H(q) as first built, from incidence alone: the curve points on each
+    line that is not self-conjugate, lines in plane order."""
+    plane = hermitian_plane(q)
+    curve = [p for p in plane.points if plane.incident(p, polarity_image(plane, p))]
+    ids = {p: i for i, p in enumerate(curve, start=1)}
+    blocks, lines = [], []
+    for l in plane.lines:
+        if not plane.incident(polarity_image(plane, l), l):
+            blocks.append(tuple(ids[p] for p in curve if plane.incident(p, l)))
+            lines.append(l)
+    return tuple(blocks), tuple(lines)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_hermitian_unital_matches_incidence_reference(q):
+    emb = hermitian_unital(q)
+    assert (emb.unital.all_blocks, emb.line_coords) == _reference_hermitian(q)
+
+
+def test_embedded_unital_reads_no_incidence_cache(monkeypatch):
+    def refuse(self, v):
+        raise AssertionError("incidence cache read")
+
+    monkeypatch.setattr(ProjectivePlane, "points_on_line", refuse)
+    monkeypatch.setattr(ProjectivePlane, "lines_through_point", refuse)
+    plane = ProjectivePlane(GaloisField(2, 2))
+    curve = self_conjugate_points(plane)
+    u, lines = embedded_unital(plane, curve)
+    assert (u.num_points, u.num_blocks, len(lines)) == (9, 12, 12)
+
+
+def test_embedded_unital_rejects_non_unital():
+    plane = hermitian_plane(2)
+    with pytest.raises(NotAUnital):
+        embedded_unital(plane, self_conjugate_points(plane)[:-1])
+
+
+def test_lines_through_point_by_incidence():
+    plane = hermitian_plane(2)  # PG(2,4)
+    for p in plane.points:
+        assert plane.lines_through_point(p) == tuple(l for l in plane.lines if plane.incident(p, l))
+
+
+def test_embedding_rejects_out_of_range_indices(h2):
+    # H(2) has 12 blocks and 9 points
+    for i in (0, -1, 13):
+        with pytest.raises(IndexError):
+            h2.block_line(i)
+        with pytest.raises(IndexError):
+            polar_triangles_through_block(h2, i)
+    for pid in (0, -1, 10):
+        with pytest.raises(IndexError):
+            h2.point(pid)
 
 
 def test_line_secant_types():
