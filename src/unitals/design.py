@@ -79,7 +79,7 @@ class AbstractUnital:
         return self._join_rows[p - 1][q - 1]
 
     def blocks_disjoint(self, i: int, j: int) -> bool:
-        return i != j and not self.block_meets[self._block_pos(i)] >> self._block_pos(j) & 1
+        return not self.block_meets[self._block_pos(i)] >> self._block_pos(j) & 1
 
     def points(self) -> range:
         return range(1, self.num_points + 1)

@@ -79,6 +79,12 @@ def test_blocks_disjoint(appendix):
     assert not appendix.blocks_disjoint(7, 7)
 
 
+def test_blocks_disjoint_rejects_out_of_range_equal_indices(appendix):
+    for i in (0, -1, appendix.num_blocks + 1):
+        with pytest.raises(IndexError):
+            appendix.blocks_disjoint(i, i)
+
+
 def test_replication_number(appendix):
     # every point lies on (num_points - 1) / n = n^2 blocks
     n = appendix.order

@@ -1,8 +1,10 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
+from unitals import groups
 from unitals.groups import PermGroup, _build_catalog, closure, compose, structure_name
 
 
@@ -45,9 +47,10 @@ def test_closure_is_closed():
         assert compose(a, b) in g.elements
 
 
-def test_closure_size_cap():
+def test_closure_size_cap(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 100)
     with pytest.raises(ValueError, match="cap"):
-        closure([cyc((1, 0, 2, 3, 4, 5, 6, 7)), cyc((1, 2, 3, 4, 5, 6, 7, 0))], max_order=100)
+        closure([cyc((1, 0, 2, 3, 4, 5, 6, 7)), cyc((1, 2, 3, 4, 5, 6, 7, 0))])
 
 
 def test_s3_not_semiregular():
@@ -128,6 +131,34 @@ def test_structure_name_catalog_is_pinned():
     items = sorted((n, abelian, tuple(sorted(spectrum)), name) for (n, abelian, spectrum), name in catalog.items())
     digest = hashlib.sha256(repr(items).encode()).hexdigest()
     assert digest == "25d8a1f2f56443dae88042d4370e61d578435fa777ec25018d1c01e9eac3823a"
+
+
+def test_structure_name_of_every_subgroup_of_s5():
+    # every subgroup of S5 is generated by two elements, and has a conjugate
+    # in which the first is the representative of its cycle type
+    s5 = sorted(closure([cyc((1, 0, 2, 3, 4)), cyc((1, 2, 3, 4, 0))]).elements)
+    reps = [
+        (0, 1, 2, 3, 4), (1, 0, 2, 3, 4), (1, 2, 0, 3, 4), (1, 2, 3, 0, 4),
+        (1, 2, 3, 4, 0), (1, 0, 3, 2, 4), (1, 2, 0, 4, 3),
+    ]
+    found = {}
+    for a in reps:
+        for b in s5:
+            found.setdefault(closure([a, b]).elements, (a, b))
+    subgroups = {}
+    for elements, gens in found.items():
+        if elements in subgroups:
+            continue  # its conjugacy class is already in
+        for s in s5:
+            conj = lambda p: compose(compose(inverse(s), p), s)
+            subgroups.setdefault(frozenset(map(conj, elements)), tuple(map(conj, gens)))
+    assert len(subgroups) == 156
+    names = Counter(structure_name(PermGroup(5, gens, elements)) for elements, gens in subgroups.items())
+    assert names == {
+        "1": 1, "C2": 25, "C3": 10, "C4": 15, "C2 x C2": 20, "C5": 6,
+        "S3": 20, "C6": 10, "D8": 15, "D10": 6,
+        "A4": 5, "D12": 10, "C5 : C4": 6, "S4": 5, "A5": 1, "S5": 1,
+    }
 
 
 def test_structure_name_fallback_is_descriptive():
