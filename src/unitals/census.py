@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import NamedTuple
 
 from .design import AbstractUnital
@@ -65,25 +64,14 @@ class UnitalReport:
     no_large_in_block: bool = False
 
 
-def _containing_block(u: AbstractUnital, pts) -> int | None:
-    """A block containing all the given points (>= 2 of them), or None."""
-    c = u.block_through(pts[0], pts[1])
-    return c if set(pts) <= u.block_set(c) else None
-
-
-def _no_three_collinear(u: AbstractUnital, pts) -> bool:
-    s = set(pts)
-    return all(len(u.block_set(u.block_through(p, q)) & s) <= 2 for p, q in combinations(pts, 2))
-
-
-def _classify_structure(u: AbstractUnital, fp, container) -> str:
+def _classify_structure(fp, secants: int) -> str:
     if len(fp) == 0:
         return FP_EMPTY
     if len(fp) == 1:
         return FP_SINGLE
-    if container is not None:
+    if secants.bit_count() == 1:
         return FP_IN_BLOCK
-    if _no_three_collinear(u, fp):
+    if secants.bit_count() == len(fp) * (len(fp) - 1) // 2:  # one secant per pair of points
         return FP_NO_3_COLLINEAR
     return FP_OTHER
 
@@ -104,9 +92,9 @@ def analyze_pair(u: AbstractUnital, b1: int, b2: int, fp=None, groups=None) -> P
     if fp is None:
         fp = full_points(u, b1, b2)
     disjoint = u.blocks_disjoint(b1, b2)
-    container = group = None
+    secants, group = 0, None
     if len(fp) >= 2:
-        container = _containing_block(u, fp)
+        secants = u.secants(fp)
         key = tuple(sorted(set(persp_generators(u, b1, b2, fp=fp))))
         groups = {} if groups is None else groups
         if key not in groups:
@@ -116,7 +104,7 @@ def analyze_pair(u: AbstractUnital, b1: int, b2: int, fp=None, groups=None) -> P
     fpr = sfpr = None
     if disjoint:
         fpr = len(fp) <= 1 or (
-            container is not None and u.blocks_disjoint(container, b1) and u.blocks_disjoint(container, b2)
+            secants.bit_count() == 1 and not secants & (u.block_meets[b1 - 1] | u.block_meets[b2 - 1])
         )
         sfpr = fpr and (group is None or group[2])
     return PairAnalysis(
@@ -126,7 +114,7 @@ def analyze_pair(u: AbstractUnital, b1: int, b2: int, fp=None, groups=None) -> P
         full_point_count=len(fp),
         group_order=None if group is None else group[0],
         group_name=None if group is None else group[1],
-        fp_structure=_classify_structure(u, fp, container),
+        fp_structure=_classify_structure(fp, secants),
         fpr=fpr,
         sfpr=sfpr,
     )

@@ -1,9 +1,9 @@
-"""Abstract unitals: 2-(n^3+1, n+1, 1) block designs with O(1) pair lookup.
+"""Abstract unitals: 2-(n^3+1, n+1, 1) block designs and their incidence index.
 
-Points are 1-based integers 1..n^3+1 and block indices are 1-based, which
-matches the usual published block listings.  Construction validates all
-design axioms eagerly; an AbstractUnital instance is immutable and can be
-queried concurrently.
+Points and blocks are 1-based, as in the published block listings.  Which
+blocks hold which points is kept as bitsets over blocks (bit i-1 for block
+i), and join rows give the block through two points.  Construction validates
+every design axiom eagerly; an AbstractUnital is immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ class AbstractUnital:
     """`point_blocks[p-1]` is the bitset of the blocks through point p and
     `block_meets[i-1]` that of the blocks meeting block i, itself included."""
 
-    __slots__ = ("order", "num_points", "point_blocks", "block_meets", "_blocks", "_block_sets", "_join_rows")
+    __slots__ = ("order", "num_points", "point_blocks", "block_meets", "_blocks", "_join_rows")
 
     def __init__(self, order, num_points, blocks, join_rows):
         self.order = order
         self.num_points = num_points
         self._blocks = blocks
-        self._block_sets = tuple(frozenset(b) for b in blocks)
         self._join_rows = join_rows
         through = [0] * num_points
         for i, blk in enumerate(blocks):
@@ -61,13 +60,26 @@ class AbstractUnital:
         return self._blocks[self._block_pos(i)]
 
     def block_set(self, i: int) -> frozenset[int]:
-        return self._block_sets[self._block_pos(i)]
+        return frozenset(self.block(i))
+
+    def _point_pos(self, p: int) -> int:
+        if not 1 <= p <= self.num_points:
+            raise IndexError(f"point id {p} outside 1..{self.num_points}")
+        return p - 1
 
     def join_row(self, p: int) -> tuple[int, ...]:
         """Entry q-1 is the index of the block through points p and q (0 at q = p)."""
-        if not 1 <= p <= self.num_points:
-            raise IndexError(f"point id {p} outside 1..{self.num_points}")
-        return self._join_rows[p - 1]
+        return self._join_rows[self._point_pos(p)]
+
+    def secants(self, points) -> int:
+        """The bitset of the blocks holding at least two of the given points;
+        each pair of the points lies on exactly one of them."""
+        once = twice = 0
+        for p in points:
+            on_p = self.point_blocks[self._point_pos(p)]
+            twice |= once & on_p
+            once |= on_p
+        return twice
 
     def block_through(self, p: int, q: int) -> int:
         """Index of the unique block containing both points."""
@@ -89,8 +101,9 @@ class AbstractUnital:
 
     def disjoint_block_pairs(self):
         """All unordered disjoint block pairs (i, j) with i < j."""
+        full = (1 << self.num_blocks) - 1
         for i, meets in enumerate(self.block_meets, start=1):
-            yield from ((i, j) for j in range(i + 1, self.num_blocks + 1) if not meets >> (j - 1) & 1)
+            yield from ((i, j) for j in block_ids(~meets >> i << i & full))
 
     def __repr__(self) -> str:
         return f"AbstractUnital(order={self.order}, points={self.num_points}, blocks={self.num_blocks})"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .design import AbstractUnital, validate_unital
+from .design import AbstractUnital, NotAUnital, validate_unital
 from .gf import GaloisField, is_prime
 from .groups import PermGroup, closure
 from .plane import ProjectivePlane, cross_ratio, line_parameter, INFINITY
@@ -125,6 +125,8 @@ def embedded_unital(plane: ProjectivePlane, points) -> tuple[AbstractUnital, tup
     the secant sections do not form a unital.
     """
     pts = tuple(points)
+    if len(set(pts)) != len(pts):
+        raise NotAUnital("a point is given twice")
     on_line: dict = {}
     for (i, p), (j, q) in combinations(enumerate(pts, start=1), 2):
         on_line.setdefault(plane.line_through(p, q), set()).update((i, j))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .design import AbstractUnital
+from .design import AbstractUnital, block_ids
 from .groups import PermGroup, compose, structure_name
 from .persp import all_pair_full_points, full_points, persp_group, perspectivity_map
 
@@ -69,33 +69,25 @@ def is_dual_knet(u: AbstractUnital, blocks) -> bool:
 
 def blocks_inside(u: AbstractUnital, point_set) -> tuple[int, ...]:
     """Indices of blocks wholly contained in the given point set."""
-    pts = sorted(point_set)
-    if len(pts) < u.order + 1:
-        return ()
-    s = frozenset(pts)
-    found = set()
-    for p, q in combinations(pts, 2):
-        c = u.block_through(p, q)
-        if c not in found and u.block_set(c) <= s:
-            found.add(c)
-    return tuple(sorted(found))
+    pts = set(point_set)
+    return tuple(c for c in block_ids(u.secants(pts)) if pts.issuperset(u.block(c)))
 
 
 def find_dual_3nets(u: AbstractUnital, pair_full_points=None) -> tuple:
     """All embedded dual 3-nets, as sorted block-index triples.
 
     For every disjoint pair, any block wholly inside the full-point set
-    completes the pair to a 3-net.  A precomputed map (b1,b2) -> full
-    points over all disjoint pairs may be supplied.
+    completes the pair to a 3-net; each net is taken from its two smallest
+    blocks.  A precomputed map (b1,b2) -> full points over all disjoint
+    pairs may be supplied.
     """
     if pair_full_points is None:
         pair_full_points = all_pair_full_points(u)
-    nets = set()
+    nets = []
     for (b1, b2), fp in pair_full_points.items():
         if len(fp) < u.order + 1:
             continue
-        for c in blocks_inside(u, fp):
-            nets.add(tuple(sorted((b1, b2, c))))
+        nets.extend(tuple(sorted((b1, b2, c))) for c in blocks_inside(u, fp) if c > max(b1, b2))
     return tuple(sorted(nets))
 
 

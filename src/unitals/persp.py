@@ -24,13 +24,12 @@ def _full_point_masks(u: AbstractUnital, b1: int) -> list[tuple[int, int]]:
     every block b != b1.  The blocks through p that meet b1 are its joins to
     b1, so `hits` is the AND of their meet-masks, less the blocks through p.
     """
-    s1 = u.block_set(b1)
     meets, blocks = u.block_meets, u.all_blocks
     hits = [~on_p for on_p in u.point_blocks]
     for c in block_ids(meets[b1 - 1]):
         for p in blocks[c - 1]:
             hits[p - 1] &= meets[c - 1]
-    return [(p, h) for p, h in enumerate(hits, start=1) if p not in s1]
+    return [(p, h) for p, h in enumerate(hits, start=1) if h >> (b1 - 1) & 1]  # points of b1 lose bit b1-1
 
 
 def full_points(u: AbstractUnital, b1: int, b2: int) -> tuple[int, ...]:
@@ -44,11 +43,9 @@ def full_points(u: AbstractUnital, b1: int, b2: int) -> tuple[int, ...]:
     """
     if b1 == b2:
         raise SameBlock("full points need two distinct blocks")
-    off = {*u.block(b1), *u.block(b2)}  # IndexError outside 1..num_blocks
-    meets, blocks = u.block_meets, u.all_blocks
-    for c in block_ids(meets[b1 - 1] & ~meets[b2 - 1]):
-        off.update(blocks[c - 1])
-    return tuple(p for p in u.points() if p not in off)
+    u.block(b1), u.block(b2)  # IndexError outside 1..num_blocks, before a negative index wraps
+    off = u.block_meets[b1 - 1] & ~u.block_meets[b2 - 1] | 1 << b1 - 1 | 1 << b2 - 1
+    return tuple(p for p, on_p in enumerate(u.point_blocks, start=1) if not on_p & off)
 
 
 def all_pair_full_points(u: AbstractUnital) -> dict:
@@ -70,6 +67,8 @@ def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> tuple
     an image tuple: entry i is the position in b2 of the image of the i-th
     point of b1.  The center's join row names the join of each point, so
     each point of b1 is mapped by looking up its join among b2's."""
+    if b1 == b2:
+        raise SameBlock("a perspectivity needs two distinct blocks")
     join = u.join_row(center)
     pts1, pts2 = u.block(b1), u.block(b2)
     if center in pts1 or center in pts2:

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -6,6 +7,7 @@ from unitals import census
 from unitals.census import (
     FP_EMPTY,
     FP_IN_BLOCK,
+    FP_NO_3_COLLINEAR,
     FP_OTHER,
     FP_SINGLE,
     NotDisjoint,
@@ -139,3 +141,25 @@ def test_large_set_rows(h2, appendix):
     assert rows["B"] + rows["Bbar"] == rows["Omega"]
     assert rows["A"] <= rows["B"]
     assert rows["C"] <= rows["Bbar"]
+
+
+def test_structure_and_secants_match_blocks_on_random_point_sets(appendix):
+    """No pinned design has a no-3-collinear full-point set, so the
+    classifier is checked on random point sets against the block lists."""
+    blocks = [set(b) for b in appendix.all_blocks]
+    rng = random.Random(2019)
+    kinds = Counter()
+    for _ in range(3000):
+        pts = rng.sample(range(1, appendix.num_points + 1), rng.randint(2, 8))
+        held = [len(b.intersection(pts)) for b in blocks]
+        secants = appendix.secants(pts)
+        assert secants == sum(1 << i for i, k in enumerate(held) if k >= 2)
+        if max(held) == len(pts):
+            expected = FP_IN_BLOCK
+        elif max(held) == 2:
+            expected = FP_NO_3_COLLINEAR
+        else:
+            expected = FP_OTHER
+        assert census._classify_structure(pts, secants) == expected
+        kinds[expected] += 1
+    assert set(kinds) == {FP_IN_BLOCK, FP_NO_3_COLLINEAR, FP_OTHER}

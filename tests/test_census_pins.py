@@ -8,6 +8,7 @@ import pytest
 
 from unitals.census import classify_unital, group_table_rows, large_set_rows, totals_row
 from unitals.design import validate_unital
+from unitals.hermitian import hermitian_unital
 
 # Counter over (full points, group order, group name, fp structure) of the
 # disjoint pairs, then (FPR, SFPR, has large set, all large form a block,
@@ -92,3 +93,14 @@ def test_census_invariant_under_relabelling(designs, reports):
         assert totals_row(name, [copy]) == totals_row(name, [rep]), name
         assert large_set_rows([copy]) == large_set_rows([rep]), name
         assert (len(copy.nets), sum(copy.net_cyclic)) == (len(rep.nets), sum(rep.net_cyclic)), name
+
+
+def test_pinned_pair_census_of_h5():
+    rep = classify_unital(hermitian_unital(5).unital, "H(5)")
+    got = Counter((pa.full_point_count, pa.group_order, pa.group_name, pa.fp_structure) for pa in rep.pairs)
+    assert got == {
+        (0, None, None, "empty"): 36750,
+        (2, 3, "C3", "in-block"): 31500,
+        (2, 6, "C6", "in-block"): 31500,
+    }
+    assert _flags(rep) == (True, True, False, False, False, False, False, 0, 0)

@@ -137,3 +137,9 @@ def test_join_row_rejects_ids_outside_range(h2):
     for p in (0, -1, -9, h2.unital.num_points + 1):
         with pytest.raises(IndexError):
             h2.unital.join_row(p)
+
+
+@pytest.mark.parametrize("ids", [[0, 1], [-1, 1, 2, 3, 4], [1, 2, 3, 4, 66]])
+def test_secants_rejects_point_ids_outside_range(appendix, ids):
+    with pytest.raises(IndexError):
+        appendix.secants(ids)

@@ -254,3 +254,14 @@ def test_cyclic_net_iff_all_six_persp_groups_cyclic(appendix, h2):
         assert len(groups) == 6
         all_cyclic = all(g.is_cyclic() and g.order() == u.order + 1 for g in groups.values())
         assert is_cyclic_3net(u, net) == all_cyclic
+
+
+def test_latin_square_rejects_a_repeated_block(appendix):
+    with pytest.raises(NotA3Net):
+        latin_square_from_3net(appendix, (1, 33, 33))
+
+
+@pytest.mark.parametrize("ids", [[0, 1], [-1, 1, 2, 3, 4], [1, 2, 3, 4, 66]])
+def test_blocks_inside_rejects_point_ids_outside_range(appendix, ids):
+    with pytest.raises(IndexError):
+        blocks_inside(appendix, ids)

@@ -293,3 +293,10 @@ def test_persp_group_of_intersecting_pairs_matches_definition(appendix, h4):
             assert reference(b1, b2) is None
             with pytest.raises(NoFullPoints):
                 persp_group(u, b1, b2)
+
+
+def test_perspectivity_between_a_block_and_itself_rejected(appendix):
+    with pytest.raises(SameBlock):
+        perspectivity_map(appendix, 1, 30, 1)
+    with pytest.raises(SameBlock):
+        persp_group(appendix, 1, 1, fp=(30, 31))

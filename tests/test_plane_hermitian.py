@@ -342,3 +342,10 @@ def test_gamma1_on_nonconjugate_disjoint_pairs(h3):
 def test_gamma1_requires_disjoint_blocks(h2):
     with pytest.raises(ValueError, match="disjoint"):
         gamma1_analysis(h2, 1, 2)
+
+
+def test_embedded_unital_rejects_repeated_point():
+    plane = hermitian_plane(2)
+    curve = self_conjugate_points(plane)
+    with pytest.raises(NotAUnital):
+        embedded_unital(plane, curve + curve[:1])
