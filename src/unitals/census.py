@@ -2,24 +2,27 @@
 
 A unital is full point regular (FPR) when, for every disjoint block pair,
 the full points lie in a single block disjoint from both; strongly FPR
-additionally requires a cyclic semi-regular perspectivity group.  Each
-pair is analysed once, into a `PairAnalysis` that carries its FPR and SFPR
-verdicts; the unital's flags are read off those records.  The aggregation
-mirrors the published census tables: pair rows keyed by (full point count,
-group name), FPR/SFPR totals, and the breakdown of unitals by the
-structure of their large (>= 3 point) full point sets.
+additionally requires a cyclic semi-regular perspectivity group.  The
+full points stream in from `full_point_rows`, one row per disjoint pair.
+Each pair is analysed once, into a `PairAnalysis` (without its block
+indices) that carries its FPR and SFPR verdicts.  The unital's one record
+is the `Counter` of those analyses; no record is kept per pair, and every
+flag and table row is read off the Counter.  The aggregation mirrors the
+published census tables: pair rows keyed by (full point count, group
+name), FPR/SFPR totals, and the breakdown of unitals by the structure of
+their large (>= 3 point) full point sets.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .design import AbstractUnital
 from .groups import closure, structure_name
 from .nets import find_dual_3nets, is_cyclic_3net
-from .persp import SameBlock, all_pair_full_points, full_points, persp_generators
+from .persp import full_point_rows, full_points, persp_generators
 
 LARGE_SET_THRESHOLD = 3
 
@@ -35,8 +38,6 @@ class NotDisjoint(ValueError):
 
 
 class PairAnalysis(NamedTuple):
-    b1: int
-    b2: int
     disjoint: bool
     full_point_count: int
     group_order: int | None  # present only with >= 2 full points
@@ -50,18 +51,17 @@ class PairAnalysis(NamedTuple):
 class UnitalReport:
     name: str
     order: int
+    pair_kinds: Counter  # PairAnalysis -> number of disjoint pairs analysed to it
     is_fpr: bool
     is_sfpr: bool
     embeddable_in_pg: bool  # contrapositive: non-SFPR unitals cannot embed
-    group_keys: frozenset  # (full points, group name) of the pairs with >= 2 full points
-    pairs: list[PairAnalysis] = field(default_factory=list)
-    nets: list[tuple] = field(default_factory=list)
-    net_cyclic: list[bool] = field(default_factory=list)
-    has_large_set: bool = False
-    all_large_form_block: bool = False
-    all_large_in_block: bool = False
-    some_large_not_in_block: bool = False
-    no_large_in_block: bool = False
+    nets: tuple
+    net_cyclic: list[bool]
+    has_large_set: bool
+    all_large_form_block: bool
+    all_large_in_block: bool
+    some_large_not_in_block: bool
+    no_large_in_block: bool
 
 
 def _classify_structure(fp, secants: int) -> str:
@@ -76,27 +76,15 @@ def _classify_structure(fp, secants: int) -> str:
     return FP_OTHER
 
 
-def analyze_pair(u: AbstractUnital, b1: int, b2: int, fp=None, groups=None) -> PairAnalysis:
-    """Everything the census needs of one block pair.
-
-    For a disjoint pair, FPR holds when the full points lie in one block
-    disjoint from both (vacuously with at most one full point), and SFPR
-    when moreover the group is cyclic and semi-regular.
-
-    `groups` maps the sorted tuple of a pair's distinct perspectivity
-    generators to (order, name, cyclic and semiregular), so each distinct
-    generator set is closed once; by default the pair gets a fresh dict.
-    """
-    if b1 == b2:
-        raise SameBlock("a pair needs two distinct blocks")
-    if fp is None:
-        fp = full_points(u, b1, b2)
+def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups: dict) -> PairAnalysis:
+    """The analysis of (b1, b2) from its full points `fp`.  `groups` maps
+    the sorted tuple of a pair's distinct perspectivity generators to its
+    group's triple, so each distinct generator set is closed once per dict."""
     disjoint = u.blocks_disjoint(b1, b2)
-    secants, group = 0, None
+    secants, group = 0, (None, None, True)  # (order, name, cyclic and semiregular)
     if len(fp) >= 2:
         secants = u.secants(fp)
         key = tuple(sorted(set(persp_generators(u, b1, b2, fp=fp))))
-        groups = {} if groups is None else groups
         if key not in groups:
             g = closure(key)
             groups[key] = (g.order(), structure_name(g), g.is_cyclic() and g.is_semiregular())
@@ -106,29 +94,32 @@ def analyze_pair(u: AbstractUnital, b1: int, b2: int, fp=None, groups=None) -> P
         fpr = len(fp) <= 1 or (
             secants.bit_count() == 1 and not secants & (u.block_meets[b1 - 1] | u.block_meets[b2 - 1])
         )
-        sfpr = fpr and (group is None or group[2])
-    return PairAnalysis(
-        b1=b1,
-        b2=b2,
-        disjoint=disjoint,
-        full_point_count=len(fp),
-        group_order=None if group is None else group[0],
-        group_name=None if group is None else group[1],
-        fp_structure=_classify_structure(fp, secants),
-        fpr=fpr,
-        sfpr=sfpr,
-    )
+        sfpr = fpr and group[2]
+    return PairAnalysis(disjoint, len(fp), group[0], group[1], _classify_structure(fp, secants), fpr, sfpr)
+
+
+def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> PairAnalysis:
+    """Everything the census needs of one block pair.
+
+    For a disjoint pair, FPR holds when the full points lie in one block
+    disjoint from both (vacuously with at most one full point), and SFPR
+    when moreover the group is cyclic and semi-regular.
+    """
+    return _analyze(u, b1, b2, full_points(u, b1, b2), {})
 
 
 def _disjoint_pair(u: AbstractUnital, b1: int, b2: int, fp) -> PairAnalysis:
     if not u.blocks_disjoint(b1, b2):
         raise NotDisjoint(f"blocks ({b1},{b2}) are not disjoint")
-    return analyze_pair(u, b1, b2, fp=fp)
+    actual = full_points(u, b1, b2)
+    if fp is not None and tuple(fp) != actual:
+        raise ValueError(f"{list(fp)} are not the full points {list(actual)} of ({b1},{b2})")
+    return _analyze(u, b1, b2, actual, {})
 
 
 def is_fpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None) -> bool:
     """Full point regularity of one disjoint pair; vacuously true with at
-    most one full point."""
+    most one full point.  A given `fp` must be the pair's full points."""
     return _disjoint_pair(u, b1, b2, fp).fpr
 
 
@@ -137,28 +128,30 @@ def is_sfpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None) -> bool:
 
 
 def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:
-    pair_fp = all_pair_full_points(u)
     groups: dict = {}
-    pairs = [analyze_pair(u, b1, b2, fp=fp, groups=groups) for (b1, b2), fp in pair_fp.items()]
-    is_sfpr = all(pa.sfpr for pa in pairs)
-    large = [pa for pa in pairs if pa.full_point_count >= LARGE_SET_THRESHOLD]
+    pair_kinds: Counter = Counter()
+    net_rows = []
+    for (b1, b2), fp in full_point_rows(u):
+        pair_kinds[_analyze(u, b1, b2, fp, groups)] += 1
+        if len(fp) > u.order:  # only these can hold a block
+            net_rows.append(((b1, b2), fp))
+    is_sfpr = all(pa.sfpr for pa in pair_kinds)
+    large = [pa for pa in pair_kinds if pa.full_point_count >= LARGE_SET_THRESHOLD]
     in_block = [pa.fp_structure == FP_IN_BLOCK for pa in large]
     forms_block = [pa.fp_structure == FP_IN_BLOCK and pa.full_point_count == u.order + 1 for pa in large]
 
-    nets = list(find_dual_3nets(u, pair_full_points=pair_fp))
-    cyclic_flags = [is_cyclic_3net(u, net) for net in nets]
+    nets = find_dual_3nets(u, net_rows)
 
     has_large = bool(large)
     return UnitalReport(
         name=name,
         order=u.order,
-        is_fpr=all(pa.fpr for pa in pairs),
+        pair_kinds=pair_kinds,
+        is_fpr=all(pa.fpr for pa in pair_kinds),
         is_sfpr=is_sfpr,
         embeddable_in_pg=is_sfpr,  # necessary condition only
-        group_keys=frozenset((pa.full_point_count, pa.group_name) for pa in pairs if pa.full_point_count >= 2),
-        pairs=pairs,
         nets=nets,
-        net_cyclic=cyclic_flags,
+        net_cyclic=[is_cyclic_3net(u, net) for net in nets],
         has_large_set=has_large,
         all_large_form_block=has_large and all(forms_block),
         all_large_in_block=has_large and all(in_block),
@@ -173,7 +166,7 @@ def group_table_rows(reports) -> list[tuple[int, str, int]]:
     unital once per row key."""
     counter: Counter = Counter()
     for rep in reports:
-        counter.update(rep.group_keys)
+        counter.update({(pa.full_point_count, pa.group_name) for pa in rep.pair_kinds if pa.full_point_count >= 2})
     return [(fp, name, count) for (fp, name), count in sorted(counter.items())]
 
 

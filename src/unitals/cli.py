@@ -11,7 +11,6 @@ stderr.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -109,7 +108,7 @@ def fullpoints(file: str, pair: str) -> None:
     if not (1 <= b1 <= u.num_blocks and 1 <= b2 <= u.num_blocks) or b1 == b2:
         _fail("ARGS", f"block indices must be distinct and in 1..{u.num_blocks}")
     fp = full_points(u, b1, b2)
-    pa = census_mod.analyze_pair(u, b1, b2, fp=fp)
+    pa = census_mod.analyze_pair(u, b1, b2)
     click.echo(f"full points of ({b1},{b2}): {list(fp)}")
     if pa.group_order is not None:
         click.echo(f"group order {pa.group_order}, structure {pa.group_name}")
@@ -140,14 +139,13 @@ def dualnets(file: str, latin: bool) -> None:
 
 
 def _census_worker(path):
-    """Classify one file; the report comes back without its pair records and
-    nets, since the tables read only its flags and group keys."""
+    """Classify one file.  The report goes back whole: its pair record is
+    one Counter of pair analyses, not a list with one entry per pair."""
     try:
         u = formats.load_unital(path)
     except (formats.ParseError, NotAUnital) as e:
         return (path, None, str(e))
-    report = census_mod.classify_unital(u, name=os.path.basename(path))
-    return (path, dataclasses.replace(report, pairs=[], nets=[], net_cyclic=[]), None)
+    return (path, census_mod.classify_unital(u, name=os.path.basename(path)), None)
 
 
 @main.command("census")

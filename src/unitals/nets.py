@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .design import AbstractUnital, block_ids
 from .groups import PermGroup, compose, structure_name
-from .persp import all_pair_full_points, full_points, persp_group, perspectivity_map
+from .persp import full_point_rows, full_points, persp_group, perspectivity_map
 
 
 class TooFewBlocks(ValueError):
@@ -78,13 +78,14 @@ def find_dual_3nets(u: AbstractUnital, pair_full_points=None) -> tuple:
 
     For every disjoint pair, any block wholly inside the full-point set
     completes the pair to a 3-net; each net is taken from its two smallest
-    blocks.  A precomputed map (b1,b2) -> full points over all disjoint
-    pairs may be supplied.
+    blocks.  The rows ((b1, b2), full points) are streamed from
+    `full_point_rows` unless given; rows with at most n full points may be
+    left out, since they hold no block.
     """
     if pair_full_points is None:
-        pair_full_points = all_pair_full_points(u)
+        pair_full_points = full_point_rows(u)
     nets = []
-    for (b1, b2), fp in pair_full_points.items():
+    for (b1, b2), fp in pair_full_points:
         if len(fp) < u.order + 1:
             continue
         nets.extend(tuple(sorted((b1, b2, c))) for c in blocks_inside(u, fp) if c > max(b1, b2))

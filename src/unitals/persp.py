@@ -48,18 +48,23 @@ def full_points(u: AbstractUnital, b1: int, b2: int) -> tuple[int, ...]:
     return tuple(p for p, on_p in enumerate(u.point_blocks, start=1) if not on_p & off)
 
 
+def full_point_rows(u: AbstractUnital):
+    """Yield ((b1, b2), full points) for every disjoint block pair, in the
+    order of `disjoint_block_pairs`, from one kernel pass per block b1."""
+    b1_row, row = None, {}
+    for b1, b2 in u.disjoint_block_pairs():
+        if b1 != b1_row:
+            later = ~u.block_meets[b1 - 1] >> b1 << b1  # blocks c > b1 disjoint from b1, unbounded above
+            b1_row, row = b1, {}
+            for p, hits in _full_point_masks(u, b1):
+                for c in block_ids(hits & later):
+                    row.setdefault(c, []).append(p)
+        yield (b1, b2), tuple(row.get(b2, ()))
+
+
 def all_pair_full_points(u: AbstractUnital) -> dict:
-    """Full points of every disjoint block pair, in the order of
-    `disjoint_block_pairs`, from one kernel sweep per block."""
-    out = dict.fromkeys(u.disjoint_block_pairs(), ())
-    for b1, meets1 in enumerate(u.block_meets, start=1):
-        later = ~meets1 >> b1 << b1  # blocks b2 > b1 disjoint from b1, unbounded above
-        row = {}
-        for p, hits in _full_point_masks(u, b1):
-            for b2 in block_ids(hits & later):
-                row.setdefault(b2, []).append(p)
-        out.update(((b1, b2), tuple(fp)) for b2, fp in row.items())
-    return out
+    """The rows of `full_point_rows` as one dict (b1, b2) -> full points."""
+    return dict(full_point_rows(u))
 
 
 def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> tuple[int, ...]:

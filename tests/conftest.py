@@ -1,6 +1,6 @@
 import pytest
 
-from unitals.census import all_pair_full_points
+from unitals.persp import all_pair_full_points
 from unitals.formats import builtin_appendix_unital
 from unitals.hermitian import all_polar_triangles, hermitian_unital
 

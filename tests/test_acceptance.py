@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from unitals.census import all_pair_full_points, is_sfpr_triple, totals_row, classify_unital
+from unitals.census import is_sfpr_triple, totals_row, classify_unital
 from unitals.design import validate_unital
 from unitals.formats import builtin_appendix_unital, load_unital
 from unitals.hermitian import (
@@ -34,7 +34,7 @@ from unitals.nets import (
     persp_groups_of_3net,
     satisfies_quadrangle_criterion,
 )
-from unitals.persp import full_points, persp_group
+from unitals.persp import all_pair_full_points, full_points, persp_group
 
 
 class _Check:
@@ -143,7 +143,7 @@ def test_criterion_07_appendix_goldens(capsys, appendix):
 def test_criterion_08_no_knets_beyond_3(capsys, appendix, h4, h4_pair_fp, appendix_pair_fp):
     with _Check(capsys, 8, "order 4: no dual k-net with k >= 4, at most 1 extra whole block per full point set"):
         for u, pair_fp in ((appendix, appendix_pair_fp), (h4.unital, h4_pair_fp)):
-            nets = find_dual_3nets(u, pair_full_points=pair_fp)
+            nets = find_dual_3nets(u, pair_full_points=pair_fp.items())
             # no 3-net extends to a 4-net
             for net in nets:
                 for c in u.block_indices():
@@ -160,8 +160,8 @@ def test_criterion_09_cyclicity_cross_check(capsys, appendix, h2, h4, h4_pair_fp
     with _Check(capsys, 9, "3-net cyclicity agrees with all-six-groups-cyclic test"):
         jobs = [
             (h2.unital, find_dual_3nets(h2.unital)),
-            (h4.unital, find_dual_3nets(h4.unital, pair_full_points=h4_pair_fp)),
-            (appendix, find_dual_3nets(appendix, pair_full_points=appendix_pair_fp)),
+            (h4.unital, find_dual_3nets(h4.unital, pair_full_points=h4_pair_fp.items())),
+            (appendix, find_dual_3nets(appendix, pair_full_points=appendix_pair_fp.items())),
         ]
         from unitals.nets import is_cyclic_3net
 

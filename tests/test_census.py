@@ -11,7 +11,6 @@ from unitals.census import (
     FP_OTHER,
     FP_SINGLE,
     NotDisjoint,
-    all_pair_full_points,
     analyze_pair,
     classify_unital,
     group_table_rows,
@@ -20,7 +19,7 @@ from unitals.census import (
     large_set_rows,
     totals_row,
 )
-from unitals.persp import SameBlock
+from unitals.persp import SameBlock, all_pair_full_points, full_points
 
 
 def test_analyze_pair_appendix_golden(appendix):
@@ -46,8 +45,8 @@ def test_small_pairs_have_no_group_fields(appendix, appendix_pair_fp):
 
 def test_fp_structure_classes_cover_appendix(appendix, appendix_pair_fp):
     structures = Counter(
-        analyze_pair(appendix, b1, b2, fp=fp).fp_structure
-        for (b1, b2), fp in appendix_pair_fp.items()
+        analyze_pair(appendix, b1, b2).fp_structure
+        for b1, b2 in appendix_pair_fp
     )
     assert structures[FP_EMPTY] == 4560
     assert structures[FP_SINGLE] == 8150
@@ -78,7 +77,17 @@ def test_fpr_vacuous_vs_strict(appendix, appendix_pair_fp):
     assert is_fpr_triple(appendix, *pair)  # vacuous by default
 
 
-def test_hermitian_pairs_strongly_regular(h3, h3_pair_fp=None):
+def test_regularity_triples_reject_wrong_full_points(appendix):
+    fp = full_points(appendix, 1, 33)
+    assert is_fpr_triple(appendix, 1, 33, fp=fp) and not is_sfpr_triple(appendix, 1, 33, fp=list(fp))
+    for wrong in (fp + fp[:1], fp[1:], (), fp[::-1]):
+        with pytest.raises(ValueError):
+            is_fpr_triple(appendix, 1, 33, fp=wrong)
+        with pytest.raises(ValueError):
+            is_sfpr_triple(appendix, 1, 33, fp=wrong)
+
+
+def test_hermitian_pairs_strongly_regular(h3):
     u = h3.unital
     for (b1, b2), fp in all_pair_full_points(u).items():
         assert is_sfpr_triple(u, b1, b2, fp=fp)
@@ -90,7 +99,7 @@ def test_classify_hermitian_small(h2, h3):
         assert rep.name == name
         assert rep.order == emb.q
         assert rep.is_fpr and rep.is_sfpr and rep.embeddable_in_pg
-        assert len(rep.pairs) == sum(1 for _ in emb.unital.disjoint_block_pairs())
+        assert sum(rep.pair_kinds.values()) == sum(1 for _ in emb.unital.disjoint_block_pairs())
     rep2 = classify_unital(h2.unital, "H(2)")
     assert rep2.has_large_set and rep2.all_large_form_block
     assert all(rep2.net_cyclic) and rep2.nets
@@ -108,17 +117,17 @@ def test_classify_appendix(appendix):
 
 @pytest.mark.parametrize("name, closures", [("appendix", 129), ("h3", 6), ("h4", 6)])
 def test_classify_closes_each_generator_set_once(request, monkeypatch, name, closures):
-    """classify_unital shares one group dict across its pairs: one closure
-    per distinct generator set, and the same records as analysing every
-    pair on its own with a fresh dict."""
+    """classify_unital shares one group dict across its streamed rows: one
+    closure per distinct generator set, and the same Counter as analysing
+    every disjoint pair on its own with a fresh dict."""
     fixture = request.getfixturevalue(name)
     u = getattr(fixture, "unital", fixture)
     calls = []
     real = census.closure
     monkeypatch.setattr(census, "closure", lambda gens: calls.append(gens) or real(gens))
-    pairs = classify_unital(u, name).pairs
+    pair_kinds = classify_unital(u, name).pair_kinds
     assert len(calls) == len(set(calls)) == closures
-    assert pairs == [analyze_pair(u, b1, b2, fp=fp) for (b1, b2), fp in all_pair_full_points(u).items()]
+    assert pair_kinds == Counter(analyze_pair(u, b1, b2) for b1, b2 in u.disjoint_block_pairs())
 
 
 def test_group_table_rows(h2, h3):

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from unitals import cli, formats
+from unitals import census, cli, formats
 from unitals.cli import main
 from unitals.formats import appendix_text, serialize_json, serialize_text
 
@@ -227,13 +227,12 @@ def test_census_checks_out_dir_before_classifying(runner, tmp_path, h2, monkeypa
     assert classified == []
 
 
-def test_census_worker_sends_table_fields_only(tmp_path, h2):
+def test_census_worker_returns_the_report_unchanged(tmp_path, h2):
     p = tmp_path / "h2.txt"
     p.write_text(serialize_text(h2.unital, "h2"))
     path, report, error = cli._census_worker(str(p))
     assert (path, error) == (str(p), None)
-    assert report.pairs == [] and report.nets == [] and report.net_cyclic == []
-    assert report.group_keys == {(3, "C3")} and report.is_fpr and report.is_sfpr
+    assert report == census.classify_unital(h2.unital, "h2.txt")
 
 
 def test_census_empty_dir(runner, tmp_path):

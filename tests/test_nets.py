@@ -57,13 +57,13 @@ def test_too_few_blocks(appendix):
 
 
 def test_find_dual_3nets_h4_counts(h4, h4_pair_fp, h4_triangles):
-    nets = find_dual_3nets(h4.unital, pair_full_points=h4_pair_fp)
+    nets = find_dual_3nets(h4.unital, pair_full_points=h4_pair_fp.items())
     assert len(nets) == 208 * 6 // 3  # 416
     assert set(nets) == h4_triangles
 
 
 def test_find_dual_3nets_appendix_contains_golden(appendix, appendix_pair_fp):
-    nets = find_dual_3nets(appendix, pair_full_points=appendix_pair_fp)
+    nets = find_dual_3nets(appendix, pair_full_points=appendix_pair_fp.items())
     assert APPENDIX_NET in nets
 
 
@@ -72,7 +72,7 @@ def test_order_3_unitals_have_no_3nets(h3):
 
 
 def test_lemma25_symmetry_on_discovered_nets(appendix, appendix_pair_fp):
-    nets = find_dual_3nets(appendix, pair_full_points=appendix_pair_fp)
+    nets = find_dual_3nets(appendix, pair_full_points=appendix_pair_fp.items())
     for b1, b2, b3 in nets[:10]:
         assert appendix.block_set(b3) <= set(full_points(appendix, b1, b2))
         assert appendix.block_set(b1) <= set(full_points(appendix, b2, b3))
@@ -117,7 +117,7 @@ def _square_by_definition(u, net):
 def test_latin_square_raises_exactly_off_dual_3nets(appendix, appendix_pair_fp, h2):
     """All appendix nets, fixed-seed triples (1, b, c) of the appendix unital
     and every ordered triple of H(2), repeated blocks included."""
-    nets = find_dual_3nets(appendix, pair_full_points=appendix_pair_fp)
+    nets = find_dual_3nets(appendix, pair_full_points=appendix_pair_fp.items())
     assert len(nets) == 86
     rng = random.Random(11)
     cases = [(appendix, net) for net in nets]
