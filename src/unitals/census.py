@@ -5,12 +5,13 @@ the full points lie in a single block disjoint from both; strongly FPR
 additionally requires a cyclic semi-regular perspectivity group.  The
 full points stream in from `full_point_rows`, one row per disjoint pair.
 Each pair is analysed once, into a `PairAnalysis` (without its block
-indices) that carries its FPR and SFPR verdicts.  The unital's one record
-is the `Counter` of those analyses; no record is kept per pair, and every
-flag and table row is read off the Counter.  The aggregation mirrors the
-published census tables: pair rows keyed by (full point count, group
-name), FPR/SFPR totals, and the breakdown of unitals by the structure of
-their large (>= 3 point) full point sets.
+indices) that carries its FPR and SFPR verdicts and counts the dual 3-nets
+through it, cyclic ones apart.  The unital's one record is the `Counter`
+of those analyses; no record is kept per pair, no net is listed, and every
+flag, net count and table row is read off the Counter.  The aggregation
+mirrors the published census tables: pair rows keyed by (full point
+count, group name), FPR/SFPR totals, and the breakdown of unitals by the
+structure of their large (>= 3 point) full point sets.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from .design import AbstractUnital
 from .groups import closure, structure_name
-from .nets import find_dual_3nets, is_cyclic_3net
+from .nets import blocks_inside
 from .persp import full_point_rows, full_points, persp_generators
 
 LARGE_SET_THRESHOLD = 3
@@ -45,6 +46,8 @@ class PairAnalysis(NamedTuple):
     fp_structure: str
     fpr: bool | None  # verdicts for disjoint pairs only
     sfpr: bool | None
+    nets: int  # blocks inside the full points: the dual 3-nets through a disjoint pair
+    cyclic_nets: int
 
 
 @dataclass
@@ -55,8 +58,8 @@ class UnitalReport:
     is_fpr: bool
     is_sfpr: bool
     embeddable_in_pg: bool  # contrapositive: non-SFPR unitals cannot embed
-    nets: tuple
-    net_cyclic: list[bool]
+    net_count: int
+    cyclic_net_count: int
     has_large_set: bool
     all_large_form_block: bool
     all_large_in_block: bool
@@ -76,26 +79,41 @@ def _classify_structure(fp, secants: int) -> str:
     return FP_OTHER
 
 
+def _center_group(u: AbstractUnital, b1: int, b2: int, centers, groups: dict) -> tuple:
+    """(order, name, cyclic and semiregular) of the group of the (b1, b2)
+    perspectivities centered in `centers`, closed once per distinct
+    generator set: `groups` maps the sorted generators to the triple."""
+    key = tuple(sorted(set(persp_generators(u, b1, b2, fp=centers))))
+    if key not in groups:
+        g = closure(key)
+        groups[key] = (g.order(), structure_name(g), g.is_cyclic() and g.is_semiregular())
+    return groups[key]
+
+
 def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups: dict) -> PairAnalysis:
-    """The analysis of (b1, b2) from its full points `fp`.  `groups` maps
-    the sorted tuple of a pair's distinct perspectivity generators to its
-    group's triple, so each distinct generator set is closed once per dict."""
+    """The analysis of (b1, b2) from its full points `fp`.  A block c inside
+    fp makes a dual 3-net; the maps phi_P0^-1 phi_P, P on c, are its square's
+    rows relabelled to hold the identity, so (see `is_group_based`) they
+    generate a group of order n+1 exactly when the square is based on it.
+    If c is all of fp, that group is the pair's own."""
     disjoint = u.blocks_disjoint(b1, b2)
     secants, group = 0, (None, None, True)  # (order, name, cyclic and semiregular)
+    nets = cyclic_nets = 0
     if len(fp) >= 2:
         secants = u.secants(fp)
-        key = tuple(sorted(set(persp_generators(u, b1, b2, fp=fp))))
-        if key not in groups:
-            g = closure(key)
-            groups[key] = (g.order(), structure_name(g), g.is_cyclic() and g.is_semiregular())
-        group = groups[key]
+        group = _center_group(u, b1, b2, fp, groups)
+    if disjoint and len(fp) > u.order:  # only these can hold a block
+        for c in blocks_inside(u, fp):
+            net_group = group if len(fp) == u.order + 1 else _center_group(u, b1, b2, u.block(c), groups)
+            nets, cyclic_nets = nets + 1, cyclic_nets + (net_group[0] == u.order + 1 and net_group[2])
     fpr = sfpr = None
     if disjoint:
         fpr = len(fp) <= 1 or (
             secants.bit_count() == 1 and not secants & (u.block_meets[b1 - 1] | u.block_meets[b2 - 1])
         )
         sfpr = fpr and group[2]
-    return PairAnalysis(disjoint, len(fp), group[0], group[1], _classify_structure(fp, secants), fpr, sfpr)
+    structure = _classify_structure(fp, secants)
+    return PairAnalysis(disjoint, len(fp), group[0], group[1], structure, fpr, sfpr, nets, cyclic_nets)
 
 
 def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> PairAnalysis:
@@ -128,20 +146,14 @@ def is_sfpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None) -> bool:
 
 
 def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:
+    """Analyse every disjoint pair once into the report's Counter.  Each dual
+    3-net {a, b, c} is counted from each of its three pairs, hence the / 3."""
     groups: dict = {}
-    pair_kinds: Counter = Counter()
-    net_rows = []
-    for (b1, b2), fp in full_point_rows(u):
-        pair_kinds[_analyze(u, b1, b2, fp, groups)] += 1
-        if len(fp) > u.order:  # only these can hold a block
-            net_rows.append(((b1, b2), fp))
+    pair_kinds = Counter(_analyze(u, b1, b2, fp, groups) for (b1, b2), fp in full_point_rows(u))
     is_sfpr = all(pa.sfpr for pa in pair_kinds)
     large = [pa for pa in pair_kinds if pa.full_point_count >= LARGE_SET_THRESHOLD]
     in_block = [pa.fp_structure == FP_IN_BLOCK for pa in large]
     forms_block = [pa.fp_structure == FP_IN_BLOCK and pa.full_point_count == u.order + 1 for pa in large]
-
-    nets = find_dual_3nets(u, net_rows)
-
     has_large = bool(large)
     return UnitalReport(
         name=name,
@@ -150,8 +162,8 @@ def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:
         is_fpr=all(pa.fpr for pa in pair_kinds),
         is_sfpr=is_sfpr,
         embeddable_in_pg=is_sfpr,  # necessary condition only
-        nets=nets,
-        net_cyclic=[is_cyclic_3net(u, net) for net in nets],
+        net_count=sum(k * pa.nets for pa, k in pair_kinds.items()) // 3,
+        cyclic_net_count=sum(k * pa.cyclic_nets for pa, k in pair_kinds.items()) // 3,
         has_large_set=has_large,
         all_large_form_block=has_large and all(forms_block),
         all_large_in_block=has_large and all(in_block),

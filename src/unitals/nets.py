@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .design import AbstractUnital, block_ids
 from .groups import PermGroup, compose, structure_name
-from .persp import full_point_rows, full_points, persp_group, perspectivity_map
+from .persp import full_point_rows, persp_group, perspectivity_map
 
 
 class TooFewBlocks(ValueError):
@@ -73,34 +73,18 @@ def blocks_inside(u: AbstractUnital, point_set) -> tuple[int, ...]:
     return tuple(c for c in block_ids(u.secants(pts)) if pts.issuperset(u.block(c)))
 
 
-def find_dual_3nets(u: AbstractUnital, pair_full_points=None) -> tuple:
+def find_dual_3nets(u: AbstractUnital) -> tuple:
     """All embedded dual 3-nets, as sorted block-index triples.
 
-    For every disjoint pair, any block wholly inside the full-point set
-    completes the pair to a 3-net; each net is taken from its two smallest
-    blocks.  The rows ((b1, b2), full points) are streamed from
-    `full_point_rows` unless given; rows with at most n full points may be
-    left out, since they hold no block.
+    For every disjoint pair streamed from `full_point_rows`, any block
+    wholly inside the full-point set completes the pair to a 3-net; each
+    net is taken from its two smallest blocks.
     """
-    if pair_full_points is None:
-        pair_full_points = full_point_rows(u)
     nets = []
-    for (b1, b2), fp in pair_full_points:
-        if len(fp) < u.order + 1:
-            continue
-        nets.extend(tuple(sorted((b1, b2, c))) for c in blocks_inside(u, fp) if c > max(b1, b2))
+    for (b1, b2), fp in full_point_rows(u):
+        if len(fp) > u.order:  # only these can hold a block
+            nets.extend(tuple(sorted((b1, b2, c))) for c in blocks_inside(u, fp) if c > max(b1, b2))
     return tuple(sorted(nets))
-
-
-def max_knet_check(u: AbstractUnital, net) -> bool:
-    """k <= n-1, and no full-point set of the net holds more than n-3 blocks."""
-    net = tuple(net)
-    if len(net) > u.order - 1:
-        return False
-    for b1, b2 in combinations(net, 2):
-        if len(blocks_inside(u, full_points(u, b1, b2))) > u.order - 3:
-            return False
-    return True
 
 
 def latin_square_from_3net(u: AbstractUnital, net) -> LatinSquare:

@@ -86,11 +86,12 @@ def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> tuple
 
 
 def persp_generators(u: AbstractUnital, b1: int, b2: int, fp=None) -> list[tuple[int, ...]]:
-    """The maps phi_P0^-1 phi_P on the positions of b1, one per full point P,
-    with P0 = fp[0]; they generate the perspectivity group, since
-    phi_Q^-1 phi_P = (phi_P0^-1 phi_Q)^-1 (phi_P0^-1 phi_P).  The P = P0 term
-    is the identity, which keeps the degree at n+1 when |fp| = 1.
-    Precomputed full points may be passed to avoid rescanning."""
+    """The maps phi_P0^-1 phi_P on the positions of b1, one per center P in
+    `fp`, with P0 = fp[0].  `fp` is any nonempty set of the pair's full
+    points, all of them by default; with all of them the maps generate the
+    perspectivity group, since phi_Q^-1 phi_P = (phi_P0^-1 phi_Q)^-1
+    (phi_P0^-1 phi_P).  The P = P0 term is the identity, which keeps the
+    degree at n+1 when |fp| = 1."""
     if fp is None:
         fp = full_points(u, b1, b2)
     if not fp:
@@ -101,5 +102,6 @@ def persp_generators(u: AbstractUnital, b1: int, b2: int, fp=None) -> list[tuple
 
 def persp_group(u: AbstractUnital, b1: int, b2: int, fp=None) -> PermGroup:
     """Group generated by the to-and-back projections phi_Q^-1 phi_P over all
-    pairs of full points P, Q, acting on the positions of b1."""
+    pairs of centers P, Q in `fp`, acting on the positions of b1; `fp` is
+    any nonempty set of the pair's full points, all of them by default."""
     return closure(persp_generators(u, b1, b2, fp))

@@ -143,7 +143,7 @@ def test_criterion_07_appendix_goldens(capsys, appendix):
 def test_criterion_08_no_knets_beyond_3(capsys, appendix, h4, h4_pair_fp, appendix_pair_fp):
     with _Check(capsys, 8, "order 4: no dual k-net with k >= 4, at most 1 extra whole block per full point set"):
         for u, pair_fp in ((appendix, appendix_pair_fp), (h4.unital, h4_pair_fp)):
-            nets = find_dual_3nets(u, pair_full_points=pair_fp.items())
+            nets = find_dual_3nets(u)
             # no 3-net extends to a 4-net
             for net in nets:
                 for c in u.block_indices():
@@ -156,12 +156,12 @@ def test_criterion_08_no_knets_beyond_3(capsys, appendix, h4, h4_pair_fp, append
                 assert len(blocks_inside(u, fp)) <= 1
 
 
-def test_criterion_09_cyclicity_cross_check(capsys, appendix, h2, h4, h4_pair_fp, appendix_pair_fp):
+def test_criterion_09_cyclicity_cross_check(capsys, appendix, h2, h4):
     with _Check(capsys, 9, "3-net cyclicity agrees with all-six-groups-cyclic test"):
         jobs = [
             (h2.unital, find_dual_3nets(h2.unital)),
-            (h4.unital, find_dual_3nets(h4.unital, pair_full_points=h4_pair_fp.items())),
-            (appendix, find_dual_3nets(appendix, pair_full_points=appendix_pair_fp.items())),
+            (h4.unital, find_dual_3nets(h4.unital)),
+            (appendix, find_dual_3nets(appendix)),
         ]
         from unitals.nets import is_cyclic_3net
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -19,6 +20,7 @@ from unitals.census import (
     large_set_rows,
     totals_row,
 )
+from unitals.nets import find_dual_3nets, is_cyclic_3net
 from unitals.persp import SameBlock, all_pair_full_points, full_points
 
 
@@ -102,7 +104,7 @@ def test_classify_hermitian_small(h2, h3):
         assert sum(rep.pair_kinds.values()) == sum(1 for _ in emb.unital.disjoint_block_pairs())
     rep2 = classify_unital(h2.unital, "H(2)")
     assert rep2.has_large_set and rep2.all_large_form_block
-    assert all(rep2.net_cyclic) and rep2.nets
+    assert rep2.cyclic_net_count == rep2.net_count > 0
 
 
 def test_classify_appendix(appendix):
@@ -110,8 +112,7 @@ def test_classify_appendix(appendix):
     assert rep.order == 4
     assert not rep.is_sfpr
     assert not rep.embeddable_in_pg
-    assert len(rep.nets) == 86
-    assert (1, 33, 200) in rep.nets
+    assert rep.net_count == 86
     assert rep.has_large_set
 
 
@@ -172,3 +173,24 @@ def test_structure_and_secants_match_blocks_on_random_point_sets(appendix):
         assert census._classify_structure(pts, secants) == expected
         kinds[expected] += 1
     assert set(kinds) == {FP_IN_BLOCK, FP_NO_3_COLLINEAR, FP_OTHER}
+
+
+@pytest.mark.parametrize("name", ["appendix", "h2", "h3", "h4"])
+def test_net_counts_match_latin_square_path(request, name):
+    """The census counts nets and cyclic nets from its pair analyses; the
+    net listing and latin-square test of `unital dualnets` are the
+    reference.  The center-group path taken when a pair has more full points
+    than the net's third block is called directly with that block as
+    centers, since no pinned design has such a pair."""
+    fixture = request.getfixturevalue(name)
+    u = getattr(fixture, "unital", fixture)
+    cyclic = {net: is_cyclic_3net(u, net) for net in find_dual_3nets(u)}
+    rep = classify_unital(u, name)
+    assert (rep.net_count, rep.cyclic_net_count) == (len(cyclic), sum(cyclic.values()))
+    groups = {}
+    for net, cyc in cyclic.items():
+        for b1, b2, c in permutations(net):
+            pa = analyze_pair(u, b1, b2)
+            assert (pa.nets, pa.cyclic_nets) == (1, cyc)
+            order, _, cyclic_semiregular = census._center_group(u, b1, b2, u.block(c), groups)
+            assert (order == u.order + 1 and cyclic_semiregular) == cyc

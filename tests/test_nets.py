@@ -13,7 +13,6 @@ from unitals.nets import (
     is_dual_knet,
     is_group_based,
     latin_square_from_3net,
-    max_knet_check,
     persp_groups_of_3net,
     satisfies_quadrangle_criterion,
 )
@@ -56,14 +55,14 @@ def test_too_few_blocks(appendix):
         is_dual_knet(appendix, (1, 33))
 
 
-def test_find_dual_3nets_h4_counts(h4, h4_pair_fp, h4_triangles):
-    nets = find_dual_3nets(h4.unital, pair_full_points=h4_pair_fp.items())
+def test_find_dual_3nets_h4_counts(h4, h4_triangles):
+    nets = find_dual_3nets(h4.unital)
     assert len(nets) == 208 * 6 // 3  # 416
     assert set(nets) == h4_triangles
 
 
-def test_find_dual_3nets_appendix_contains_golden(appendix, appendix_pair_fp):
-    nets = find_dual_3nets(appendix, pair_full_points=appendix_pair_fp.items())
+def test_find_dual_3nets_appendix_contains_golden(appendix):
+    nets = find_dual_3nets(appendix)
     assert APPENDIX_NET in nets
 
 
@@ -71,8 +70,8 @@ def test_order_3_unitals_have_no_3nets(h3):
     assert find_dual_3nets(h3.unital) == ()
 
 
-def test_lemma25_symmetry_on_discovered_nets(appendix, appendix_pair_fp):
-    nets = find_dual_3nets(appendix, pair_full_points=appendix_pair_fp.items())
+def test_lemma25_symmetry_on_discovered_nets(appendix):
+    nets = find_dual_3nets(appendix)
     for b1, b2, b3 in nets[:10]:
         assert appendix.block_set(b3) <= set(full_points(appendix, b1, b2))
         assert appendix.block_set(b1) <= set(full_points(appendix, b2, b3))
@@ -85,11 +84,6 @@ def test_two_blocks_in_one_full_point_set_are_disjoint(appendix, appendix_pair_f
         for i, bi in enumerate(inside):
             for bj in inside[i + 1 :]:
                 assert appendix.blocks_disjoint(bi, bj)
-
-
-def test_max_knet_bound(appendix, h4):
-    assert max_knet_check(appendix, APPENDIX_NET)
-    assert not max_knet_check(appendix, (1, 33, 200, 5))  # k=4 > n-1
 
 
 def test_latin_square_from_appendix_net(appendix):
@@ -114,10 +108,10 @@ def _square_by_definition(u, net):
     )
 
 
-def test_latin_square_raises_exactly_off_dual_3nets(appendix, appendix_pair_fp, h2):
+def test_latin_square_raises_exactly_off_dual_3nets(appendix, h2):
     """All appendix nets, fixed-seed triples (1, b, c) of the appendix unital
     and every ordered triple of H(2), repeated blocks included."""
-    nets = find_dual_3nets(appendix, pair_full_points=appendix_pair_fp.items())
+    nets = find_dual_3nets(appendix)
     assert len(nets) == 86
     rng = random.Random(11)
     cases = [(appendix, net) for net in nets]
