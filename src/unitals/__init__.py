@@ -5,7 +5,7 @@ unital with its natural embedding in PG(2, q^2)."""
 from .census import classify_unital
 from .design import AbstractUnital, NotAUnital, validate_unital
 from .formats import builtin_appendix_unital, load_unital, parse_unital
-from .gf import GaloisField, make_field
+from .gf import GaloisField
 from .groups import structure_name
 from .hermitian import HermitianEmbedding, hermitian_unital
 from .persp import full_points, persp_group, perspectivity_map
@@ -26,7 +26,6 @@ __all__ = [
     "is_group_based",
     "latin_square_from_3net",
     "load_unital",
-    "make_field",
     "parse_unital",
     "persp_group",
     "perspectivity_map",

@@ -20,9 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .design import AbstractUnital
+from .design import AbstractUnital, block_ids
 from .groups import closure, structure_name
-from .nets import blocks_inside
 from .persp import full_point_rows, full_points, persp_generators
 
 LARGE_SET_THRESHOLD = 3
@@ -91,29 +90,28 @@ def _center_group(u: AbstractUnital, b1: int, b2: int, centers, groups: dict) ->
 
 
 def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups: dict) -> PairAnalysis:
-    """The analysis of (b1, b2) from its full points `fp`.  A block c inside
-    fp makes a dual 3-net; the maps phi_P0^-1 phi_P, P on c, are its square's
-    rows relabelled to hold the identity, so (see `is_group_based`) they
-    generate a group of order n+1 exactly when the square is based on it.
-    If c is all of fp, that group is the pair's own."""
-    disjoint = u.blocks_disjoint(b1, b2)
+    """The analysis of the disjoint pair (b1, b2) from its full points `fp`.
+    A block c inside fp makes a dual 3-net; the maps phi_P0^-1 phi_P, P on
+    c, are its square's rows relabelled to hold the identity, so (see
+    `is_group_based`) they generate a group of order n+1 exactly when the
+    square is based on it.  If c is all of fp, that group is the pair's own."""
     secants, group = 0, (None, None, True)  # (order, name, cyclic and semiregular)
     nets = cyclic_nets = 0
     if len(fp) >= 2:
         secants = u.secants(fp)
         group = _center_group(u, b1, b2, fp, groups)
-    if disjoint and len(fp) > u.order:  # only these can hold a block
-        for c in blocks_inside(u, fp):
-            net_group = group if len(fp) == u.order + 1 else _center_group(u, b1, b2, u.block(c), groups)
-            nets, cyclic_nets = nets + 1, cyclic_nets + (net_group[0] == u.order + 1 and net_group[2])
-    fpr = sfpr = None
-    if disjoint:
-        fpr = len(fp) <= 1 or (
-            secants.bit_count() == 1 and not secants & (u.block_meets[b1 - 1] | u.block_meets[b2 - 1])
-        )
-        sfpr = fpr and group[2]
+    if len(fp) > u.order:  # only these can hold a block, and only a secant can lie inside fp
+        points = set(fp)
+        for c in block_ids(secants):
+            if points.issuperset(u.block(c)):
+                net_group = group if len(fp) == u.order + 1 else _center_group(u, b1, b2, u.block(c), groups)
+                nets, cyclic_nets = nets + 1, cyclic_nets + (net_group[0] == u.order + 1 and net_group[2])
+    fpr = len(fp) <= 1 or (
+        secants.bit_count() == 1 and not secants & (u.block_meets[b1 - 1] | u.block_meets[b2 - 1])
+    )
+    sfpr = fpr and group[2]
     structure = _classify_structure(fp, secants)
-    return PairAnalysis(disjoint, len(fp), group[0], group[1], structure, fpr, sfpr, nets, cyclic_nets)
+    return PairAnalysis(True, len(fp), group[0], group[1], structure, fpr, sfpr, nets, cyclic_nets)
 
 
 def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> PairAnalysis:
@@ -121,9 +119,13 @@ def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> PairAnalysis:
 
     For a disjoint pair, FPR holds when the full points lie in one block
     disjoint from both (vacuously with at most one full point), and SFPR
-    when moreover the group is cyclic and semi-regular.
+    when moreover the group is cyclic and semi-regular.  An intersecting
+    pair gets no verdicts and no nets.
     """
-    return _analyze(u, b1, b2, full_points(u, b1, b2), {})
+    pa = _analyze(u, b1, b2, full_points(u, b1, b2), {})
+    if u.blocks_disjoint(b1, b2):
+        return pa
+    return pa._replace(disjoint=False, fpr=None, sfpr=None, nets=0, cyclic_nets=0)
 
 
 def _disjoint_pair(u: AbstractUnital, b1: int, b2: int, fp) -> PairAnalysis:

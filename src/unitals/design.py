@@ -59,9 +59,6 @@ class AbstractUnital:
         """Points of block i (1-based index)."""
         return self._blocks[self._block_pos(i)]
 
-    def block_set(self, i: int) -> frozenset[int]:
-        return frozenset(self.block(i))
-
     def _point_pos(self, p: int) -> int:
         if not 1 <= p <= self.num_points:
             raise IndexError(f"point id {p} outside 1..{self.num_points}")
@@ -80,15 +77,6 @@ class AbstractUnital:
             twice |= once & on_p
             once |= on_p
         return twice
-
-    def block_through(self, p: int, q: int) -> int:
-        """Index of the unique block containing both points."""
-        n = self.num_points
-        if not (1 <= p <= n and 1 <= q <= n):
-            raise IndexError(f"point ids ({p},{q}) outside 1..{n}")
-        if p == q:
-            raise ValueError("block_through needs two distinct points")
-        return self._join_rows[p - 1][q - 1]
 
     def blocks_disjoint(self, i: int, j: int) -> bool:
         return not self.block_meets[self._block_pos(i)] >> self._block_pos(j) & 1

@@ -53,6 +53,8 @@ def _parse_json(text: str, name: str) -> UnitalFile:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno) from e
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     for key in ("order", "points", "blocks"):
         if key not in obj:
             raise ParseError(f"missing JSON field {key!r}")

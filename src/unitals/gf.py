@@ -80,12 +80,12 @@ class GaloisField:
     """GF(p^k) with a canonical (lexicographically smallest) modulus."""
 
     def __init__(self, p: int, k: int = 1):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if p**k > MAX_FIELD_SIZE:
+        if p**k > MAX_FIELD_SIZE:  # before the primality test, whose trial division is slow on a huge p
             raise ValueError(f"field GF({p}^{k}) exceeds the size cap {MAX_FIELD_SIZE}")
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         self.p = p
         self.k = k
         self.size = p**k
@@ -214,7 +214,3 @@ class GaloisField:
 
     def __repr__(self) -> str:
         return f"GaloisField({self.p}, {self.k})"
-
-
-def make_field(p: int, k: int = 1) -> GaloisField:
-    return GaloisField(p, k)

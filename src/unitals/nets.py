@@ -12,11 +12,10 @@ or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .design import AbstractUnital, block_ids
 from .groups import PermGroup, compose, structure_name
-from .persp import full_point_rows, persp_group, perspectivity_map
+from .persp import full_point_rows, perspectivity_map
 
 
 class TooFewBlocks(ValueError):
@@ -48,21 +47,26 @@ class LatinSquare:
 
 
 def is_dual_knet(u: AbstractUnital, blocks) -> bool:
-    """Exact check of both dual k-net conditions."""
+    """Exact check of both dual k-net conditions, read off the meet masks
+    and join rows.  The blocks are pairwise disjoint when each meets no
+    other; then the join of two points on different blocks holds points of
+    two disjoint net blocks, so it is none of them and meets each at most
+    once: it must meet them all."""
     blocks = list(blocks)
     if len(blocks) < 3:
         raise TooFewBlocks("a dual k-net needs k >= 3 blocks")
     if len(set(blocks)) != len(blocks):
         return False
-    sets = [u.block_set(b) for b in blocks]
-    for s1, s2 in combinations(sets, 2):
-        if s1 & s2:
-            return False
-    for (i, si), (j, sj) in combinations(list(enumerate(sets)), 2):
-        for p in si:
-            for q in sj:
-                joining = u.block_set(u.block_through(p, q))
-                if any(len(joining & s) != 1 for s in sets):
+    points = [u.block(b) for b in blocks]  # IndexError outside 1..num_blocks
+    meets = u.block_meets
+    net = sum(1 << b - 1 for b in blocks)
+    if any(meets[b - 1] & net != 1 << b - 1 for b in blocks):
+        return False
+    for i, pts in enumerate(points):
+        for p in pts:
+            join = u.join_row(p)
+            for other in points[i + 1 :]:
+                if any(meets[join[q - 1] - 1] & net != net for q in other):
                     return False
     return True
 
@@ -161,14 +165,3 @@ def is_cyclic_3net(u: AbstractUnital, net) -> bool:
     of order n+1."""
     name = is_group_based(latin_square_from_3net(u, net))
     return name == f"C{u.order + 1}"
-
-
-def persp_groups_of_3net(u: AbstractUnital, net) -> dict:
-    """Perspectivity groups of all six ordered block pairs of a 3-net."""
-    net = tuple(sorted(net))
-    out = {}
-    for b1 in net:
-        for b2 in net:
-            if b1 != b2:
-                out[(b1, b2)] = persp_group(u, b1, b2)
-    return out

@@ -62,11 +62,6 @@ def full_point_rows(u: AbstractUnital):
         yield (b1, b2), tuple(row.get(b2, ()))
 
 
-def all_pair_full_points(u: AbstractUnital) -> dict:
-    """The rows of `full_point_rows` as one dict (b1, b2) -> full points."""
-    return dict(full_point_rows(u))
-
-
 def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> tuple[int, ...]:
     """The projection of b1 onto b2 with the given full point as center, as
     an image tuple: entry i is the position in b2 of the image of the i-th

@@ -1,6 +1,6 @@
 import pytest
 
-from unitals.persp import all_pair_full_points
+from unitals.persp import full_point_rows
 from unitals.formats import builtin_appendix_unital
 from unitals.hermitian import all_polar_triangles, hermitian_unital
 
@@ -28,12 +28,12 @@ def h4():
 @pytest.fixture(scope="session")
 def h4_pair_fp(h4):
     """Full points of every disjoint block pair of H(4)."""
-    return all_pair_full_points(h4.unital)
+    return dict(full_point_rows(h4.unital))
 
 
 @pytest.fixture(scope="session")
 def appendix_pair_fp(appendix):
-    return all_pair_full_points(appendix)
+    return dict(full_point_rows(appendix))
 
 
 @pytest.fixture(scope="session")

@@ -31,10 +31,9 @@ from unitals.nets import (
     is_dual_knet,
     is_group_based,
     latin_square_from_3net,
-    persp_groups_of_3net,
     satisfies_quadrangle_criterion,
 )
-from unitals.persp import all_pair_full_points, full_points, persp_group
+from unitals.persp import full_point_rows, full_points, persp_group
 
 
 class _Check:
@@ -75,7 +74,7 @@ def test_criterion_02_conjugate_pairs_even_q(capsys, h2, h4, h4_pair_fp):
     with _Check(capsys, 2, "conjugate disjoint pairs: full points = third triangle block", limit=60):
         for emb in (h2, h4):
             q = emb.q
-            pair_fp = h4_pair_fp if q == 4 else all_pair_full_points(emb.unital)
+            pair_fp = h4_pair_fp if q == 4 else dict(full_point_rows(emb.unital))
             checked = 0
             for (b1, b2), fp in pair_fp.items():
                 l1, l2 = emb.block_line(b1), emb.block_line(b2)
@@ -109,7 +108,7 @@ def test_criterion_05_hermitian_strong_regularity(capsys, h3, h4, h4_pair_fp):
         for emb in (h3, h4):
             q = emb.q
             u = emb.unital
-            pair_fp = h4_pair_fp if q == 4 else all_pair_full_points(u)
+            pair_fp = h4_pair_fp if q == 4 else dict(full_point_rows(u))
             for (b1, b2), fp in pair_fp.items():
                 assert is_sfpr_triple(u, b1, b2, fp=fp)
                 if len(fp) >= 2:
@@ -168,8 +167,8 @@ def test_criterion_09_cyclicity_cross_check(capsys, appendix, h2, h4):
         for u, nets in jobs:
             assert nets
             for net in nets:
-                groups = persp_groups_of_3net(u, net)
-                six_cyclic = all(g.is_cyclic() and g.order() == u.order + 1 for g in groups.values())
+                groups = [persp_group(u, b1, b2) for b1 in net for b2 in net if b1 != b2]
+                six_cyclic = all(g.is_cyclic() and g.order() == u.order + 1 for g in groups)
                 assert is_cyclic_3net(u, net) == six_cyclic
 
 

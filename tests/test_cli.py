@@ -13,6 +13,7 @@ MALFORMED = {
     "points.json": b'{"order": 2, "points": "x", "blocks": [[1, 2, 3]]}',
     "blocks.json": b'{"order": 2, "points": 9, "blocks": 5}',
     "latin1.txt": b"1 2 3\n\xff\n",
+    "nested.json": b'{"order": 2, "points": 9, "blocks": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
 }
 
 
@@ -167,7 +168,7 @@ def test_census_skips_and_counts_malformed_files(runner, tmp_path, h2, monkeypat
     prefix = str(tmp_path / "census")
     result = runner.invoke(main, ["census", str(src), "--out", prefix, "--library", "demo"])
     assert result.exit_code == 0
-    assert "census of 1 unital(s)" in result.output and "3 file(s) skipped" in result.output
+    assert "census of 1 unital(s)" in result.output and "4 file(s) skipped" in result.output
     for name in MALFORMED:
         assert f"skipped {src / name}: " in result.output
     with open(prefix + "_totals.csv") as fh:

@@ -61,16 +61,16 @@ def test_appendix_validates(appendix):
     assert appendix.num_blocks == 208
 
 
-def test_block_through_appendix(appendix):
-    assert appendix.block_through(1, 2) == 1
+def test_join_row_appendix(appendix):
+    assert appendix.join_row(1)[2 - 1] == 1
     assert appendix.block(1) == (1, 2, 55, 64, 65)
-    assert appendix.block_through(3, 5) == 33
+    assert appendix.join_row(3)[5 - 1] == 33
     assert appendix.block(33) == (3, 5, 10, 39, 59)
 
 
-def test_block_through_symmetry(appendix):
+def test_join_row_symmetry(appendix):
     for p, q in [(1, 2), (17, 60), (5, 44)]:
-        assert appendix.block_through(p, q) == appendix.block_through(q, p)
+        assert appendix.join_row(p)[q - 1] == appendix.join_row(q)[p - 1]
 
 
 def test_blocks_disjoint(appendix):
@@ -101,36 +101,30 @@ def test_pair_lookup_agrees_with_scan(appendix):
     rng = random.Random(7)
     for _ in range(200):
         p, q = rng.sample(range(1, 66), 2)
-        scan = [i for i in appendix.block_indices() if p in appendix.block_set(i) and q in appendix.block_set(i)]
-        assert scan == [appendix.block_through(p, q)]
+        scan = [i for i in appendix.block_indices() if {p, q} <= set(appendix.block(i))]
+        assert scan == [appendix.join_row(p)[q - 1]]
 
 
-def test_indices_below_one_rejected(appendix, h2):
+def test_indices_below_one_rejected(appendix):
     # negative indexing used to wrap 0 to the last block or point row
     from unitals.persp import full_points
 
     for i in (0, -1):
         with pytest.raises(IndexError):
             appendix.block(i)
-        with pytest.raises(IndexError):
-            appendix.block_set(i)
-        with pytest.raises(IndexError):
-            h2.unital.block_through(i, 3)
-        with pytest.raises(IndexError):
-            h2.unital.block_through(3, i)
     with pytest.raises(IndexError):
         full_points(appendix, 0, 1)
 
 
-def test_join_row_agrees_with_block_through(h2):
+def test_join_row_holds_both_points(h2):
     u = h2.unital
     for p in u.points():
         row = u.join_row(p)
         assert len(row) == u.num_points
+        assert row[p - 1] == 0
         for q in u.points():
             if q != p:
-                assert row[q - 1] == u.block_through(p, q)
-                assert {p, q} <= u.block_set(row[q - 1])
+                assert {p, q} <= set(u.block(row[q - 1]))
 
 
 def test_join_row_rejects_ids_outside_range(h2):

@@ -50,6 +50,11 @@ def test_json_syntax_error_reports_line():
     assert exc.value.line == 2
 
 
+def test_json_nested_too_deeply():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_unital('{"order": 2, "points": 9, "blocks": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
 def test_non_integer_token():
     with pytest.raises(ParseError) as exc:
         parse_unital("1 2 3\n4 x 6\n")

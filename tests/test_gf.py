@@ -1,6 +1,7 @@
 import pytest
 
-from unitals.gf import GaloisField, make_field
+from unitals import gf
+from unitals.gf import GaloisField
 
 
 def test_smallest_modulus_gf4():
@@ -24,12 +25,21 @@ def test_prime_field_modulus():
 
 def test_not_prime_rejected():
     with pytest.raises(ValueError):
-        make_field(6, 1)
+        GaloisField(6, 1)
 
 
 def test_too_large_rejected():
     with pytest.raises(ValueError):
-        make_field(2, 17)
+        GaloisField(2, 17)
+
+
+def test_size_cap_checked_before_primality(monkeypatch):
+    def refuse(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr(gf, "is_prime", refuse)
+    with pytest.raises(ValueError, match="size cap"):
+        GaloisField(2**61 - 1)
 
 
 def test_gf4_multiplication():

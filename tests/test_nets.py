@@ -1,5 +1,5 @@
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -13,11 +13,10 @@ from unitals.nets import (
     is_dual_knet,
     is_group_based,
     latin_square_from_3net,
-    persp_groups_of_3net,
     satisfies_quadrangle_criterion,
 )
 from unitals.groups import closure, compose
-from unitals.persp import full_points
+from unitals.persp import full_points, persp_group
 
 APPENDIX_NET = (1, 33, 200)
 
@@ -50,6 +49,50 @@ def test_non_net_rejected(appendix):
     assert not is_dual_knet(appendix, (1, 33, 2))
 
 
+def _joins(u):
+    """(p, q) -> the block through p and q, as a point set, from a scan of the blocks."""
+    return {(p, q): s for s in map(frozenset, u.all_blocks) for p in s for q in s if p != q}
+
+
+def _is_dual_knet_by_definition(u, blocks, join):
+    """Both dual k-net conditions read off the block sets alone: pairwise
+    disjoint blocks, and the block `join[p, q]` joining any two points on
+    different blocks meets every block exactly once."""
+    blocks = list(blocks)
+    if len(set(blocks)) != len(blocks):
+        return False
+    sets = [frozenset(u.block(b)) for b in blocks]
+    for s1, s2 in combinations(sets, 2):
+        if s1 & s2:
+            return False
+    for si, sj in combinations(sets, 2):
+        for p in si:
+            for q in sj:
+                if any(len(join[p, q] & s) != 1 for s in sets):
+                    return False
+    return True
+
+
+def test_dual_knet_matches_definition(appendix, h2, h4):
+    """Every ordered triple of H(2) blocks, repeats included; fixed-seed
+    appendix triples; every net of the appendix unital and of H(4), and each
+    of those nets with its first block disjoint from all three."""
+    rng = random.Random(3)
+    cases = [(h2.unital, t) for t in product(h2.unital.block_indices(), repeat=3)]
+    cases += [(appendix, rng.sample(appendix.block_indices(), 3)) for _ in range(2000)]
+    for u in (appendix, h4.unital):
+        for net in find_dual_3nets(u):
+            met = u.block_meets[net[0] - 1] | u.block_meets[net[1] - 1] | u.block_meets[net[2] - 1]
+            cases += [(u, net), (u, net + (next(c for c in u.block_indices() if not met >> c - 1 & 1),))]
+    joins = {u: _joins(u) for u in (h2.unital, appendix, h4.unital)}
+    nets = 0
+    for u, blocks in cases:
+        expected = _is_dual_knet_by_definition(u, blocks, joins[u])
+        assert is_dual_knet(u, blocks) == expected, blocks
+        nets += expected
+    assert nets > 86 + 416
+
+
 def test_too_few_blocks(appendix):
     with pytest.raises(TooFewBlocks):
         is_dual_knet(appendix, (1, 33))
@@ -73,9 +116,9 @@ def test_order_3_unitals_have_no_3nets(h3):
 def test_lemma25_symmetry_on_discovered_nets(appendix):
     nets = find_dual_3nets(appendix)
     for b1, b2, b3 in nets[:10]:
-        assert appendix.block_set(b3) <= set(full_points(appendix, b1, b2))
-        assert appendix.block_set(b1) <= set(full_points(appendix, b2, b3))
-        assert appendix.block_set(b2) <= set(full_points(appendix, b1, b3))
+        assert set(appendix.block(b3)) <= set(full_points(appendix, b1, b2))
+        assert set(appendix.block(b1)) <= set(full_points(appendix, b2, b3))
+        assert set(appendix.block(b2)) <= set(full_points(appendix, b1, b3))
 
 
 def test_two_blocks_in_one_full_point_set_are_disjoint(appendix, appendix_pair_fp):
@@ -101,7 +144,7 @@ def test_latin_square_rejects_non_net(appendix):
 def _square_by_definition(u, net):
     """Cell (i, j): the position in b3 of the point of b3 on the block through
     the i-th point of b1 and the j-th point of b2, from the block sets alone."""
-    b1, b2, b3 = (sorted(u.block_set(b)) for b in sorted(net))
+    b1, b2, b3 = (sorted(u.block(b)) for b in sorted(net))
     sets = [frozenset(b) for b in u.all_blocks]
     return tuple(
         tuple(b3.index(next(iter(next(s for s in sets if {p, q} <= s) & set(b3)))) for q in b2) for p in b1
@@ -244,9 +287,9 @@ def test_quadrangle_oracle_agrees_on_random_isotopes():
 
 def test_cyclic_net_iff_all_six_persp_groups_cyclic(appendix, h2):
     for u, net in [(h2.unital, find_dual_3nets(h2.unital)[0]), (appendix, APPENDIX_NET)]:
-        groups = persp_groups_of_3net(u, net)
+        groups = [persp_group(u, b1, b2) for b1 in net for b2 in net if b1 != b2]
         assert len(groups) == 6
-        all_cyclic = all(g.is_cyclic() and g.order() == u.order + 1 for g in groups.values())
+        all_cyclic = all(g.is_cyclic() and g.order() == u.order + 1 for g in groups)
         assert is_cyclic_3net(u, net) == all_cyclic
 
 

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from unitals import persp
-from unitals.design import AbstractUnital, validate_unital
+from unitals.design import validate_unital
 from unitals.groups import closure, structure_name
 from unitals.persp import (
     NoFullPoints,
     NotAFullPoint,
     SameBlock,
-    all_pair_full_points,
+    full_point_rows,
     full_points,
     persp_group,
     perspectivity_map,
@@ -40,8 +40,8 @@ def test_appendix_pair_1_33_recovers_block_200(appendix):
 def test_full_points_disjoint_from_both_blocks(appendix):
     for b1, b2 in [(1, 33), (2, 40), (5, 170)]:
         fp = set(full_points(appendix, b1, b2))
-        assert not fp & appendix.block_set(b1)
-        assert not fp & appendix.block_set(b2)
+        assert not fp & set(appendix.block(b1))
+        assert not fp & set(appendix.block(b2))
 
 
 def test_generic_bounds_on_appendix_sample(appendix):
@@ -60,7 +60,7 @@ def test_hermitian_conjugate_pair_full_points_are_third_block(h4, h4_triangles):
     u = h4.unital
     tri = sorted(h4_triangles)[0]
     fp = full_points(u, tri[0], tri[1])
-    assert set(fp) == u.block_set(tri[2])
+    assert set(fp) == set(u.block(tri[2]))
     assert len(fp) == h4.q + 1
 
 
@@ -97,8 +97,8 @@ def test_hermitian_projection_index_pattern(h4):
     b_pts = [plane.normalize((f.pow(gen, j), 0, 1)) for j in range(q + 1)]
     c_pts = [plane.normalize((1, f.pow(gen, k), 0)) for k in range(q + 1)]
     u = h4.unital
-    b_a = u.block_through(h4.coord_to_point[a_pts[0]], h4.coord_to_point[a_pts[1]])
-    b_b = u.block_through(h4.coord_to_point[b_pts[0]], h4.coord_to_point[b_pts[1]])
+    b_a = u.join_row(h4.coord_to_point[a_pts[0]])[h4.coord_to_point[a_pts[1]] - 1]
+    b_b = u.join_row(h4.coord_to_point[b_pts[0]])[h4.coord_to_point[b_pts[1]] - 1]
     for k in range(q + 1):
         center = h4.coord_to_point[c_pts[k]]
         pm = perspectivity_map(u, b_a, center, b_b)
@@ -115,7 +115,7 @@ def test_not_a_full_point_rejected(appendix):
     non_full = next(
         p
         for p in appendix.points()
-        if p not in fp and p not in appendix.block_set(1) | appendix.block_set(33)
+        if p not in fp and p not in appendix.block(1) + appendix.block(33)
     )
     with pytest.raises(NotAFullPoint):
         perspectivity_map(appendix, 1, non_full, 33)
@@ -130,14 +130,10 @@ def test_perspectivity_map_center_out_of_range(appendix):
             perspectivity_map(appendix, 1, center, 33)
 
 
-def test_perspectivity_layer_reads_join_rows(appendix, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("block_through called")
-
-    monkeypatch.setattr(AbstractUnital, "block_through", refuse)
+def test_perspectivity_layer_reads_join_rows(appendix):
     fp = full_points(appendix, 1, 33)
     assert persp_group(appendix, 1, 33, fp=fp).order() == 120
-    assert all_pair_full_points(appendix)[(1, 33)] == fp
+    assert dict(full_point_rows(appendix))[(1, 33)] == fp
 
 
 def test_single_full_point_gives_trivial_group(h4, h4_pair_fp):
@@ -228,14 +224,14 @@ def test_full_points_match_definition_on_all_ordered_pairs(name, appendix, h2, h
 
 
 @pytest.mark.parametrize("name", ["H(4)", "appendix"])
-def test_all_pair_full_points_match_definition(name, appendix, h4):
+def test_full_point_rows_match_definition(name, appendix, h4):
     u = h4.unital if name == "H(4)" else appendix
     expected = {
         (b1, b2): fp
         for (b1, b2), fp in _full_points_by_definition(u).items()
-        if b1 < b2 and not u.block_set(b1) & u.block_set(b2)
+        if b1 < b2 and not set(u.block(b1)) & set(u.block(b2))
     }
-    got = all_pair_full_points(u)
+    got = dict(full_point_rows(u))
     assert got == expected
     assert list(got) == sorted(expected)
 
@@ -270,7 +266,7 @@ def _persp_group_by_definition(u):
 def test_persp_group_matches_definition(name, appendix, appendix_pair_fp, h3):
     """Every disjoint pair with >= 2 full points, both ways round."""
     u = appendix if name == "appendix" else h3.unital
-    pair_fp = appendix_pair_fp if name == "appendix" else all_pair_full_points(u)
+    pair_fp = appendix_pair_fp if name == "appendix" else dict(full_point_rows(u))
     reference = _persp_group_by_definition(u)
     pairs = [(b1, b2, fp) for (b1, b2), fp in pair_fp.items() if len(fp) >= 2]
     pairs += [(b2, b1, fp) for b1, b2, fp in pairs]
