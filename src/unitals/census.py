@@ -2,16 +2,16 @@
 
 A unital is full point regular (FPR) when, for every disjoint block pair,
 the full points lie in a single block disjoint from both; strongly FPR
-additionally requires a cyclic semi-regular perspectivity group.  The
-full points stream in from `full_point_rows`, one row per disjoint pair.
-Each pair is analysed once, into a `PairAnalysis` (without its block
-indices) that carries its FPR and SFPR verdicts and counts the dual 3-nets
-through it, cyclic ones apart.  The unital's one record is the `Counter`
-of those analyses; no record is kept per pair, no net is listed, and every
-flag, net count and table row is read off the Counter.  The aggregation
-mirrors the published census tables: pair rows keyed by (full point
-count, group name), FPR/SFPR totals, and the breakdown of unitals by the
-structure of their large (>= 3 point) full point sets.
+additionally requires a cyclic semi-regular perspectivity group.  Rows
+stream in from `full_point_rows`, one per block.  Each pair is analysed
+once, into a `PairAnalysis` (without its block indices) that carries its
+FPR and SFPR verdicts and counts the dual 3-nets through it, cyclic ones
+apart; pairs with at most one full point share one of two analyses.  The
+unital's one record is the `Counter` of those analyses, and every flag,
+net count and table row is read off it.  The aggregation mirrors the
+published census tables: pair rows keyed by (full point count, group
+name), FPR/SFPR totals, and the breakdown of unitals by the structure of
+their large (>= 3 point) full point sets.
 """
 
 from __future__ import annotations
@@ -106,9 +106,7 @@ def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups: dict) -> PairAnaly
             if points.issuperset(u.block(c)):
                 net_group = group if len(fp) == u.order + 1 else _center_group(u, b1, b2, u.block(c), groups)
                 nets, cyclic_nets = nets + 1, cyclic_nets + (net_group[0] == u.order + 1 and net_group[2])
-    fpr = len(fp) <= 1 or (
-        secants.bit_count() == 1 and not secants & (u.block_meets[b1 - 1] | u.block_meets[b2 - 1])
-    )
+    fpr = len(fp) <= 1 or secants.bit_count() == 1 and not secants & (u.block_meets[b1 - 1] | u.block_meets[b2 - 1])
     sfpr = fpr and group[2]
     structure = _classify_structure(fp, secants)
     return PairAnalysis(True, len(fp), group[0], group[1], structure, fpr, sfpr, nets, cyclic_nets)
@@ -150,8 +148,11 @@ def is_sfpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None) -> bool:
 def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:
     """Analyse every disjoint pair once into the report's Counter.  Each dual
     3-net {a, b, c} is counted from each of its three pairs, hence the / 3."""
-    groups: dict = {}
-    pair_kinds = Counter(_analyze(u, b1, b2, fp, groups) for (b1, b2), fp in full_point_rows(u))
+    groups, pair_kinds = {}, Counter()
+    small = [_analyze(u, None, None, fp, groups) for fp in ((), (None,))]  # reads no block and no point
+    for b1, empty, single, sets in full_point_rows(u):
+        pair_kinds.update(_analyze(u, b1, b2, fp, groups) for b2, fp in sets.items())
+        pair_kinds.update({pa: k for pa, k in zip(small, (empty, single)) if k})  # no key counts 0
     is_sfpr = all(pa.sfpr for pa in pair_kinds)
     large = [pa for pa in pair_kinds if pa.full_point_count >= LARGE_SET_THRESHOLD]
     in_block = [pa.fp_structure == FP_IN_BLOCK for pa in large]

@@ -20,6 +20,7 @@ import click
 from . import census as census_mod
 from . import formats, nets
 from .design import NotAUnital
+from .groups import GroupTooLarge
 from .hermitian import hermitian_unital
 from .persp import full_points
 
@@ -108,7 +109,10 @@ def fullpoints(file: str, pair: str) -> None:
     if not (1 <= b1 <= u.num_blocks and 1 <= b2 <= u.num_blocks) or b1 == b2:
         _fail("ARGS", f"block indices must be distinct and in 1..{u.num_blocks}")
     fp = full_points(u, b1, b2)
-    pa = census_mod.analyze_pair(u, b1, b2)
+    try:
+        pa = census_mod.analyze_pair(u, b1, b2)
+    except GroupTooLarge as e:
+        _fail("GROUP", str(e))
     click.echo(f"full points of ({b1},{b2}): {list(fp)}")
     if pa.group_order is not None:
         click.echo(f"group order {pa.group_order}, structure {pa.group_name}")
@@ -139,13 +143,13 @@ def dualnets(file: str, latin: bool) -> None:
 
 
 def _census_worker(path):
-    """Classify one file.  The report goes back whole: its pair record is
-    one Counter of pair analyses, not a list with one entry per pair."""
+    """Classify one file, or say why it is skipped.  The report goes back
+    whole: its pair record is one Counter of pair analyses."""
     try:
         u = formats.load_unital(path)
-    except (formats.ParseError, NotAUnital) as e:
+        return (path, census_mod.classify_unital(u, name=os.path.basename(path)), None)
+    except (formats.ParseError, NotAUnital, GroupTooLarge) as e:
         return (path, None, str(e))
-    return (path, census_mod.classify_unital(u, name=os.path.basename(path)), None)
 
 
 @main.command("census")
@@ -166,7 +170,7 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
 
     workers = min(_worker_count(), len(paths))
     reports = []
-    failures = []
+    skipped = 0
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_census_worker, paths)
@@ -174,27 +178,23 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
         results = map(_census_worker, paths)
     for path, report, error in results:
         if error is not None:
-            failures.append((path, error))
+            skipped += 1
             click.echo(f"skipped {path}: {error}", err=True)
         else:
             reports.append(report)
 
-    with open(f"{prefix}_groups.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["full_points", "group", "count"])
-        w.writerows(census_mod.group_table_rows(reports))
-    with open(f"{prefix}_totals.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["library", "unitals", "fpr", "sfpr"])
-        w.writerow(census_mod.totals_row(label, reports))
-    with open(f"{prefix}_large.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["set", "property", "count"])
-        w.writerows(census_mod.large_set_rows(reports))
+    tables = (
+        ("groups", ["full_points", "group", "count"], census_mod.group_table_rows(reports)),
+        ("totals", ["library", "unitals", "fpr", "sfpr"], [census_mod.totals_row(label, reports)]),
+        ("large", ["set", "property", "count"], census_mod.large_set_rows(reports)),
+    )
+    for table, header, rows in tables:
+        with open(f"{prefix}_{table}.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
     click.echo(
         f"census of {len(reports)} unital(s) written to {prefix}_groups.csv, "
         f"{prefix}_totals.csv, {prefix}_large.csv"
-        + (f" ({len(failures)} file(s) skipped)" if failures else "")
+        + (f" ({skipped} file(s) skipped)" if skipped else "")
     )
 
 
@@ -221,6 +221,13 @@ def appendix_check() -> None:
     if (pa.group_order, pa.group_name) != (120, "S5"):
         _fail("GOLDEN", f"perspectivity group of (1,33) changed: order {pa.group_order}, structure {pa.group_name}")
     click.echo(f"perspectivity group of (1,33): order {pa.group_order}, structure {pa.group_name}")
+
+    found = nets.find_dual_3nets(u)
+    listed = (len(found), sum(nets.is_cyclic_3net(u, net) for net in found))
+    report = census_mod.classify_unital(u, "appendix")
+    if listed != (86, 81) or (report.net_count, report.cyclic_net_count) != listed:
+        _fail("GOLDEN", f"(nets, cyclic) listed {listed}, census {report.net_count, report.cyclic_net_count}, expected (86, 81)")
+    click.echo("86 embedded dual 3-nets, 81 cyclic, by the net listing and by the census")
     click.echo("PASS")
 
 

@@ -100,15 +100,8 @@ def serialize_text(u: AbstractUnital, name: str = "unital") -> str:
 
 
 def serialize_json(u: AbstractUnital, name: str = "unital") -> str:
-    return json.dumps(
-        {
-            "name": name,
-            "order": u.order,
-            "points": u.num_points,
-            "blocks": [list(b) for b in u.all_blocks],
-        },
-        indent=1,
-    )
+    blocks = [list(b) for b in u.all_blocks]
+    return json.dumps({"name": name, "order": u.order, "points": u.num_points, "blocks": blocks}, indent=1)
 
 
 def load_unital(path) -> AbstractUnital:

@@ -19,6 +19,10 @@ from math import lcm, prod
 MAX_GROUP_ORDER = 10_000
 
 
+class GroupTooLarge(ValueError):
+    """A closure grew past MAX_GROUP_ORDER elements."""
+
+
 def compose(a: tuple, b: tuple) -> tuple:
     """The permutation that applies a first, then b (images of 0..d-1)."""
     return tuple(map(b.__getitem__, a))
@@ -103,7 +107,7 @@ def _group(degree, gens) -> PermGroup:
                     elements.add(c)
                     new.append(c)
                     if len(elements) > MAX_GROUP_ORDER:
-                        raise ValueError(f"group order exceeds cap {MAX_GROUP_ORDER}")
+                        raise GroupTooLarge(f"group order exceeds cap {MAX_GROUP_ORDER}")
         frontier = new
     return PermGroup(degree, gens, elements)
 

@@ -80,14 +80,15 @@ def blocks_inside(u: AbstractUnital, point_set) -> tuple[int, ...]:
 def find_dual_3nets(u: AbstractUnital) -> tuple:
     """All embedded dual 3-nets, as sorted block-index triples.
 
-    For every disjoint pair streamed from `full_point_rows`, any block
-    wholly inside the full-point set completes the pair to a 3-net; each
-    net is taken from its two smallest blocks.
+    For every pair (b1, b2) that `full_point_rows` lists with more than n
+    full points, any block wholly inside the full-point set completes the
+    pair to a 3-net; each net is taken from its two smallest blocks.
     """
     nets = []
-    for (b1, b2), fp in full_point_rows(u):
-        if len(fp) > u.order:  # only these can hold a block
-            nets.extend(tuple(sorted((b1, b2, c))) for c in blocks_inside(u, fp) if c > max(b1, b2))
+    for b1, _, _, sets in full_point_rows(u):
+        for b2, fp in sets.items():
+            if len(fp) > u.order:  # only these can hold a block
+                nets.extend((b1, b2, c) for c in blocks_inside(u, fp) if c > b2)
     return tuple(sorted(nets))
 
 
@@ -111,57 +112,50 @@ def latin_square_from_3net(u: AbstractUnital, net) -> LatinSquare:
         raise NotA3Net(f"blocks {net} do not form a dual 3-net") from e
 
 
-def is_group_based(sq: LatinSquare) -> str | None:
-    """Name of the group the square is based on, or None.
-
-    With the symbols relabelled so that row 0 reads 0..m-1, each row r is
-    the column map r0^-1 r: m distinct maps, the identity among them, that
-    send column 0 everywhere.  Closed under composition, they are a regular
-    group and the square is an isotope of its table; conversely an isotope
-    c(a(x) b(y)) of a group G gives the group of maps b^-1 L_g b.  Isotopy
-    and parastrophy keep group-basedness: one test decides the main class.
-    """
+def _row_maps(sq: LatinSquare) -> set[tuple[int, ...]]:
+    """The rows as column maps r0^-1 r, with the symbols relabelled so that
+    row 0 reads 0..m-1 and so is the identity."""
     relabel = [0] * sq.m
     for j, s in enumerate(sq.rows[0]):
         relabel[s] = j
-    maps = {tuple(relabel[x] for x in row) for row in sq.rows}
+    return {tuple(relabel[x] for x in row) for row in sq.rows}
+
+
+def is_group_based(sq: LatinSquare) -> str | None:
+    """Name of the group the square is based on, or None.
+
+    The relabelled row maps are m distinct maps, the identity among them,
+    that send column 0 everywhere.  Closed under composition, they are a
+    regular group and the square is an isotope of its table; conversely an
+    isotope c(a(x) b(y)) of a group G gives the group of maps b^-1 L_g b.
+    Isotopy and parastrophy keep group-basedness: one test decides the main
+    class.
+    """
+    maps = _row_maps(sq)
     if any(compose(a, b) not in maps for a in maps for b in maps):
         return None
     return structure_name(PermGroup(sq.m, maps, maps))
 
 
-def satisfies_quadrangle_criterion(sq: LatinSquare) -> bool:
-    """Independent oracle for group-basedness (Frolov's quadrangle criterion).
-
-    Whenever two quadrangles of cells agree in three products, they agree in
-    the fourth.  Uses row/column inverses to enumerate only consistent cell
-    quadruples.
-    """
-    rows = sq.rows
-    m = sq.m
-    row_inv = [[0] * m for _ in range(m)]  # row_inv[a][v] = column where row a holds v
-    col_inv = [[0] * m for _ in range(m)]  # col_inv[b][v] = row where column b holds v
-    for a in range(m):
-        for b in range(m):
-            v = rows[a][b]
-            row_inv[a][v] = b
-            col_inv[b][v] = a
-    for a1 in range(m):
-        for b1 in range(m):
-            v = rows[a1][b1]
-            for a2 in range(m):
-                b2 = row_inv[a2][v]
-                for b3 in range(m):
-                    b4 = row_inv[a2][rows[a1][b3]]
-                    for a3 in range(m):
-                        a4 = col_inv[b2][rows[a3][b1]]
-                        if rows[a3][b3] != rows[a4][b4]:
-                            return False
-    return True
+def is_cyclic_square(sq: LatinSquare) -> bool:
+    """True when the square is based on C_m: its row maps are the powers of
+    one of them that is an m-cycle g.  Those powers are closed, so the square
+    is based on <g> = C_m; conversely the maps of a C_m square are a cyclic
+    regular group, generated by any of its m-cycles.  No group is built."""
+    maps = _row_maps(sq)
+    for g in maps:
+        orbit = [0]
+        while g[orbit[-1]]:
+            orbit.append(g[orbit[-1]])
+        if len(orbit) == sq.m:  # the orbit of 0 is everything
+            powers = [g]
+            while len(powers) < sq.m:
+                powers.append(compose(powers[-1], g))
+            return set(powers) == maps
+    return False
 
 
 def is_cyclic_3net(u: AbstractUnital, net) -> bool:
     """True when the coordinate latin square is based on the cyclic group
     of order n+1."""
-    name = is_group_based(latin_square_from_3net(u, net))
-    return name == f"C{u.order + 1}"
+    return is_cyclic_square(latin_square_from_3net(u, net))

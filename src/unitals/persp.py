@@ -18,20 +18,6 @@ class NoFullPoints(ValueError):
     pass
 
 
-def _full_point_masks(u: AbstractUnital, b1: int) -> list[tuple[int, int]]:
-    """The kernel: (p, hits) for each point p off block b1, where bit b-1 of
-    the bitset `hits` is set exactly when p is a full point of (b1, b), for
-    every block b != b1.  The blocks through p that meet b1 are its joins to
-    b1, so `hits` is the AND of their meet-masks, less the blocks through p.
-    """
-    meets, blocks = u.block_meets, u.all_blocks
-    hits = [~on_p for on_p in u.point_blocks]
-    for c in block_ids(meets[b1 - 1]):
-        for p in blocks[c - 1]:
-            hits[p - 1] &= meets[c - 1]
-    return [(p, h) for p, h in enumerate(hits, start=1) if h >> (b1 - 1) & 1]  # points of b1 lose bit b1-1
-
-
 def full_points(u: AbstractUnital, b1: int, b2: int) -> tuple[int, ...]:
     """All points P off both blocks whose joins to b1 each meet b2, in
     increasing order.
@@ -49,17 +35,32 @@ def full_points(u: AbstractUnital, b1: int, b2: int) -> tuple[int, ...]:
 
 
 def full_point_rows(u: AbstractUnital):
-    """Yield ((b1, b2), full points) for every disjoint block pair, in the
-    order of `disjoint_block_pairs`, from one kernel pass per block b1."""
-    b1_row, row = None, {}
-    for b1, b2 in u.disjoint_block_pairs():
-        if b1 != b1_row:
-            later = ~u.block_meets[b1 - 1] >> b1 << b1  # blocks c > b1 disjoint from b1, unbounded above
-            b1_row, row = b1, {}
-            for p, hits in _full_point_masks(u, b1):
-                for c in block_ids(hits & later):
-                    row.setdefault(c, []).append(p)
-        yield (b1, b2), tuple(row.get(b2, ()))
+    """Yield (b1, empty, single, sets) per block b1, over the disjoint b2 > b1:
+    `empty` pairs have no full point, `single` pairs one, and `sets` maps each
+    other b2 to its full points, all in increasing order.  A point p off b1 is
+    a full point of (b1, b2) exactly when p is off b2 and b2 meets each join
+    of p to b1: AND their meet masks, and fold the results as `secants` does."""
+    meets, joins = u.block_meets, [u.join_row(p) for p in u.points()]
+    full = (1 << u.num_blocks) - 1
+    for b1, blk in enumerate(u.all_blocks, start=1):
+        later = ~meets[b1 - 1] >> b1 << b1 & full  # blocks b2 > b1 disjoint from b1
+        once, twice, hits = 0, 0, []
+        for p, on_p in enumerate(u.point_blocks, start=1):
+            if on_p >> b1 - 1 & 1:
+                continue
+            h, join = later & ~on_p, joins[p - 1]
+            for q in blk:
+                h &= meets[join[q - 1] - 1]
+            if h:
+                twice |= once & h
+                once |= h
+                hits.append((p, h))
+        sets = {c: [] for c in block_ids(twice)}
+        for p, h in hits:
+            for c in block_ids(h & twice):
+                sets[c].append(p)
+        single = once.bit_count() - twice.bit_count()
+        yield b1, later.bit_count() - once.bit_count(), single, {c: tuple(fp) for c, fp in sets.items()}
 
 
 def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> tuple[int, ...]:

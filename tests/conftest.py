@@ -1,6 +1,6 @@
 import pytest
 
-from unitals.persp import full_point_rows
+from unitals.persp import full_points
 from unitals.formats import builtin_appendix_unital
 from unitals.hermitian import all_polar_triangles, hermitian_unital
 
@@ -28,12 +28,13 @@ def h4():
 @pytest.fixture(scope="session")
 def h4_pair_fp(h4):
     """Full points of every disjoint block pair of H(4)."""
-    return dict(full_point_rows(h4.unital))
+    u = h4.unital
+    return {(b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()}
 
 
 @pytest.fixture(scope="session")
 def appendix_pair_fp(appendix):
-    return dict(full_point_rows(appendix))
+    return {(b1, b2): full_points(appendix, b1, b2) for b1, b2 in appendix.disjoint_block_pairs()}
 
 
 @pytest.fixture(scope="session")

@@ -31,9 +31,9 @@ from unitals.nets import (
     is_dual_knet,
     is_group_based,
     latin_square_from_3net,
-    satisfies_quadrangle_criterion,
 )
-from unitals.persp import full_point_rows, full_points, persp_group
+from unitals.persp import full_points, persp_group
+from test_nets import satisfies_quadrangle_criterion
 
 
 class _Check:
@@ -74,7 +74,8 @@ def test_criterion_02_conjugate_pairs_even_q(capsys, h2, h4, h4_pair_fp):
     with _Check(capsys, 2, "conjugate disjoint pairs: full points = third triangle block", limit=60):
         for emb in (h2, h4):
             q = emb.q
-            pair_fp = h4_pair_fp if q == 4 else dict(full_point_rows(emb.unital))
+            u = emb.unital
+            pair_fp = h4_pair_fp if q == 4 else {(b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()}
             checked = 0
             for (b1, b2), fp in pair_fp.items():
                 l1, l2 = emb.block_line(b1), emb.block_line(b2)
@@ -108,7 +109,7 @@ def test_criterion_05_hermitian_strong_regularity(capsys, h3, h4, h4_pair_fp):
         for emb in (h3, h4):
             q = emb.q
             u = emb.unital
-            pair_fp = h4_pair_fp if q == 4 else dict(full_point_rows(u))
+            pair_fp = h4_pair_fp if q == 4 else {(b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()}
             for (b1, b2), fp in pair_fp.items():
                 assert is_sfpr_triple(u, b1, b2, fp=fp)
                 if len(fp) >= 2:

@@ -21,7 +21,7 @@ from unitals.census import (
     totals_row,
 )
 from unitals.nets import find_dual_3nets, is_cyclic_3net
-from unitals.persp import SameBlock, full_point_rows, full_points
+from unitals.persp import SameBlock, full_points
 
 
 def test_analyze_pair_appendix_golden(appendix):
@@ -91,8 +91,8 @@ def test_regularity_triples_reject_wrong_full_points(appendix):
 
 def test_hermitian_pairs_strongly_regular(h3):
     u = h3.unital
-    for (b1, b2), fp in full_point_rows(u):
-        assert is_sfpr_triple(u, b1, b2, fp=fp)
+    for b1, b2 in u.disjoint_block_pairs():
+        assert is_sfpr_triple(u, b1, b2, fp=full_points(u, b1, b2))
 
 
 def test_classify_hermitian_small(h2, h3):

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from unitals import census, cli, formats
+from unitals import census, cli, formats, groups
 from unitals.cli import main
 from unitals.formats import appendix_text, serialize_json, serialize_text
 
@@ -129,6 +129,45 @@ def test_dualnets_h2(runner, tmp_path, h2):
     assert result.exit_code == 0
     assert "embedded dual 3-net(s)" in result.output
     assert "cyclic" in result.output
+
+
+def test_dualnets_appendix(runner, appendix_file):
+    result = runner.invoke(main, ["dualnets", appendix_file])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert lines[0] == "86 embedded dual 3-net(s)"
+    assert (sum(l.endswith(": cyclic") for l in lines), sum(l.endswith(": non-cyclic") for l in lines)) == (81, 5)
+    assert "blocks [1, 33, 200]: non-cyclic" in lines
+
+
+@pytest.fixture
+def small_group_cap(monkeypatch):
+    """Cap closures below the order 120 of the appendix pair (1, 33)'s S5;
+    the catalog, whose models go up to that order, is built first."""
+    groups._build_catalog()
+    monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 100)
+
+
+def test_fullpoints_group_over_cap_gives_one_error_line(runner, appendix_file, small_group_cap):
+    result = runner.invoke(main, ["fullpoints", appendix_file, "--blocks", "1,33"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("ERROR GROUP: group order exceeds cap 100") and result.output.count("ERROR") == 1
+
+
+def test_census_skips_and_counts_a_group_over_cap(runner, tmp_path, h2, monkeypatch, small_group_cap):
+    src = tmp_path / "lib"
+    src.mkdir()
+    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    (src / "appendix.txt").write_text(appendix_text())
+    monkeypatch.setenv("UNITAL_THREADS", "1")
+    prefix = str(tmp_path / "census")
+    result = runner.invoke(main, ["census", str(src), "--out", prefix, "--library", "demo"])
+    assert result.exit_code == 0
+    assert "census of 1 unital(s)" in result.output and "1 file(s) skipped" in result.output
+    assert f"skipped {src / 'appendix.txt'}: group order exceeds cap 100" in result.output
+    with open(prefix + "_totals.csv") as fh:
+        assert list(csv.reader(fh))[1] == ["demo", "1", "1", "1"]
 
 
 def test_census_writes_tables(runner, tmp_path, h2, monkeypatch):

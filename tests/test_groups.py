@@ -49,7 +49,7 @@ def test_closure_is_closed():
 
 def test_closure_size_cap(monkeypatch):
     monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 100)
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(groups.GroupTooLarge, match="cap"):
         closure([cyc((1, 0, 2, 3, 4, 5, 6, 7)), cyc((1, 2, 3, 4, 5, 6, 7, 0))])
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -10,10 +11,10 @@ from unitals.nets import (
     blocks_inside,
     find_dual_3nets,
     is_cyclic_3net,
+    is_cyclic_square,
     is_dual_knet,
     is_group_based,
     latin_square_from_3net,
-    satisfies_quadrangle_criterion,
 )
 from unitals.groups import closure, compose
 from unitals.persp import full_points, persp_group
@@ -29,6 +30,36 @@ APPENDIX_SQUARE = (
     (2, 4, 0, 3, 1),
     (4, 2, 3, 1, 0),
 )
+
+
+def satisfies_quadrangle_criterion(sq: LatinSquare) -> bool:
+    """Independent oracle for group-basedness (Frolov's quadrangle criterion).
+
+    Whenever two quadrangles of cells agree in three products, they agree in
+    the fourth.  Uses row/column inverses to enumerate only consistent cell
+    quadruples.
+    """
+    rows = sq.rows
+    m = sq.m
+    row_inv = [[0] * m for _ in range(m)]  # row_inv[a][v] = column where row a holds v
+    col_inv = [[0] * m for _ in range(m)]  # col_inv[b][v] = row where column b holds v
+    for a in range(m):
+        for b in range(m):
+            v = rows[a][b]
+            row_inv[a][v] = b
+            col_inv[b][v] = a
+    for a1 in range(m):
+        for b1 in range(m):
+            v = rows[a1][b1]
+            for a2 in range(m):
+                b2 = row_inv[a2][v]
+                for b3 in range(m):
+                    b4 = row_inv[a2][rows[a1][b3]]
+                    for a3 in range(m):
+                        a4 = col_inv[b2][rows[a3][b1]]
+                        if rows[a3][b3] != rows[a4][b4]:
+                            return False
+    return True
 
 
 def z5_table():
@@ -244,13 +275,47 @@ def test_group_based_invariant_across_parastrophes():
     the quadrangle criterion agrees."""
     rng = random.Random(5)
     for rows, name in MAIN_CLASS_CASES:
-        m = len(rows)
-        for _ in range(2):
-            rp, cp, sp = (rng.sample(range(m), m) for _ in range(3))
-            isotope = tuple(tuple(sp[rows[rp[i]][cp[j]]] for j in range(m)) for i in range(m))
-            for sq in _parastrophes(isotope):
-                assert is_group_based(sq) == name
-                assert satisfies_quadrangle_criterion(sq) == (name is not None)
+        for sq in _isotopes_and_parastrophes(rows, rng):
+            assert is_group_based(sq) == name
+            assert satisfies_quadrangle_criterion(sq) == (name is not None)
+
+
+def _isotopes_and_parastrophes(rows, rng):
+    """All six parastrophes of two fixed-seed isotopes of the square."""
+    m = len(rows)
+    for _ in range(2):
+        rp, cp, sp = (rng.sample(range(m), m) for _ in range(3))
+        yield from _parastrophes(tuple(tuple(sp[rows[rp[i]][cp[j]]] for j in range(m)) for i in range(m)))
+
+
+def test_cyclic_square_matches_group_name(appendix, h2, h4):
+    """The cyclicity test agrees with naming the group, on every net of the
+    appendix unital, H(2) and H(4) and on the main-class table.  Four of the
+    appendix unital's five non-cyclic nets, the appendix square and most
+    switched C8 squares have a row map that is an m-cycle whose powers are
+    not the row maps, so a test that stops at the m-cycle fails here."""
+    rng = random.Random(13)
+    squares = [latin_square_from_3net(u, net) for u in (appendix, h2.unital, h4.unital) for net in find_dual_3nets(u)]
+    assert len(squares) == 86 + 4 + 416
+    squares += [sq for rows, _ in MAIN_CLASS_CASES for sq in _isotopes_and_parastrophes(rows, rng)]
+    verdicts = Counter()
+    for sq in squares:
+        cyclic = is_cyclic_square(sq)
+        assert cyclic == (is_group_based(sq) == f"C{sq.m}")
+        verdicts[cyclic, _has_m_cycle_row_map(sq)] += 1
+    assert verdicts[False, True] > 0 and verdicts[True, True] > 0
+
+
+def _has_m_cycle_row_map(sq):
+    """Some row, read as a map of the symbols of row 0, is one m-cycle."""
+    for row in sq.rows:
+        step = dict(zip(sq.rows[0], row))
+        orbit = [sq.rows[0][0]]
+        while step[orbit[-1]] != orbit[0]:
+            orbit.append(step[orbit[-1]])
+        if len(orbit) == sq.m:
+            return True
+    return False
 
 
 def test_z5_is_group_based():

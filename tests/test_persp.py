@@ -133,7 +133,8 @@ def test_perspectivity_map_center_out_of_range(appendix):
 def test_perspectivity_layer_reads_join_rows(appendix):
     fp = full_points(appendix, 1, 33)
     assert persp_group(appendix, 1, 33, fp=fp).order() == 120
-    assert dict(full_point_rows(appendix))[(1, 33)] == fp
+    b1, _, _, sets = next(full_point_rows(appendix))
+    assert (b1, sets[33]) == (1, fp)
 
 
 def test_single_full_point_gives_trivial_group(h4, h4_pair_fp):
@@ -223,17 +224,21 @@ def test_full_points_match_definition_on_all_ordered_pairs(name, appendix, h2, h
     assert {pair: full_points(u, *pair) for pair in expected} == expected
 
 
-@pytest.mark.parametrize("name", ["H(4)", "appendix"])
+@pytest.mark.parametrize("name", ["appendix", "H(4)", "relabelled appendix"])
 def test_full_point_rows_match_definition(name, appendix, h4):
-    u = h4.unital if name == "H(4)" else appendix
-    expected = {
-        (b1, b2): fp
-        for (b1, b2), fp in _full_points_by_definition(u).items()
-        if b1 < b2 and not set(u.block(b1)) & set(u.block(b2))
-    }
-    got = dict(full_point_rows(u))
-    assert got == expected
-    assert list(got) == sorted(expected)
+    """Each row lists the pairs with >= 2 full points and counts the pairs
+    with none and with one, over exactly the disjoint b2 > b1."""
+    u = {"appendix": appendix, "H(4)": h4.unital}.get(name) or _relabelled_appendix(appendix)
+    expected = _full_points_by_definition(u)
+    rows = list(full_point_rows(u))
+    assert [b1 for b1, *_ in rows] == list(u.block_indices())
+    blocks = [set(b) for b in u.all_blocks]
+    for b1, empty, single, sets in rows:
+        row = {b2: expected[b1, b2] for b2 in range(b1 + 1, u.num_blocks + 1) if not blocks[b1 - 1] & blocks[b2 - 1]}
+        assert sets == {b2: fp for b2, fp in row.items() if len(fp) >= 2}
+        assert list(sets) == sorted(sets)
+        assert (empty, single) == (sum(not fp for fp in row.values()), sum(len(fp) == 1 for fp in row.values()))
+        assert empty + single + len(sets) == len(row)
 
 
 def _persp_group_by_definition(u):
@@ -266,7 +271,9 @@ def _persp_group_by_definition(u):
 def test_persp_group_matches_definition(name, appendix, appendix_pair_fp, h3):
     """Every disjoint pair with >= 2 full points, both ways round."""
     u = appendix if name == "appendix" else h3.unital
-    pair_fp = appendix_pair_fp if name == "appendix" else dict(full_point_rows(u))
+    pair_fp = appendix_pair_fp if name == "appendix" else {
+        (b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()
+    }
     reference = _persp_group_by_definition(u)
     pairs = [(b1, b2, fp) for (b1, b2), fp in pair_fp.items() if len(fp) >= 2]
     pairs += [(b2, b1, fp) for b1, b2, fp in pairs]
