@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .design import AbstractUnital, block_ids
-from .groups import closure, structure_name
+from .groups import closure, is_cyclic_regular, structure_name
 from .persp import full_point_rows, full_points, persp_generators
 
 LARGE_SET_THRESHOLD = 3
@@ -78,11 +78,11 @@ def _classify_structure(fp, secants: int) -> str:
     return FP_OTHER
 
 
-def _center_group(u: AbstractUnital, b1: int, b2: int, centers, groups: dict) -> tuple:
-    """(order, name, cyclic and semiregular) of the group of the (b1, b2)
-    perspectivities centered in `centers`, closed once per distinct
-    generator set: `groups` maps the sorted generators to the triple."""
-    key = tuple(sorted(set(persp_generators(u, b1, b2, fp=centers))))
+def _center_group(u: AbstractUnital, b1: int, b2: int, fp, groups: dict) -> tuple:
+    """(order, name, cyclic and semiregular) of the perspectivity group of
+    (b1, b2) from its full points `fp`, closed once per distinct generator
+    set: `groups` maps the sorted generators to the triple."""
+    key = tuple(sorted(set(persp_generators(u, b1, b2, fp))))
     if key not in groups:
         g = closure(key)
         groups[key] = (g.order(), structure_name(g), g.is_cyclic() and g.is_semiregular())
@@ -92,9 +92,8 @@ def _center_group(u: AbstractUnital, b1: int, b2: int, centers, groups: dict) ->
 def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups: dict) -> PairAnalysis:
     """The analysis of the disjoint pair (b1, b2) from its full points `fp`.
     A block c inside fp makes a dual 3-net; the maps phi_P0^-1 phi_P, P on
-    c, are its square's rows relabelled to hold the identity, so (see
-    `is_group_based`) they generate a group of order n+1 exactly when the
-    square is based on it.  If c is all of fp, that group is the pair's own."""
+    c, are its square's row maps r0^-1 r, so the net is cyclic exactly when
+    they are the powers of one (n+1)-cycle (`is_cyclic_regular`)."""
     secants, group = 0, (None, None, True)  # (order, name, cyclic and semiregular)
     nets = cyclic_nets = 0
     if len(fp) >= 2:
@@ -104,8 +103,10 @@ def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups: dict) -> PairAnaly
         points = set(fp)
         for c in block_ids(secants):
             if points.issuperset(u.block(c)):
-                net_group = group if len(fp) == u.order + 1 else _center_group(u, b1, b2, u.block(c), groups)
-                nets, cyclic_nets = nets + 1, cyclic_nets + (net_group[0] == u.order + 1 and net_group[2])
+                # With c = fp the n+1 maps are distinct, and a semiregular group of degree
+                # n+1 has order at most n+1: the pair's cached flag is the same test.
+                cyclic = group[2] if len(fp) == u.order + 1 else is_cyclic_regular(persp_generators(u, b1, b2, u.block(c)))
+                nets, cyclic_nets = nets + 1, cyclic_nets + cyclic
     fpr = len(fp) <= 1 or secants.bit_count() == 1 and not secants & (u.block_meets[b1 - 1] | u.block_meets[b2 - 1])
     sfpr = fpr and group[2]
     structure = _classify_structure(fp, secants)

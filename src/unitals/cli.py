@@ -136,10 +136,10 @@ def dualnets(file: str, latin: bool) -> None:
     found = nets.find_dual_3nets(u)
     click.echo(f"{len(found)} embedded dual 3-net(s)")
     for net in found:
-        cyc = nets.is_cyclic_3net(u, net)
-        click.echo(f"blocks {list(net)}: {'cyclic' if cyc else 'non-cyclic'}")
+        sq = nets.latin_square_from_3net(u, net)
+        click.echo(f"blocks {list(net)}: {'cyclic' if nets.is_cyclic_square(sq) else 'non-cyclic'}")
         if latin:
-            click.echo(nets.latin_square_from_3net(u, net).serialize())
+            click.echo(sq.serialize())
 
 
 def _census_worker(path):

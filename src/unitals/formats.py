@@ -107,7 +107,7 @@ def serialize_json(u: AbstractUnital, name: str = "unital") -> str:
 def load_unital(path) -> AbstractUnital:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")  # drop a leading byte-order mark
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}") from None
     except OSError as e:

@@ -28,6 +28,34 @@ def compose(a: tuple, b: tuple) -> tuple:
     return tuple(map(b.__getitem__, a))
 
 
+def relative_to_first(maps) -> list[tuple]:
+    """The maps m0^-1 m, m0 = maps[0] (m first, then m0^-1), in order; the
+    first is the identity.  The maps send 0..d-1 into one common target of
+    d positions, so each result is a permutation of 0..d-1."""
+    back = [0] * len(maps[0])
+    for i, x in enumerate(maps[0]):
+        back[x] = i
+    return [compose(m, back) for m in maps]
+
+
+def is_cyclic_regular(maps) -> bool:
+    """True when the maps, of degree m, are exactly the powers of one of them
+    that is an m-cycle g: they are then the cyclic regular group <g> = C_m.
+    Any m-cycle of C_m generates it, so the first one found decides.  No
+    group is built."""
+    maps = set(maps)
+    for g in maps:
+        orbit = [0]
+        while g[orbit[-1]]:
+            orbit.append(g[orbit[-1]])
+        if len(orbit) == len(g):  # the orbit of 0 is everything
+            powers = [g]
+            while len(powers) < len(g):
+                powers.append(compose(powers[-1], g))
+            return set(powers) == maps
+    return False
+
+
 def _cycle_lengths(p: tuple) -> list[int]:
     seen = [False] * len(p)
     lengths = []

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .design import AbstractUnital, NotAUnital, validate_unital
 from .gf import GaloisField, is_prime
-from .groups import PermGroup, closure
+from .groups import PermGroup, closure, relative_to_first
 from .plane import ProjectivePlane, cross_ratio, line_parameter, INFINITY
 
 MAX_Q = 5
@@ -252,24 +252,14 @@ def gamma1_analysis(emb: HermitianEmbedding, b1: int, b2: int) -> Gamma1Record:
     script_b = b1_pts | (frozenset(plane.points_on_line(l2)) - b2_pts)
     nuc = nuclei(plane, script_b)
 
+    # phi_N0^-1 phi_N over the nuclei N generate every to-and-back phi_M^-1 phi_N
     l1_pts = plane.points_on_line(l1)
-    index = {p: i for i, p in enumerate(l1_pts)}
-    gens = []
-    for p in nuc:
-        fwd = _line_perspectivity(plane, l1_pts, p, l2)
-        for q in nuc:
-            back = _line_perspectivity(plane, fwd, q, l1)
-            gens.append(tuple(index[pt] for pt in back))
-    group = closure(gens or [tuple(range(len(l1_pts)))])
+    at = {p: i for i, p in enumerate(plane.points_on_line(l2))}
+    maps = [tuple(at[pt] for pt in _line_perspectivity(plane, l1_pts, p, l2)) for p in nuc]
+    group = closure(relative_to_first(maps) if maps else [tuple(range(len(l1_pts)))])
 
-    v1 = None
-    if group.order() > 1:
-        fixed = set(range(len(l1_pts)))
-        for g in group.generators:
-            fixed &= {i for i in fixed if g[i] == i}
-        fixed_pts = {l1_pts[i] for i in fixed} - {z}
-        if len(fixed_pts) == 1:
-            v1 = next(iter(fixed_pts))
+    fixed = {pt for i, pt in enumerate(l1_pts) if all(g[i] == i for g in group.generators)} - {z}
+    v1 = next(iter(fixed)) if group.order() > 1 and len(fixed) == 1 else None
 
     nuclei_line = None
     collinear = True

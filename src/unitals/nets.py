@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .design import AbstractUnital, block_ids
-from .groups import PermGroup, compose, structure_name
+from .groups import PermGroup, compose, is_cyclic_regular, relative_to_first, structure_name
 from .persp import full_point_rows, perspectivity_map
 
 
@@ -112,47 +112,26 @@ def latin_square_from_3net(u: AbstractUnital, net) -> LatinSquare:
         raise NotA3Net(f"blocks {net} do not form a dual 3-net") from e
 
 
-def _row_maps(sq: LatinSquare) -> set[tuple[int, ...]]:
-    """The rows as column maps r0^-1 r, with the symbols relabelled so that
-    row 0 reads 0..m-1 and so is the identity."""
-    relabel = [0] * sq.m
-    for j, s in enumerate(sq.rows[0]):
-        relabel[s] = j
-    return {tuple(relabel[x] for x in row) for row in sq.rows}
-
-
 def is_group_based(sq: LatinSquare) -> str | None:
     """Name of the group the square is based on, or None.
 
-    The relabelled row maps are m distinct maps, the identity among them,
-    that send column 0 everywhere.  Closed under composition, they are a
-    regular group and the square is an isotope of its table; conversely an
-    isotope c(a(x) b(y)) of a group G gives the group of maps b^-1 L_g b.
-    Isotopy and parastrophy keep group-basedness: one test decides the main
-    class.
+    The row maps r0^-1 r (`relative_to_first`) are m distinct maps, the
+    identity among them, that send column 0 everywhere.  Closed under
+    composition, they are a regular group and the square is an isotope of
+    its table; conversely an isotope c(a(x) b(y)) of a group G gives the
+    group of maps b^-1 L_g b.  Isotopy and parastrophy keep group-basedness:
+    one test decides the main class.
     """
-    maps = _row_maps(sq)
+    maps = set(relative_to_first(sq.rows))
     if any(compose(a, b) not in maps for a in maps for b in maps):
         return None
     return structure_name(PermGroup(sq.m, maps, maps))
 
 
 def is_cyclic_square(sq: LatinSquare) -> bool:
-    """True when the square is based on C_m: its row maps are the powers of
-    one of them that is an m-cycle g.  Those powers are closed, so the square
-    is based on <g> = C_m; conversely the maps of a C_m square are a cyclic
-    regular group, generated by any of its m-cycles.  No group is built."""
-    maps = _row_maps(sq)
-    for g in maps:
-        orbit = [0]
-        while g[orbit[-1]]:
-            orbit.append(g[orbit[-1]])
-        if len(orbit) == sq.m:  # the orbit of 0 is everything
-            powers = [g]
-            while len(powers) < sq.m:
-                powers.append(compose(powers[-1], g))
-            return set(powers) == maps
-    return False
+    """True when the square is based on C_m: its row maps r0^-1 r are the
+    powers of one m-cycle (see `is_group_based`)."""
+    return is_cyclic_regular(relative_to_first(sq.rows))
 
 
 def is_cyclic_3net(u: AbstractUnital, net) -> bool:

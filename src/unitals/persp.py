@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .design import AbstractUnital, block_ids
-from .groups import PermGroup, closure, compose
+from .groups import PermGroup, closure, relative_to_first
 
 
 class SameBlock(ValueError):
@@ -92,12 +92,12 @@ def persp_generators(u: AbstractUnital, b1: int, b2: int, fp=None) -> list[tuple
         fp = full_points(u, b1, b2)
     if not fp:
         raise NoFullPoints(f"blocks ({b1},{b2}) have no full points")
-    back = perspectivity_map(u, b2, fp[0], b1)
-    return [compose(perspectivity_map(u, b1, p, b2), back) for p in fp]
+    return relative_to_first([perspectivity_map(u, b1, p, b2) for p in fp])
 
 
 def persp_group(u: AbstractUnital, b1: int, b2: int, fp=None) -> PermGroup:
-    """Group generated by the to-and-back projections phi_Q^-1 phi_P over all
-    pairs of centers P, Q in `fp`, acting on the positions of b1; `fp` is
+    """The group of the (b1, b2) perspectivities centered in `fp`, acting on
+    the positions of b1: the closure of `persp_generators`, which holds every
+    to-and-back projection phi_Q^-1 phi_P for centers P, Q in `fp`.  `fp` is
     any nonempty set of the pair's full points, all of them by default."""
     return closure(persp_generators(u, b1, b2, fp))

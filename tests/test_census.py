@@ -20,8 +20,9 @@ from unitals.census import (
     large_set_rows,
     totals_row,
 )
+from unitals.groups import closure, compose, is_cyclic_regular
 from unitals.nets import find_dual_3nets, is_cyclic_3net
-from unitals.persp import SameBlock, full_points
+from unitals.persp import SameBlock, full_points, persp_generators, perspectivity_map
 
 
 def test_analyze_pair_appendix_golden(appendix):
@@ -179,18 +180,24 @@ def test_structure_and_secants_match_blocks_on_random_point_sets(appendix):
 def test_net_counts_match_latin_square_path(request, name):
     """The census counts nets and cyclic nets from its pair analyses; the
     net listing and latin-square test of `unital dualnets` are the
-    reference.  The center-group path taken when a pair has more full points
-    than the net's third block is called directly with that block as
-    centers, since no pinned design has such a pair."""
+    reference.  The branch taken when a pair has more full points than the
+    net's third block c is checked directly on every ordered pair of every
+    net, since no pinned design has such a pair: the generators centered on
+    c are the to-and-back projections through c's first point, and they are
+    the powers of one (n+1)-cycle exactly when their closure has order n+1
+    and is cyclic and semiregular, and exactly when the net is cyclic."""
     fixture = request.getfixturevalue(name)
     u = getattr(fixture, "unital", fixture)
     cyclic = {net: is_cyclic_3net(u, net) for net in find_dual_3nets(u)}
     rep = classify_unital(u, name)
     assert (rep.net_count, rep.cyclic_net_count) == (len(cyclic), sum(cyclic.values()))
-    groups = {}
     for net, cyc in cyclic.items():
         for b1, b2, c in permutations(net):
             pa = analyze_pair(u, b1, b2)
             assert (pa.nets, pa.cyclic_nets) == (1, cyc)
-            order, _, cyclic_semiregular = census._center_group(u, b1, b2, u.block(c), groups)
-            assert (order == u.order + 1 and cyclic_semiregular) == cyc
+            centers = u.block(c)
+            gens = persp_generators(u, b1, b2, centers)
+            back = perspectivity_map(u, b2, centers[0], b1)
+            assert gens == [compose(perspectivity_map(u, b1, p, b2), back) for p in centers]
+            g = closure(gens)
+            assert is_cyclic_regular(gens) == (g.order() == u.order + 1 and g.is_cyclic() and g.is_semiregular()) == cyc

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from unitals import census, cli, formats, groups
+from unitals import census, cli, formats, groups, nets
 from unitals.cli import main
 from unitals.formats import appendix_text, serialize_json, serialize_text
 
@@ -140,6 +140,20 @@ def test_dualnets_appendix(runner, appendix_file):
     assert "blocks [1, 33, 200]: non-cyclic" in lines
 
 
+def test_dualnets_latin_builds_each_square_once(runner, appendix_file, appendix, monkeypatch):
+    calls = []
+    real = nets.latin_square_from_3net
+    monkeypatch.setattr(nets, "latin_square_from_3net", lambda *args: calls.append(args) or real(*args))
+    result = runner.invoke(main, ["dualnets", appendix_file, "--latin"])
+    assert result.exit_code == 0
+    assert len(calls) == 86
+    expected = ["86 embedded dual 3-net(s)"]
+    for net in nets.find_dual_3nets(appendix):
+        expected.append(f"blocks {list(net)}: {'cyclic' if nets.is_cyclic_3net(appendix, net) else 'non-cyclic'}")
+        expected += real(appendix, net).serialize().splitlines()
+    assert result.output.splitlines() == expected
+
+
 @pytest.fixture
 def small_group_cap(monkeypatch):
     """Cap closures below the order 120 of the appendix pair (1, 33)'s S5;
@@ -212,6 +226,22 @@ def test_census_skips_and_counts_malformed_files(runner, tmp_path, h2, monkeypat
         assert f"skipped {src / name}: " in result.output
     with open(prefix + "_totals.csv") as fh:
         assert list(csv.reader(fh))[1] == ["demo", "1", "1", "1"]
+
+
+def test_byte_order_mark_is_accepted(runner, tmp_path, appendix, monkeypatch):
+    """A UTF-8 file may start with a byte-order mark, in either format."""
+    src = tmp_path / "lib"
+    src.mkdir()
+    (src / "bom.txt").write_bytes(("\ufeff" + appendix_text()).encode("utf-8"))
+    (src / "bom.json").write_bytes(("\ufeff" + serialize_json(appendix, "appendix")).encode("utf-8"))
+    for name in ("bom.txt", "bom.json"):
+        result = runner.invoke(main, ["validate", str(src / name)])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("OK: unital of order 4 with 65 points and 208 blocks")
+    monkeypatch.setenv("UNITAL_THREADS", "1")
+    result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "census")])
+    assert result.exit_code == 0
+    assert "census of 2 unital(s)" in result.output and "skipped" not in result.output
 
 
 @pytest.fixture

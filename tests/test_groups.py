@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from unitals import groups
-from unitals.groups import PermGroup, _build_catalog, closure, compose, structure_name
+from unitals.groups import PermGroup, _build_catalog, closure, compose, relative_to_first, structure_name
 
 
 def cyc(images):
@@ -17,6 +17,18 @@ def inverse(p):
     for i, im in enumerate(p):
         inv[im] = i
     return tuple(inv)
+
+
+def test_relative_to_first_puts_identity_first():
+    """m0^-1 m for each m, on shuffled lists of bijections 0..d-1 -> 0..d-1."""
+    rng = random.Random(7)
+    for d in (1, 2, 5, 9):
+        maps = [tuple(rng.sample(range(d), d)) for _ in range(6)]
+        for _ in range(5):
+            rng.shuffle(maps)
+            rel = relative_to_first(maps)
+            assert rel[0] == tuple(range(d))
+            assert rel == [compose(m, inverse(maps[0])) for m in maps]
 
 
 def test_closure_c5():

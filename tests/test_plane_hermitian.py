@@ -2,6 +2,7 @@ import pytest
 
 from unitals.design import NotAUnital
 from unitals.gf import GaloisField
+from unitals.groups import closure
 from unitals.hermitian import (
     NotCollinear,
     NotConjugate,
@@ -337,6 +338,33 @@ def test_gamma1_on_nonconjugate_disjoint_pairs(h3):
         count += 1
         if count >= 20:
             break
+
+
+def _gamma1_by_definition(emb, b1, b2, nuc):
+    """Closure of every to-and-back projection l1 -> l2 -> l1, from one
+    nucleus forward and from another (or the same) one back."""
+    plane = emb.plane
+    l1, l2 = emb.block_line(b1), emb.block_line(b2)
+    l1_pts, l2_pts = plane.points_on_line(l1), plane.points_on_line(l2)
+
+    def project(center, points, line):
+        return {t: plane.meet(plane.line_through(t, center), line) for t in points}
+
+    fwd = {n: project(n, l1_pts, l2) for n in nuc}
+    back = {n: project(n, l2_pts, l1) for n in nuc}
+    index = {t: i for i, t in enumerate(l1_pts)}
+    gens = [tuple(index[back[m][fwd[n][t]]] for t in l1_pts) for n in nuc for m in nuc]
+    return closure(gens or [tuple(range(len(l1_pts)))]).elements
+
+
+def test_gamma1_group_matches_definition(h3, h4, h4_triangles):
+    """Every disjoint pair of H(3), and the first two blocks of every polar
+    triangle of H(4)."""
+    cases = [(h3, pair) for pair in h3.unital.disjoint_block_pairs()] + [(h4, tri[:2]) for tri in sorted(h4_triangles)]
+    assert len(cases) == 945 + 416
+    for emb, (b1, b2) in cases:
+        rec = gamma1_analysis(emb, b1, b2)
+        assert rec.group.elements == _gamma1_by_definition(emb, b1, b2, rec.nuclei)
 
 
 def test_gamma1_requires_disjoint_blocks(h2):
