@@ -188,12 +188,7 @@ def group_table_rows(reports) -> list[tuple[int, str, int]]:
 
 def totals_row(library: str, reports) -> tuple[str, int, int, int]:
     reports = list(reports)
-    return (
-        library,
-        len(reports),
-        sum(1 for r in reports if r.is_fpr),
-        sum(1 for r in reports if r.is_sfpr),
-    )
+    return library, len(reports), sum(r.is_fpr for r in reports), sum(r.is_sfpr for r in reports)
 
 
 def large_set_rows(reports) -> list[tuple[str, str, int]]:

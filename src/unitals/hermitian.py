@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .design import AbstractUnital, NotAUnital, validate_unital
-from .gf import GaloisField, is_prime
+from .gf import GaloisField
 from .groups import PermGroup, closure, relative_to_first
 from .plane import ProjectivePlane, cross_ratio, line_parameter, INFINITY
 
@@ -34,9 +34,7 @@ class NotCollinear(ValueError):
 def base_prime_power(q: int) -> tuple[int, int]:
     """Factor a prime power q as (p, e) with q = p^e."""
     for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                break
+        if q % p == 0:  # the least factor above 1 is a prime
             e = 0
             m = q
             while m % p == 0:
@@ -203,13 +201,7 @@ def nuclei(plane: ProjectivePlane, point_set) -> tuple:
     if len(s) != plane.order + 1:
         raise ValueError(f"nucleus sets must have {plane.order + 1} points, got {len(s)}")
     line_count = {l: sum(1 for p in plane.points_on_line(l) if p in s) for l in plane.lines}
-    out = []
-    for p in plane.points:
-        if p in s:
-            continue
-        if all(line_count[l] == 1 for l in plane.lines_through_point(p)):
-            out.append(p)
-    return tuple(out)
+    return tuple(p for p in plane.points if p not in s and all(line_count[l] == 1 for l in plane.lines_through_point(p)))
 
 
 def _line_perspectivity(plane, src_pts, center, dst_line):

@@ -3,19 +3,21 @@
 A dual k-net is a set of pairwise disjoint blocks such that the block
 joining any cross-pair of points meets all of them.  Equivalently each
 block beyond the first two lies wholly inside the full-point set of the
-first two, which is how the search below discovers them.  A dual 3-net
-yields a latin square of order n+1 whose main class (parastrophe and
-isotopy closure) carries the classification: group-based or not, cyclic
-or not.
+first two, which the search below tests from the meet masks alone.  A
+dual 3-net yields a latin square of order n+1 whose main class
+(parastrophe and isotopy closure) carries the classification:
+group-based or not, cyclic or not.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .design import AbstractUnital, block_ids
 from .groups import PermGroup, compose, is_cyclic_regular, relative_to_first, structure_name
-from .persp import full_point_rows, perspectivity_map
+from .persp import perspectivity_map
 
 
 class TooFewBlocks(ValueError):
@@ -80,15 +82,26 @@ def blocks_inside(u: AbstractUnital, point_set) -> tuple[int, ...]:
 def find_dual_3nets(u: AbstractUnital) -> tuple:
     """All embedded dual 3-nets, as sorted block-index triples.
 
-    For every pair (b1, b2) that `full_point_rows` lists with more than n
-    full points, any block wholly inside the full-point set completes the
-    pair to a 3-net; each net is taken from its two smallest blocks.
-    """
+    For pairwise disjoint a, b, c and `meets = u.block_meets`, c lies inside
+    the full points of (a, b) iff meets[a-1] & meets[c-1] == meets[b-1] &
+    meets[c-1]: a block other than c meets c at most once, so for x off c
+    the AND is the disjoint union over p in c of the joins of p to x; and p
+    is a full point of (a, b) iff its n+1 joins to a are its joins to b.
+    Each c keys the blocks below it by that AND: the disjoint pairs sharing
+    a key without bit c (only blocks meeting c have it) are the nets whose
+    largest block is c."""
+    meets = u.block_meets
     nets = []
-    for b1, _, _, sets in full_point_rows(u):
-        for b2, fp in sets.items():
-            if len(fp) > u.order:  # only these can hold a block
-                nets.extend((b1, b2, c) for c in blocks_inside(u, fp) if c > b2)
+    for c, mc in enumerate(meets, start=1):
+        keys = list(map(mc.__and__, meets[: c - 1]))
+        if len(set(keys)) == len(keys):
+            continue
+        for key, count in Counter(keys).items():
+            if count > 1 and not key >> c - 1 & 1:
+                group = [keys.index(key) + 1]  # block ids: index + 1
+                while len(group) < count:
+                    group.append(keys.index(key, group[-1]) + 1)
+                nets.extend((a, b, c) for a, b in combinations(group, 2) if not meets[a - 1] >> b - 1 & 1)
     return tuple(sorted(nets))
 
 

@@ -16,8 +16,10 @@ from unitals.nets import (
     is_group_based,
     latin_square_from_3net,
 )
+from unitals.design import block_ids, validate_unital
 from unitals.groups import closure, compose
-from unitals.persp import full_points, persp_group
+from unitals.hermitian import hermitian_unital
+from unitals.persp import full_point_rows, full_points, persp_group
 
 APPENDIX_NET = (1, 33, 200)
 
@@ -142,6 +144,78 @@ def test_find_dual_3nets_appendix_contains_golden(appendix):
 
 def test_order_3_unitals_have_no_3nets(h3):
     assert find_dual_3nets(h3.unital) == ()
+
+
+def _dual_3nets_from_full_points(u):
+    """The reference search: every pair of `full_point_rows` with more than
+    n full points, completed by each block inside its full points that
+    comes after both blocks of the pair."""
+    nets = []
+    for b1, _, _, sets in full_point_rows(u):
+        for b2, fp in sets.items():
+            if len(fp) > u.order:  # only these can hold a block
+                nets.extend((b1, b2, c) for c in blocks_inside(u, fp) if c > b2)
+    return tuple(sorted(nets))
+
+
+def _relabelled_copy(u, rng):
+    """A copy with the points relabelled and the blocks shuffled, and the
+    map from each block's old index to its new one."""
+    labels = list(u.points())
+    rng.shuffle(labels)
+    order = list(u.block_indices())
+    rng.shuffle(order)  # new block i is old block order[i-1]
+    copy = validate_unital(u.num_points, [[labels[p - 1] for p in u.block(b)] for b in order])
+    return copy, {old: new for new, old in enumerate(order, start=1)}
+
+
+def test_find_dual_3nets_matches_full_point_search(appendix, h2, h3, h4):
+    """The meet-key search equals the full-point search on the appendix
+    unital and H(2)-H(5), and on two fixed-seed relabelled copies each of
+    the appendix unital and H(4); on a copy the nets are the base nets
+    mapped through the block relabelling."""
+    for u in (appendix, h2.unital, h3.unital, h4.unital, hermitian_unital(5).unital):
+        assert find_dual_3nets(u) == _dual_3nets_from_full_points(u)
+    rng = random.Random(15)
+    for u, count in ((appendix, 86), (h4.unital, 416)):
+        base = find_dual_3nets(u)
+        assert len(base) == count
+        for _ in range(2):
+            copy, new = _relabelled_copy(u, rng)
+            nets = find_dual_3nets(copy)
+            assert nets == _dual_3nets_from_full_points(copy)
+            assert nets == tuple(sorted(tuple(sorted(new[b] for b in net)) for net in base))
+
+
+def _disjoint_from_both(u, a, b):
+    full = (1 << u.num_blocks) - 1
+    return list(block_ids(~(u.block_meets[a - 1] | u.block_meets[b - 1]) & full))
+
+
+def test_meet_key_identity(appendix, appendix_pair_fp, h2, h3):
+    """For pairwise disjoint a < b and c, meets[a-1] & meets[c-1] ==
+    meets[b-1] & meets[c-1] exactly when block c lies inside the full points
+    of (a, b).  Every such triple of H(2) and H(3); 20,000 fixed-seed
+    appendix triples, and each appendix net split all three ways."""
+    rng = random.Random(7)
+    pairs = list(appendix.disjoint_block_pairs())
+    sample = []
+    for _ in range(20000):
+        a, b = rng.choice(pairs)
+        sample.append((a, b, rng.choice(_disjoint_from_both(appendix, a, b))))
+    splits = [(*sorted(set(net) - {c}), c) for net in find_dual_3nets(appendix) for c in net]
+    cases = {u: [(a, b, c) for a, b in u.disjoint_block_pairs() for c in _disjoint_from_both(u, a, b)] for u in (h2.unital, h3.unital)}
+    cases[appendix] = sample + splits
+    inside = Counter()
+    for u, triples in cases.items():
+        meets = u.block_meets
+        for a, b, c in triples:
+            fp = appendix_pair_fp[a, b] if u is appendix else full_points(u, a, b)
+            expected = set(u.block(c)) <= set(fp)
+            assert (meets[a - 1] & meets[c - 1] == meets[b - 1] & meets[c - 1]) == expected, (a, b, c)
+            inside[u] += expected
+    assert len(cases[h3.unital]) > 10000 and len(splits) == 3 * 86
+    assert (inside[h2.unital], inside[h3.unital]) == (3 * 4, 0) and inside[appendix] >= 3 * 86
 
 
 def test_lemma25_symmetry_on_discovered_nets(appendix):
