@@ -113,27 +113,28 @@ def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups: dict) -> PairAnaly
     return PairAnalysis(True, len(fp), group[0], group[1], structure, fpr, sfpr, nets, cyclic_nets)
 
 
-def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> PairAnalysis:
-    """Everything the census needs of one block pair.
+def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> tuple[tuple[int, ...], PairAnalysis]:
+    """The full points of one block pair, and everything the census needs of it.
 
     For a disjoint pair, FPR holds when the full points lie in one block
     disjoint from both (vacuously with at most one full point), and SFPR
     when moreover the group is cyclic and semi-regular.  An intersecting
     pair gets no verdicts and no nets.
     """
-    pa = _analyze(u, b1, b2, full_points(u, b1, b2), {})
+    fp = full_points(u, b1, b2)
+    pa = _analyze(u, b1, b2, fp, {})
     if u.blocks_disjoint(b1, b2):
-        return pa
-    return pa._replace(disjoint=False, fpr=None, sfpr=None, nets=0, cyclic_nets=0)
+        return fp, pa
+    return fp, pa._replace(disjoint=False, fpr=None, sfpr=None, nets=0, cyclic_nets=0)
 
 
 def _disjoint_pair(u: AbstractUnital, b1: int, b2: int, fp) -> PairAnalysis:
     if not u.blocks_disjoint(b1, b2):
         raise NotDisjoint(f"blocks ({b1},{b2}) are not disjoint")
-    actual = full_points(u, b1, b2)
+    actual, pa = analyze_pair(u, b1, b2)
     if fp is not None and tuple(fp) != actual:
         raise ValueError(f"{list(fp)} are not the full points {list(actual)} of ({b1},{b2})")
-    return _analyze(u, b1, b2, actual, {})
+    return pa
 
 
 def is_fpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None) -> bool:

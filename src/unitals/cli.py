@@ -22,7 +22,6 @@ from . import formats, nets
 from .design import NotAUnital
 from .groups import GroupTooLarge
 from .hermitian import hermitian_unital
-from .persp import full_points
 
 
 def _fail(code: str, message: str) -> None:
@@ -38,15 +37,23 @@ def _check_out_dir(option: str, path: str) -> None:
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("UNITAL_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
+    """UNITAL_THREADS census workers; unset, empty or 0 means one per core."""
+    raw = os.environ.get("UNITAL_THREADS") or "0"
+    if not raw.isdecimal():
+        _fail("ARGS", f"UNITAL_THREADS must be a non-negative integer, got {raw!r}")
+    return int(raw) or os.cpu_count() or 1
 
 
-@click.group()
+class _Group(click.Group):
+    def invoke(self, ctx: click.Context):
+        """Usage errors, an unknown command's included, as one ``ERROR ARGS:`` line."""
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            _fail("ARGS", e.format_message())
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Full-point analysis of abstract unitals."""
 
@@ -108,9 +115,8 @@ def fullpoints(file: str, pair: str) -> None:
         _fail("LOAD", str(e))
     if not (1 <= b1 <= u.num_blocks and 1 <= b2 <= u.num_blocks) or b1 == b2:
         _fail("ARGS", f"block indices must be distinct and in 1..{u.num_blocks}")
-    fp = full_points(u, b1, b2)
     try:
-        pa = census_mod.analyze_pair(u, b1, b2)
+        fp, pa = census_mod.analyze_pair(u, b1, b2)
     except GroupTooLarge as e:
         _fail("GROUP", str(e))
     click.echo(f"full points of ({b1},{b2}): {list(fp)}")
@@ -217,7 +223,7 @@ def appendix_check() -> None:
         _fail("GOLDEN", f"latin square unexpectedly group-based ({based})")
     click.echo("coordinate latin square is not group-based (net is non-cyclic)")
 
-    pa = census_mod.analyze_pair(u, 1, 33)
+    _, pa = census_mod.analyze_pair(u, 1, 33)
     if (pa.group_order, pa.group_name) != (120, "S5"):
         _fail("GOLDEN", f"perspectivity group of (1,33) changed: order {pa.group_order}, structure {pa.group_name}")
     click.echo(f"perspectivity group of (1,33): order {pa.group_order}, structure {pa.group_name}")

@@ -73,10 +73,8 @@ def self_conjugate_points(plane: ProjectivePlane) -> tuple:
     return tuple(p for p in plane.points if is_self_conjugate(plane, p))
 
 
-def line_secant_type(plane: ProjectivePlane, line, curve=None) -> int:
-    """Intersection size of a line with the Hermitian curve: 1 or q+1."""
-    if curve is None:
-        curve = frozenset(self_conjugate_points(plane))
+def line_secant_type(plane: ProjectivePlane, line, curve) -> int:
+    """Intersection size of a line with the Hermitian curve (a point set): 1 or q+1."""
     return sum(1 for p in plane.points_on_line(line) if p in curve)
 
 
@@ -100,7 +98,6 @@ class HermitianEmbedding:
     unital: AbstractUnital
     point_coords: tuple  # point id (1-based) -> plane point
     line_coords: tuple  # block index (1-based) -> plane line
-    coord_to_point: dict  # plane point -> point id
     line_to_block: dict  # plane line -> block index
 
     def block_line(self, i: int):
@@ -144,7 +141,6 @@ def hermitian_unital(q: int) -> HermitianEmbedding:
         unital=unital,
         point_coords=curve,
         line_coords=block_lines,
-        coord_to_point={p: i for i, p in enumerate(curve, start=1)},
         line_to_block={l: i for i, l in enumerate(block_lines, start=1)},
     )
 

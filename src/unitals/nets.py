@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .design import AbstractUnital, block_ids
+from .design import AbstractUnital
 from .groups import PermGroup, compose, is_cyclic_regular, relative_to_first, structure_name
 from .persp import perspectivity_map
 
@@ -71,12 +71,6 @@ def is_dual_knet(u: AbstractUnital, blocks) -> bool:
                 if any(meets[join[q - 1] - 1] & net != net for q in other):
                     return False
     return True
-
-
-def blocks_inside(u: AbstractUnital, point_set) -> tuple[int, ...]:
-    """Indices of blocks wholly contained in the given point set."""
-    pts = set(point_set)
-    return tuple(c for c in block_ids(u.secants(pts)) if pts.issuperset(u.block(c)))
 
 
 def find_dual_3nets(u: AbstractUnital) -> tuple:

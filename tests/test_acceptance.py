@@ -26,14 +26,13 @@ from unitals.hermitian import (
 )
 from unitals.nets import (
     LatinSquare,
-    blocks_inside,
     find_dual_3nets,
     is_dual_knet,
     is_group_based,
     latin_square_from_3net,
 )
 from unitals.persp import full_points, persp_group
-from test_nets import satisfies_quadrangle_criterion
+from test_nets import blocks_inside, satisfies_quadrangle_criterion
 
 
 class _Check:

@@ -26,7 +26,7 @@ from unitals.persp import SameBlock, full_points, persp_generators, perspectivit
 
 
 def test_analyze_pair_appendix_golden(appendix):
-    pa = analyze_pair(appendix, 1, 33)
+    _, pa = analyze_pair(appendix, 1, 33)
     assert pa.disjoint
     assert pa.full_point_count == 5
     assert pa.group_order == 120
@@ -41,14 +41,14 @@ def test_analyze_pair_same_block_rejected(appendix):
 
 def test_small_pairs_have_no_group_fields(appendix, appendix_pair_fp):
     pair = next(p for p, fp in appendix_pair_fp.items() if len(fp) == 1)
-    pa = analyze_pair(appendix, *pair)
+    _, pa = analyze_pair(appendix, *pair)
     assert pa.group_order is None and pa.group_name is None
     assert pa.fp_structure == FP_SINGLE
 
 
 def test_fp_structure_classes_cover_appendix(appendix, appendix_pair_fp):
     structures = Counter(
-        analyze_pair(appendix, b1, b2).fp_structure
+        analyze_pair(appendix, b1, b2)[1].fp_structure
         for b1, b2 in appendix_pair_fp
     )
     assert structures[FP_EMPTY] == 4560
@@ -59,6 +59,29 @@ def test_fp_structure_classes_cover_appendix(appendix, appendix_pair_fp):
 def test_appendix_full_point_count_distribution(appendix_pair_fp):
     dist = Counter(len(fp) for fp in appendix_pair_fp.values())
     assert dist == {0: 4560, 1: 8150, 2: 20, 3: 300, 4: 360, 5: 338}
+
+
+@pytest.mark.parametrize("name", ["h2", "appendix"])
+def test_one_pair_questions_share_one_analysis(request, name):
+    """`analyze_pair` returns the kernel's full points with its analysis,
+    and the triple predicates give that analysis's verdicts or reject an
+    intersecting pair: on every ordered pair of H(2) and on 2,000 seeded
+    ordered pairs of the appendix unital."""
+    fixture = request.getfixturevalue(name)
+    u = getattr(fixture, "unital", fixture)
+    pairs = list(permutations(u.block_indices(), 2))
+    if len(pairs) > 2000:
+        pairs = random.Random(2019).sample(pairs, 2000)
+    for b1, b2 in pairs:
+        fp, pa = analyze_pair(u, b1, b2)
+        assert fp == full_points(u, b1, b2)
+        assert pa.disjoint == u.blocks_disjoint(b1, b2)
+        if pa.disjoint:
+            assert (is_fpr_triple(u, b1, b2), is_sfpr_triple(u, b1, b2, fp=fp)) == (pa.fpr, pa.sfpr)
+        else:
+            for triple in (is_fpr_triple, is_sfpr_triple):
+                with pytest.raises(NotDisjoint):
+                    triple(u, b1, b2)
 
 
 def test_fpr_triple_requires_disjoint_blocks(appendix):
@@ -129,7 +152,7 @@ def test_classify_closes_each_generator_set_once(request, monkeypatch, name, clo
     monkeypatch.setattr(census, "closure", lambda gens: calls.append(gens) or real(gens))
     pair_kinds = classify_unital(u, name).pair_kinds
     assert len(calls) == len(set(calls)) == closures
-    assert pair_kinds == Counter(analyze_pair(u, b1, b2) for b1, b2 in u.disjoint_block_pairs())
+    assert pair_kinds == Counter(analyze_pair(u, b1, b2)[1] for b1, b2 in u.disjoint_block_pairs())
 
 
 def test_group_table_rows(h2, h3):
@@ -193,7 +216,7 @@ def test_net_counts_match_latin_square_path(request, name):
     assert (rep.net_count, rep.cyclic_net_count) == (len(cyclic), sum(cyclic.values()))
     for net, cyc in cyclic.items():
         for b1, b2, c in permutations(net):
-            pa = analyze_pair(u, b1, b2)
+            _, pa = analyze_pair(u, b1, b2)
             assert (pa.nets, pa.cyclic_nets) == (1, cyc)
             centers = u.block(c)
             gens = persp_generators(u, b1, b2, centers)

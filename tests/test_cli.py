@@ -1,6 +1,7 @@
 import builtins
 import csv
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -120,6 +121,36 @@ def test_fullpoints_bad_args(runner, appendix_file):
     result = runner.invoke(main, ["fullpoints", appendix_file, "--blocks", "1,999"])
     assert result.exit_code == 1
     assert "ERROR ARGS:" in result.output
+
+
+@pytest.mark.parametrize(
+    "name, pair, expected",
+    [
+        ("appendix", "1,33", ["full points of (1,33): [30, 31, 35, 46, 48]", "group order 120, structure S5", "SFPR triple: False"]),
+        (
+            "appendix",
+            "1,2",
+            [
+                "full points of (1,2): []",
+                "group trivial (fewer than 2 full points)",
+                "blocks intersect; regularity flags apply to disjoint pairs only",
+            ],
+        ),
+        ("h4", "1,197", ["full points of (1,197): [1, 2, 3, 4, 5]", "group order 5, structure C5", "SFPR triple: True"]),
+    ],
+)
+def test_fullpoints_text_from_one_full_point_scan(runner, tmp_path, request, monkeypatch, name, pair, expected):
+    fixture = request.getfixturevalue(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_json(getattr(fixture, "unital", fixture), name))
+    calls = []
+    real = census.full_points
+    for module in (census, cli):  # the command may not scan the pair itself as well
+        monkeypatch.setattr(module, "full_points", lambda *args: calls.append(args) or real(*args), raising=False)
+    result = runner.invoke(main, ["fullpoints", str(path), "--blocks", pair])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == expected
+    assert len(calls) == 1
 
 
 def test_dualnets_h2(runner, tmp_path, h2):
@@ -317,3 +348,45 @@ def test_appendix_check(runner):
     result = runner.invoke(main, ["appendix-check"])
     assert result.exit_code == 0
     assert result.output.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate", "{tmp}/missing.json"],
+        ["hermitian", "--q", "abc"],
+        ["fullpoints", "{appendix}"],
+        ["census", "{tmp}/missing", "--out", "{tmp}/x"],
+        ["bogus"],
+    ],
+    ids=["missing-file", "bad-int", "missing-option", "missing-dir", "unknown-command"],
+)
+def test_usage_errors_give_one_error_line(runner, tmp_path, appendix_file, args):
+    result = runner.invoke(main, [a.format(tmp=tmp_path, appendix=appendix_file) for a in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR ARGS:")
+
+
+@pytest.mark.parametrize("threads", ["abc", "-2", "1.5", " 2"])
+def test_census_rejects_a_bad_thread_count_before_classifying(runner, tmp_path, h2, monkeypatch, threads):
+    src = tmp_path / "lib"
+    src.mkdir()
+    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    classified = []
+    monkeypatch.setenv("UNITAL_THREADS", threads)
+    monkeypatch.setattr(cli, "_census_worker", classified.append)
+    result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "census")])
+    assert result.exit_code == 1
+    assert result.stderr == f"ERROR ARGS: UNITAL_THREADS must be a non-negative integer, got {threads!r}\n"
+    assert classified == []
+
+
+@pytest.mark.parametrize("threads, workers", [(None, None), ("", None), ("0", None), ("00", None), ("3", 3)])
+def test_worker_count_reads_unital_threads(monkeypatch, threads, workers):
+    if threads is None:
+        monkeypatch.delenv("UNITAL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("UNITAL_THREADS", threads)
+    assert cli._worker_count() == (workers or os.cpu_count() or 1)

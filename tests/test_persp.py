@@ -97,16 +97,17 @@ def test_hermitian_projection_index_pattern(h4):
     b_pts = [plane.normalize((f.pow(gen, j), 0, 1)) for j in range(q + 1)]
     c_pts = [plane.normalize((1, f.pow(gen, k), 0)) for k in range(q + 1)]
     u = h4.unital
-    b_a = u.join_row(h4.coord_to_point[a_pts[0]])[h4.coord_to_point[a_pts[1]] - 1]
-    b_b = u.join_row(h4.coord_to_point[b_pts[0]])[h4.coord_to_point[b_pts[1]] - 1]
+    point_id = {p: i for i, p in enumerate(h4.point_coords, start=1)}
+    b_a = u.join_row(point_id[a_pts[0]])[point_id[a_pts[1]] - 1]
+    b_b = u.join_row(point_id[b_pts[0]])[point_id[b_pts[1]] - 1]
     for k in range(q + 1):
-        center = h4.coord_to_point[c_pts[k]]
+        center = point_id[c_pts[k]]
         pm = perspectivity_map(u, b_a, center, b_b)
         pts_a = u.block(b_a)
         pts_b = u.block(b_b)
         for i in range(q + 1):
-            src = pts_a.index(h4.coord_to_point[a_pts[i]])
-            dst = pts_b.index(h4.coord_to_point[b_pts[(-i - k) % (q + 1)]])
+            src = pts_a.index(point_id[a_pts[i]])
+            dst = pts_b.index(point_id[b_pts[(-i - k) % (q + 1)]])
             assert pm[src] == dst
 
 
