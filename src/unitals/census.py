@@ -16,12 +16,13 @@ their large (>= 3 point) full point sets.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .design import AbstractUnital, block_ids
-from .groups import closure, is_cyclic_regular, structure_name
+from .groups import closure, is_cyclic_regular, structure_name, subgroup_of
 from .persp import full_point_rows, full_points, persp_generators
 
 LARGE_SET_THRESHOLD = 3
@@ -78,18 +79,30 @@ def _classify_structure(fp, secants: int) -> str:
     return FP_OTHER
 
 
-def _center_group(u: AbstractUnital, b1: int, b2: int, fp, groups: dict) -> tuple:
-    """(order, name, cyclic and semiregular) of the perspectivity group of
-    (b1, b2) from its full points `fp`, closed once per distinct generator
-    set: `groups` maps the sorted generators to the triple."""
-    key = tuple(sorted(set(persp_generators(u, b1, b2, fp))))
-    if key not in groups:
-        g = closure(key)
-        groups[key] = (g.order(), structure_name(g), g.is_cyclic() and g.is_semiregular())
-    return groups[key]
+def group_triples():
+    """A function from permutation tuples to the (order, name, cyclic and
+    semiregular) triple of their group that closes and names each distinct
+    group once.  A new generator set K is listed inside the smallest known
+    group G that holds it: <K> = G once the listing passes |G|/2 (Lagrange),
+    and otherwise <K> is new, as smaller known groups miss K."""
+    by_key, known = {}, []  # known: (group, triple), smallest first
+
+    def triple(generators):
+        key = tuple(sorted(set(generators)))
+        if key not in by_key:
+            outer = next((entry for entry in known if entry[0].elements.issuperset(key)), None)
+            g = closure(key) if outer is None else subgroup_of(outer[0], key)
+            if g is None:
+                by_key[key] = outer[1]
+            else:
+                by_key[key] = (g.order(), structure_name(g), g.is_cyclic() and g.is_semiregular())
+                insort(known, (g, by_key[key]), key=lambda entry: entry[0].order())
+        return by_key[key]
+
+    return triple
 
 
-def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups: dict) -> PairAnalysis:
+def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups) -> PairAnalysis:
     """The analysis of the disjoint pair (b1, b2) from its full points `fp`.
     A block c inside fp makes a dual 3-net; the maps phi_P0^-1 phi_P, P on
     c, are its square's row maps r0^-1 r, so the net is cyclic exactly when
@@ -98,7 +111,7 @@ def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups: dict) -> PairAnaly
     nets = cyclic_nets = 0
     if len(fp) >= 2:
         secants = u.secants(fp)
-        group = _center_group(u, b1, b2, fp, groups)
+        group = groups(persp_generators(u, b1, b2, fp))
     if len(fp) > u.order:  # only these can hold a block, and only a secant can lie inside fp
         points = set(fp)
         for c in block_ids(secants):
@@ -122,7 +135,7 @@ def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> tuple[tuple[int, ...], 
     pair gets no verdicts and no nets.
     """
     fp = full_points(u, b1, b2)
-    pa = _analyze(u, b1, b2, fp, {})
+    pa = _analyze(u, b1, b2, fp, group_triples())
     if u.blocks_disjoint(b1, b2):
         return fp, pa
     return fp, pa._replace(disjoint=False, fpr=None, sfpr=None, nets=0, cyclic_nets=0)
@@ -150,7 +163,7 @@ def is_sfpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None) -> bool:
 def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:
     """Analyse every disjoint pair once into the report's Counter.  Each dual
     3-net {a, b, c} is counted from each of its three pairs, hence the / 3."""
-    groups, pair_kinds = {}, Counter()
+    groups, pair_kinds = group_triples(), Counter()
     small = [_analyze(u, None, None, fp, groups) for fp in ((), (None,))]  # reads no block and no point
     for b1, empty, single, sets in full_point_rows(u):
         pair_kinds.update(_analyze(u, b1, b2, fp, groups) for b2, fp in sets.items())

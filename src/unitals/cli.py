@@ -13,15 +13,13 @@ from __future__ import annotations
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 
 from . import census as census_mod
-from . import formats, nets
+from . import formats
 from .design import NotAUnital
 from .groups import GroupTooLarge
-from .hermitian import hermitian_unital
 
 
 def _fail(code: str, message: str) -> None:
@@ -45,8 +43,18 @@ def _worker_count() -> int:
 
 
 class _Group(click.Group):
+    """Usage errors as one ``ERROR ARGS:`` line, from the group's options and
+    from a command; a bare ``unital`` (a usage error in click 8.2+) prints help."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        try:
+            return super().parse_args(ctx, args)
+        except getattr(click.exceptions, "NoArgsIsHelpError", ()):
+            raise
+        except click.UsageError as e:
+            _fail("ARGS", e.format_message())
+
     def invoke(self, ctx: click.Context):
-        """Usage errors, an unknown command's included, as one ``ERROR ARGS:`` line."""
         try:
             return super().invoke(ctx)
         except click.UsageError as e:
@@ -77,6 +85,7 @@ def validate(file: str) -> None:
 @click.option("--coords", type=click.Path(dir_okay=False), default=None, help="coordinate side file")
 def hermitian(q: int, out: str | None, coords: str | None) -> None:
     """Construct H(q) and write it in JSON format."""
+    from .hermitian import hermitian_unital
     for option, path in (("--out", out), ("--coords", coords)):
         if path:
             _check_out_dir(option, path)
@@ -135,6 +144,7 @@ def fullpoints(file: str, pair: str) -> None:
 @click.option("--latin", is_flag=True, help="also print the coordinate latin squares")
 def dualnets(file: str, latin: bool) -> None:
     """List all embedded dual 3-nets of FILE with cyclicity verdicts."""
+    from . import nets
     try:
         u = formats.load_unital(file)
     except (formats.ParseError, NotAUnital) as e:
@@ -175,9 +185,9 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
     label = library or os.path.basename(os.path.abspath(directory))
 
     workers = min(_worker_count(), len(paths))
-    reports = []
-    skipped = 0
+    reports, skipped = [], 0
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_census_worker, paths)
     else:
@@ -207,6 +217,7 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
 @main.command("appendix-check")
 def appendix_check() -> None:
     """Golden self-check against the embedded order-4 reference unital."""
+    from . import nets
     if formats.appendix_digest() != formats.APPENDIX_SHA256:
         _fail("GOLDEN", "embedded dataset hash drifted")
     u = formats.builtin_appendix_unital()

@@ -10,7 +10,6 @@ Two interchange formats are supported, both with 1-based point ids:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -120,13 +119,13 @@ def appendix_text() -> str:
 
 
 def appendix_digest() -> str:
+    import hashlib
     return hashlib.sha256(appendix_text().encode()).hexdigest()
 
 
 @lru_cache(maxsize=1)
 def builtin_appendix_unital() -> AbstractUnital:
     """The embedded 65-point, 208-block unital of order 4."""
-    text = appendix_text()
-    if hashlib.sha256(text.encode()).hexdigest() != APPENDIX_SHA256:
+    if appendix_digest() != APPENDIX_SHA256:
         raise RuntimeError("embedded appendix dataset has drifted from its pinned hash")
-    return parse_unital(text, name="appendix-order4").validate()
+    return parse_unital(appendix_text(), name="appendix-order4").validate()

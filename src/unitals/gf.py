@@ -9,22 +9,13 @@ construction.  Fields are capped at 2^16 elements.
 
 from __future__ import annotations
 
+from math import isqrt
+
 MAX_FIELD_SIZE = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _digits(x: int, p: int) -> list[int]:
@@ -126,31 +117,24 @@ class GaloisField:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a: int, b: int, sign: int = 1) -> int:
+        """a + sign * b, digit by digit."""
         if self.p == 2:
             return a ^ b
         out = 0
         pw = 1
         for _ in range(self.k):
-            out += ((a + b) % self.p) * pw
+            out += ((a + sign * b) % self.p) * pw
             a //= self.p
             b //= self.p
             pw *= self.p
         return out
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        out = 0
-        pw = 1
-        for _ in range(self.k):
-            out += (-a % self.p) * pw
-            a //= self.p
-            pw *= self.p
-        return out
+        return self.add(0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.add(a, b, -1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

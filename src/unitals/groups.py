@@ -114,16 +114,25 @@ class PermGroup:
 def closure(generators) -> PermGroup:
     """Enumerate the group generated by the given permutation tuples."""
     degree = len(generators[0]) if generators else 1
+    if any(len(g) != degree for g in generators):
+        raise ValueError("generators have mixed degrees")
+    return _group(degree, generators)
+
+
+def subgroup_of(group: PermGroup, generators) -> PermGroup | None:
+    """The group of permutation tuples that `group` holds, or None when it
+    is all of `group`: a subgroup holding more than half of `group` is
+    `group` itself (Lagrange), so the listing stops there."""
+    return _group(group.degree, generators, group.order() // 2) if group.order() > 1 else None
+
+
+def _group(degree, generators, half=None) -> PermGroup | None:
+    """Enumerate the group of permutation tuples of one degree, breadth
+    first from the identity; None as soon as it has more than `half`
+    elements, when `half` is given."""
     identity = tuple(range(degree))
     gens = list(dict.fromkeys(g for g in generators if g != identity))
-    if any(len(g) != degree for g in gens):
-        raise ValueError("generators have mixed degrees")
-    return _group(degree, gens)
-
-
-def _group(degree, gens) -> PermGroup:
-    """Enumerate the group of distinct, non-identity generators of one degree."""
-    identity = tuple(range(degree))
+    stop = MAX_GROUP_ORDER if half is None else half
     elements = {identity}
     frontier = [identity]
     while frontier:
@@ -134,7 +143,9 @@ def _group(degree, gens) -> PermGroup:
                 if c not in elements:
                     elements.add(c)
                     new.append(c)
-                    if len(elements) > MAX_GROUP_ORDER:
+                    if len(elements) > stop:
+                        if half is not None:
+                            return None
                         raise GroupTooLarge(f"group order exceeds cap {MAX_GROUP_ORDER}")
         frontier = new
     return PermGroup(degree, gens, elements)

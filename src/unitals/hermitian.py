@@ -33,17 +33,13 @@ class NotCollinear(ValueError):
 
 def base_prime_power(q: int) -> tuple[int, int]:
     """Factor a prime power q as (p, e) with q = p^e."""
-    for p in range(2, q + 1):
-        if q % p == 0:  # the least factor above 1 is a prime
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m == 1:
-                return p, e
-            break
-    raise ValueError(f"{q} is not a prime power")
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)  # the least factor above 1 is a prime
+    e = 1
+    while p and p**e < q:
+        e += 1
+    if p is None or p**e != q:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 @lru_cache(maxsize=None)
@@ -249,13 +245,9 @@ def gamma1_analysis(emb: HermitianEmbedding, b1: int, b2: int) -> Gamma1Record:
     fixed = {pt for i, pt in enumerate(l1_pts) if all(g[i] == i for g in group.generators)} - {z}
     v1 = next(iter(fixed)) if group.order() > 1 and len(fixed) == 1 else None
 
-    nuclei_line = None
-    collinear = True
-    z_on_m = False
-    if len(nuc) >= 2:
-        nuclei_line = plane.line_through(nuc[0], nuc[1])
-        collinear = all(plane.incident(p, nuclei_line) for p in nuc)
-        z_on_m = plane.incident(z, nuclei_line)
+    nuclei_line = plane.line_through(nuc[0], nuc[1]) if len(nuc) >= 2 else None
+    collinear = nuclei_line is None or all(plane.incident(p, nuclei_line) for p in nuc)
+    z_on_m = nuclei_line is not None and plane.incident(z, nuclei_line)
 
     return Gamma1Record(
         order=group.order(),

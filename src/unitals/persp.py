@@ -68,17 +68,25 @@ def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> tuple
     an image tuple: entry i is the position in b2 of the image of the i-th
     point of b1.  The center's join row names the join of each point, so
     each point of b1 is mapped by looking up its join among b2's."""
+    return _projections(u, b1, b2, (center,))[0]
+
+
+def _projections(u: AbstractUnital, b1: int, b2: int, centers) -> list[tuple[int, ...]]:
+    """`perspectivity_map` from each center in turn; the blocks are checked once."""
     if b1 == b2:
         raise SameBlock("a perspectivity needs two distinct blocks")
-    join = u.join_row(center)
     pts1, pts2 = u.block(b1), u.block(b2)
-    if center in pts1 or center in pts2:
-        raise NotAFullPoint(f"point {center} lies on block {b1} or {b2}")
-    target = {join[q - 1]: i for i, q in enumerate(pts2)}
-    try:
-        return tuple(target[join[p - 1]] for p in pts1)
-    except KeyError:
-        raise NotAFullPoint(f"point {center} is not a full point of ({b1},{b2})") from None
+    maps = []
+    for center in centers:
+        join = u.join_row(center)
+        if center in pts1 or center in pts2:
+            raise NotAFullPoint(f"point {center} lies on block {b1} or {b2}")
+        joins2 = [join[q - 1] for q in pts2]  # distinct, as the center is off b2
+        try:
+            maps.append(tuple([joins2.index(join[p - 1]) for p in pts1]))
+        except ValueError:
+            raise NotAFullPoint(f"point {center} is not a full point of ({b1},{b2})") from None
+    return maps
 
 
 def persp_generators(u: AbstractUnital, b1: int, b2: int, fp=None) -> list[tuple[int, ...]]:
@@ -92,7 +100,7 @@ def persp_generators(u: AbstractUnital, b1: int, b2: int, fp=None) -> list[tuple
         fp = full_points(u, b1, b2)
     if not fp:
         raise NoFullPoints(f"blocks ({b1},{b2}) have no full points")
-    return relative_to_first([perspectivity_map(u, b1, p, b2) for p in fp])
+    return relative_to_first(_projections(u, b1, b2, fp))
 
 
 def persp_group(u: AbstractUnital, b1: int, b2: int, fp=None) -> PermGroup:

@@ -21,13 +21,8 @@ class ProjectivePlane:
     def __init__(self, field: GaloisField):
         self.field = field
         self.order = field.size
-        pts = []
-        for x in field.elements():
-            for y in field.elements():
-                pts.append((x, y, 1))
-        for x in field.elements():
-            pts.append((x, 1, 0))
-        pts.append((1, 0, 0))
+        els = field.elements()
+        pts = [(x, y, 1) for x in els for y in els] + [(x, 1, 0) for x in els] + [(1, 0, 0)]
         self.points: tuple[tuple[int, int, int], ...] = tuple(pts)
         self.lines = self.points  # duality: same normalized triples
         self._points_on_line: dict = {}

@@ -20,7 +20,8 @@ from unitals.census import (
     large_set_rows,
     totals_row,
 )
-from unitals.groups import closure, compose, is_cyclic_regular
+from unitals.groups import closure, compose, is_cyclic_regular, structure_name
+from unitals.hermitian import hermitian_unital
 from unitals.nets import find_dual_3nets, is_cyclic_3net
 from unitals.persp import SameBlock, full_points, persp_generators, perspectivity_map
 
@@ -140,19 +141,107 @@ def test_classify_appendix(appendix):
     assert rep.has_large_set
 
 
-@pytest.mark.parametrize("name, closures", [("appendix", 129), ("h3", 6), ("h4", 6)])
-def test_classify_closes_each_generator_set_once(request, monkeypatch, name, closures):
-    """classify_unital shares one group dict across its streamed rows: one
-    closure per distinct generator set, and the same Counter as analysing
-    every disjoint pair on its own with a fresh dict."""
+@pytest.mark.parametrize("name, groups", [("appendix", 7), ("h3", 3), ("h4", 6)])
+def test_classify_closes_each_group_once(request, monkeypatch, name, groups):
+    """classify_unital shares one group cache across its streamed rows: each
+    distinct group is listed whole and named once, and the Counter is the
+    same as analysing every disjoint pair on its own with a fresh cache."""
     fixture = request.getfixturevalue(name)
     u = getattr(fixture, "unital", fixture)
-    calls = []
-    real = census.closure
-    monkeypatch.setattr(census, "closure", lambda gens: calls.append(gens) or real(gens))
+    named = []
+    real = census.structure_name
+    monkeypatch.setattr(census, "structure_name", lambda g: named.append(g.elements) or real(g))
     pair_kinds = classify_unital(u, name).pair_kinds
-    assert len(calls) == len(set(calls)) == closures
+    assert len(named) == len(set(named)) == groups
     assert pair_kinds == Counter(analyze_pair(u, b1, b2)[1] for b1, b2 in u.disjoint_block_pairs())
+
+
+def _fresh_triple(gens):
+    g = closure(gens)
+    return g.order(), structure_name(g), g.is_cyclic() and g.is_semiregular()
+
+
+@pytest.mark.parametrize("name", ["appendix", "h2", "h3", "h4", "h5"])
+def test_group_cache_is_exact_on_census_sets(request, monkeypatch, name):
+    """Every generator set classify_unital meets gets the triple that a fresh
+    closure and naming give it."""
+    u = hermitian_unital(5).unital if name == "h5" else request.getfixturevalue(name)
+    u = getattr(u, "unital", u)
+    met = {}
+    real = census.group_triples
+
+    def recording():
+        triple = real()
+
+        def lookup(gens):
+            got = triple(gens)
+            met.setdefault(tuple(sorted(set(gens))), set()).add(got)
+            return got
+
+        return lookup
+
+    monkeypatch.setattr(census, "group_triples", recording)
+    classify_unital(u, name)
+    assert met
+    for key, triples in met.items():
+        assert triples == {_fresh_triple(key)}, key
+
+
+def _cache_gives_fresh_triples(sets):
+    triple = census.group_triples()
+    for gens in sets:
+        assert triple(gens) == _fresh_triple(gens), gens
+
+
+def _on(degree, *cycles):
+    """The permutation of 0..degree-1 with the given cycles."""
+    p = list(range(degree))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            p[a] = b
+    return tuple(p)
+
+
+def test_group_cache_is_exact_at_index_2():
+    """A subgroup of index 2 holds exactly half of the group, so it must be
+    listed as a new group whether it is met before or after the group."""
+    pairs = [
+        ([_on(5, (0, 1)), _on(5, (0, 1, 2, 3, 4))], [_on(5, (0, 1, 2)), _on(5, (0, 1, 3)), _on(5, (0, 1, 4))]),  # A5 < S5
+        ([_on(5, (0, 1)), _on(5, (0, 1, 2, 3))], [_on(5, (0, 1, 2)), _on(5, (0, 1, 3))]),  # A4 < S4
+        ([_on(5, (0, 1, 2, 3, 4)), _on(5, (1, 4), (2, 3))], [_on(5, (0, 1, 2, 3, 4))]),  # C5 < D10
+    ]
+    for big, small in pairs:
+        assert _fresh_triple(big)[0] == 2 * _fresh_triple(small)[0]
+        _cache_gives_fresh_triples([big, small])
+        _cache_gives_fresh_triples([small, big])
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+def test_group_cache_is_exact_on_random_subgroups(degree):
+    """Fixed-seed generator sets of subgroups of S5 and S6, drawn from
+    conjugates of transitive and intransitive groups, met with each large
+    group before its subgroups, after them, and shuffled."""
+    rng = random.Random(degree)
+    sources = [
+        [_on(degree, (0, 1)), _on(degree, tuple(range(degree)))],  # S_degree
+        [_on(degree, (0, 1, k)) for k in range(2, degree)],  # A_degree
+        [_on(degree, (0, 1)), _on(degree, (0, 1, 2, 3))],  # S4 on four points
+        [_on(degree, (0, 1, 2, 3, 4)), _on(degree, (1, 4), (2, 3))],  # D10
+        [_on(degree, (0, 1, 2, 3, 4)), _on(degree, (1, 2, 4, 3))],  # C5 : C4
+    ]
+    subgroups = []
+    for gens in sources:
+        elements = sorted(closure(gens).elements)
+        for _ in range(12):
+            conj = tuple(rng.sample(range(degree), degree))
+            back = tuple(sorted(range(degree), key=conj.__getitem__))
+            picked = rng.sample(elements, rng.choice((1, 2)))
+            subgroups.append([compose(compose(back, g), conj) for g in picked])
+    _cache_gives_fresh_triples(sources + subgroups)
+    _cache_gives_fresh_triples(subgroups + sources)
+    shuffled = sources + subgroups
+    rng.shuffle(shuffled)
+    _cache_gives_fresh_triples(shuffled)
 
 
 def test_group_table_rows(h2, h3):

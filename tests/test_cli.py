@@ -3,10 +3,11 @@ import csv
 import json
 import os
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from unitals import census, cli, formats, groups, nets
+from unitals import census, cli, formats, groups, hermitian, nets
 from unitals.cli import main
 from unitals.formats import appendix_text, serialize_json, serialize_text
 
@@ -93,7 +94,7 @@ def test_hermitian_files(runner, tmp_path):
 @pytest.mark.parametrize("option", ["--out", "--coords"])
 def test_hermitian_checks_out_dirs_before_building(runner, tmp_path, monkeypatch, option):
     built = []
-    monkeypatch.setattr(cli, "hermitian_unital", built.append)
+    monkeypatch.setattr(hermitian, "hermitian_unital", built.append)
     result = runner.invoke(main, ["hermitian", "--q", "2", option, str(tmp_path / "missing" / "x.json")])
     assert result.exit_code == 1
     assert result.output.startswith(f"ERROR OUT: {option} directory") and result.output.count("ERROR") == 1
@@ -358,8 +359,9 @@ def test_appendix_check(runner):
         ["fullpoints", "{appendix}"],
         ["census", "{tmp}/missing", "--out", "{tmp}/x"],
         ["bogus"],
+        ["--bogus"],
     ],
-    ids=["missing-file", "bad-int", "missing-option", "missing-dir", "unknown-command"],
+    ids=["missing-file", "bad-int", "missing-option", "missing-dir", "unknown-command", "unknown-group-option"],
 )
 def test_usage_errors_give_one_error_line(runner, tmp_path, appendix_file, args):
     result = runner.invoke(main, [a.format(tmp=tmp_path, appendix=appendix_file) for a in args])
@@ -367,6 +369,16 @@ def test_usage_errors_give_one_error_line(runner, tmp_path, appendix_file, args)
     assert isinstance(result.exception, SystemExit)
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR ARGS:")
+
+
+@pytest.mark.parametrize("args", [[], ["--help"]])
+def test_bare_group_and_help_behave_as_in_click(runner, args):
+    """Bare `unital` and `unital --help` print what a plain click group with
+    the same commands prints, with its exit code, in any click version."""
+    plain = click.Group(main.name, commands=main.commands, help=main.help)
+    ours, theirs = runner.invoke(main, args), runner.invoke(plain, args)
+    assert "Commands:" in ours.output
+    assert (ours.output, ours.exit_code) == (theirs.output, theirs.exit_code)
 
 
 @pytest.mark.parametrize("threads", ["abc", "-2", "1.5", " 2"])

@@ -147,12 +147,12 @@ def test_single_full_point_gives_trivial_group(h4, h4_pair_fp):
 
 def test_persp_group_projects_once_per_full_point(appendix, monkeypatch):
     calls = []
-    real = persp.perspectivity_map
-    monkeypatch.setattr(persp, "perspectivity_map", lambda *args: calls.append(args) or real(*args))
+    real = persp._projections
+    monkeypatch.setattr(persp, "_projections", lambda *args: calls.append(args) or real(*args))
     fp = full_points(appendix, 1, 33)
     persp_group(appendix, 1, 33, fp=fp)
     assert len(fp) == 5
-    assert sorted(calls) == [(appendix, 1, p, 33) for p in fp]
+    assert calls == [(appendix, 1, 33, fp)]  # one pass, one projection per center
 
 
 def test_no_full_points_raises(appendix, appendix_pair_fp):
