@@ -19,8 +19,6 @@ _MODULE_OF = {
 
 __all__ = sorted(_MODULE_OF)
 
-__version__ = "0.1.0"
-
 
 def __getattr__(name: str):
     """Import the module that defines `name`, and bind the name here if it

@@ -130,9 +130,6 @@ class GaloisField:
             pw *= self.p
         return out
 
-    def neg(self, a: int) -> int:
-        return self.add(0, a, -1)
-
     def sub(self, a: int, b: int) -> int:
         return self.add(a, b, -1)
 
@@ -174,24 +171,12 @@ class GaloisField:
     def is_in_subfield(self, a: int) -> bool:
         return self.conjugate(a) == a
 
-    def roots_of_unity(self, d: int) -> tuple[int, ...]:
-        """All solutions of x^d = 1, as powers of a generator."""
-        if d < 1 or (self.size - 1) % d != 0:
-            raise ValueError(f"{d} does not divide {self.size - 1}")
-        step = (self.size - 1) // d
-        return tuple(sorted(self._exp[i * step % (self.size - 1)] for i in range(d)))
-
     # ------------------------------------------------------------------
     # conversions
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         ds = _digits(a, self.p)
         return tuple(ds + [0] * (self.k - len(ds)))
-
-    def element(self, coeffs) -> int:
-        if len(coeffs) > self.k:
-            raise ValueError("too many coefficients")
-        return sum((c % self.p) * self.p**i for i, c in enumerate(coeffs))
 
     def elements(self) -> range:
         return range(self.size)

@@ -3,8 +3,8 @@
 Groups in this project act on at most a handful of points (block positions
 or points of a projective line), so full element enumeration is cheap and
 no stabilizer-chain machinery is needed.  Structure names come from a
-catalog keyed by (order, abelian flag, element-order spectrum).  The catalog
-is built from permutation models of the small groups it covers, enumerated
+catalog keyed by (order, abelian flag, element-order spectrum), built per
+order from permutation models of the small groups it covers, enumerated
 and keyed by the same code as the groups it names; ambiguous keys fall back
 to a descriptive label.
 """
@@ -12,7 +12,7 @@ to a descriptive label.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 from math import lcm, prod
 
@@ -126,13 +126,13 @@ def subgroup_of(group: PermGroup, generators) -> PermGroup | None:
     return _group(group.degree, generators, group.order() // 2) if group.order() > 1 else None
 
 
-def _group(degree, generators, half=None) -> PermGroup | None:
+def _group(degree, generators, limit=None) -> PermGroup | None:
     """Enumerate the group of permutation tuples of one degree, breadth
-    first from the identity; None as soon as it has more than `half`
-    elements, when `half` is given."""
+    first from the identity; None as soon as it has more than `limit`
+    elements, when `limit` is given."""
     identity = tuple(range(degree))
     gens = list(dict.fromkeys(g for g in generators if g != identity))
-    stop = MAX_GROUP_ORDER if half is None else half
+    stop = MAX_GROUP_ORDER if limit is None else limit
     elements = {identity}
     frontier = [identity]
     while frontier:
@@ -144,7 +144,7 @@ def _group(degree, generators, half=None) -> PermGroup | None:
                     elements.add(c)
                     new.append(c)
                     if len(elements) > stop:
-                        if half is not None:
+                        if limit is not None:
                             return None
                         raise GroupTooLarge(f"group order exceeds cap {MAX_GROUP_ORDER}")
         frontier = new
@@ -154,10 +154,11 @@ def _group(degree, generators, half=None) -> PermGroup | None:
 # ----------------------------------------------------------------------
 # structure naming
 #
-# Each catalog model is a permutation group, given as (degree, generators)
-# and enumerated by `_group`, so it is keyed by the same `_key` as the
-# groups it names.  The catalog calls `_group`, not `closure`, so that a
-# trace of `closure` sees only the groups the analysis builds.
+# A catalog model is (order, name, build), build() giving (degree,
+# generators).  The catalog of one order builds only its own models and
+# lists each by `_group` up to that order, whatever MAX_GROUP_ORDER is: it
+# is keyed by the same `_key` as the groups it names, and a trace of
+# `closure` sees only the groups the analysis builds.
 
 
 def _key(group: PermGroup) -> tuple:
@@ -231,44 +232,50 @@ def _abelian_chains(max_order):
 
 
 @cache
-def _build_catalog():
-    models = [(" x ".join(f"C{d}" for d in chain), _cyclic(*chain)) for chain in _abelian_chains(24)]
+def _models() -> tuple:
+    models = [(prod(c), " x ".join(f"C{d}" for d in c), partial(_cyclic, *c)) for c in _abelian_chains(24)]
     # dihedral groups, named by their order
-    models += [("S3" if m == 3 else f"D{2 * m}", _metacyclic(m, 2, m - 1)) for m in range(3, 13)]
+    models += [(2 * m, "S3" if m == 3 else f"D{2 * m}", partial(_metacyclic, m, 2, m - 1)) for m in range(3, 13)]
     models += [
-        ("Q8", _dicyclic(2)),
-        ("C3 : C4", _dicyclic(3)),
-        ("Q16", _dicyclic(4)),
-        ("Dic5", _dicyclic(5)),
-        ("Dic6", _dicyclic(6)),
-        ("SD16", _metacyclic(8, 2, 3)),
-        ("M16", _metacyclic(8, 2, 5)),
-        ("C4 : C4", _metacyclic(4, 4, 3)),
-        ("C5 : C4", _metacyclic(5, 4, 2)),  # Frobenius group of order 20
-        ("C7 : C3", _metacyclic(7, 3, 2)),
-        ("C3 : C8", _metacyclic(3, 8, 2)),
-        ("A4", _sym(4, even_only=True)),
-        ("S4", _sym(4)),
-        ("A5", _sym(5, even_only=True)),
-        ("S5", _sym(5)),
+        (8, "Q8", lambda: _dicyclic(2)),
+        (12, "C3 : C4", lambda: _dicyclic(3)),
+        (16, "Q16", lambda: _dicyclic(4)),
+        (20, "Dic5", lambda: _dicyclic(5)),
+        (24, "Dic6", lambda: _dicyclic(6)),
+        (16, "SD16", lambda: _metacyclic(8, 2, 3)),
+        (16, "M16", lambda: _metacyclic(8, 2, 5)),
+        (16, "C4 : C4", lambda: _metacyclic(4, 4, 3)),
+        (20, "C5 : C4", lambda: _metacyclic(5, 4, 2)),  # Frobenius group of order 20
+        (21, "C7 : C3", lambda: _metacyclic(7, 3, 2)),
+        (24, "C3 : C8", lambda: _metacyclic(3, 8, 2)),
+        (12, "A4", lambda: _sym(4, even_only=True)),
+        (24, "S4", lambda: _sym(4)),
+        (60, "A5", lambda: _sym(5, even_only=True)),
+        (120, "S5", lambda: _sym(5)),
         # the translations of Z3 x Z3 and x -> -x
-        ("(C3 x C3) : C2", (6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3), (0, 2, 1, 3, 5, 4)])),
-        ("C3 x S3", _direct(_cyclic(3), _metacyclic(3, 2, 2))),
-        ("C2 x D8", _direct(_cyclic(2), _metacyclic(4, 2, 3))),
-        ("C2 x Q8", _direct(_cyclic(2), _dicyclic(2))),
-        ("C2 x A4", _direct(_cyclic(2), _sym(4, even_only=True))),
-        ("C4 x S3", _direct(_cyclic(4), _metacyclic(3, 2, 2))),
-        ("C2 x C2 x S3", _direct(_cyclic(2, 2), _metacyclic(3, 2, 2))),
-        ("C2 x (C3 : C4)", _direct(_cyclic(2), _dicyclic(3))),
-        ("C3 x D8", _direct(_cyclic(3), _metacyclic(4, 2, 3))),
-        ("C3 x Q8", _direct(_cyclic(3), _dicyclic(2))),
-        ("SL(2,3)", _sl23()),
+        (18, "(C3 x C3) : C2", lambda: (6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3), (0, 2, 1, 3, 5, 4)])),
+        (18, "C3 x S3", lambda: _direct(_cyclic(3), _metacyclic(3, 2, 2))),
+        (16, "C2 x D8", lambda: _direct(_cyclic(2), _metacyclic(4, 2, 3))),
+        (16, "C2 x Q8", lambda: _direct(_cyclic(2), _dicyclic(2))),
+        (24, "C2 x A4", lambda: _direct(_cyclic(2), _sym(4, even_only=True))),
+        (24, "C4 x S3", lambda: _direct(_cyclic(4), _metacyclic(3, 2, 2))),
+        (24, "C2 x C2 x S3", lambda: _direct(_cyclic(2, 2), _metacyclic(3, 2, 2))),
+        (24, "C2 x (C3 : C4)", lambda: _direct(_cyclic(2), _dicyclic(3))),
+        (24, "C3 x D8", lambda: _direct(_cyclic(3), _metacyclic(4, 2, 3))),
+        (24, "C3 x Q8", lambda: _direct(_cyclic(3), _dicyclic(2))),
+        (24, "SL(2,3)", _sl23),
     ]
+    return tuple(models)
+
+
+@cache
+def _catalog(order: int) -> dict:
     catalog: dict[tuple, str | None] = {}
-    for name, (degree, gens) in models:
-        key = _key(_group(degree, gens))
-        # a key shared by two names is ambiguous; None forces the fallback label
-        catalog[key] = name if catalog.get(key, name) == name else None
+    for n, name, build in _models():
+        if n == order:
+            key = _key(_group(*build(), n))
+            # a key shared by two names is ambiguous; None forces the fallback label
+            catalog[key] = name if catalog.get(key, name) == name else None
     return catalog
 
 
@@ -281,7 +288,7 @@ def structure_name(group: PermGroup) -> str:
     n = group.order()
     if n == 1:
         return "1"
-    name = _build_catalog().get(_key(group))
+    name = _catalog(n).get(_key(group))
     if name:
         return name
     spec_str = ", ".join(f"{o}:{c}" for o, c in sorted(group.element_order_spectrum().items()))

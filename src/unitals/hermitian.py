@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from .design import AbstractUnital, NotAUnital, validate_unital
+from .design import AbstractUnital, NotAUnital, block_ids, validate_unital
 from .gf import GaloisField
 from .groups import PermGroup, closure, relative_to_first
 from .plane import ProjectivePlane, cross_ratio, line_parameter, INFINITY
@@ -69,11 +68,6 @@ def self_conjugate_points(plane: ProjectivePlane) -> tuple:
     return tuple(p for p in plane.points if is_self_conjugate(plane, p))
 
 
-def line_secant_type(plane: ProjectivePlane, line, curve) -> int:
-    """Intersection size of a line with the Hermitian curve (a point set): 1 or q+1."""
-    return sum(1 for p in plane.points_on_line(line) if p in curve)
-
-
 def are_conjugate_lines(plane: ProjectivePlane, l1, l2) -> bool:
     return plane.incident(polarity_image(plane, l1), l2)
 
@@ -112,15 +106,35 @@ def embedded_unital(plane: ProjectivePlane, points) -> tuple[AbstractUnital, tup
 
     Point i is the i-th given point (1-based).  The blocks are the secant
     lines, the joins of two of the points, listed in `plane.lines` order;
-    a tangent line holds one point and is no join.  Raises NotAUnital when
-    the secant sections do not form a unital.
+    a tangent line holds one point and is no join.  Each secant is found
+    once, from its first point, by a key of its joins that needs no cross
+    product.  Raises NotAUnital when the points are not distinct members of
+    `plane.points` or their secant sections do not form a unital.
     """
     pts = tuple(points)
-    if len(set(pts)) != len(pts):
-        raise NotAUnital("a point is given twice")
+    if len(set(pts)) != len(pts) or not set(pts) <= set(plane.points):
+        raise NotAUnital("the points must be distinct points of the plane, in its normalised coordinates")
+    f = plane.field
+    covered = [0] * len(pts)  # bit j of covered[i]: points i and j lie on a block found so far
     on_line: dict = {}
-    for (i, p), (j, q) in combinations(enumerate(pts, start=1), 2):
-        on_line.setdefault(plane.line_through(p, q), set()).update((i, j))
+    for i, (x, y, z) in enumerate(pts):
+        later = ((1 << len(pts)) - (2 << i)) & ~covered[i]
+        joins: dict = {}
+        for j in block_ids(later):  # 1-based
+            x2, y2, z2 = pts[j - 1]
+            if z:  # i affine: the join's point at infinity, from j - i, or j itself when at infinity
+                dx, dy = (f.sub(x2, x), f.sub(y2, y)) if z2 else (x2, y2)
+                key = (f.div(dx, dy), 1) if dy else (1, 0)
+            elif z2:  # i = (x, y, 0) at infinity: the intercept of the join, the line through j in direction i
+                key = f.sub(x2, f.mul(x, y2)) if y else y2
+            else:  # both at infinity: the line at infinity
+                key = None
+            joins[key] = joins.get(key, 1 << i) | 1 << j - 1
+        for mask in joins.values():
+            block = list(block_ids(mask))  # 1-based point ids
+            for j in block:
+                covered[j - 1] |= mask
+            on_line[plane.line_through(pts[i], pts[block[1] - 1])] = block
     block_lines = tuple(l for l in plane.lines if l in on_line)
     return validate_unital(len(pts), [on_line[l] for l in block_lines]), block_lines
 

@@ -27,10 +27,6 @@ class ProjectivePlane:
         self.lines = self.points  # duality: same normalized triples
         self._points_on_line: dict = {}
 
-    @property
-    def num_points(self) -> int:
-        return len(self.points)
-
     def normalize(self, v):
         f = self.field
         for i in (2, 1, 0):

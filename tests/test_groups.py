@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from collections import Counter
@@ -5,7 +6,7 @@ from collections import Counter
 import pytest
 
 from unitals import groups
-from unitals.groups import PermGroup, _build_catalog, closure, compose, relative_to_first, structure_name
+from unitals.groups import PermGroup, closure, compose, relative_to_first, structure_name
 
 
 def cyc(images):
@@ -149,13 +150,33 @@ def test_structure_name_catalog_sample():
 
 def test_structure_name_catalog_is_pinned():
     # keys and names as first recorded, when each model's abelian flag was
-    # computed from its multiplication table; a misflagged model changes them
-    catalog = _build_catalog()
+    # computed from its multiplication table; a misflagged model changes them.
+    # The catalog is built per order; its union over the orders is pinned.
+    catalog = {}
+    for n in sorted({n for n, _, _ in groups._models()}):
+        catalog.update(groups._catalog(n))
     assert len(catalog) == 71
     assert [name for name in catalog.values() if name is None] == [None]
     items = sorted((n, abelian, tuple(sorted(spectrum)), name) for (n, abelian, spectrum), name in catalog.items())
     digest = hashlib.sha256(repr(items).encode()).hexdigest()
     assert digest == "25d8a1f2f56443dae88042d4370e61d578435fa777ec25018d1c01e9eac3823a"
+
+
+def test_catalog_models_have_their_stated_order():
+    for n, name, build in groups._models():
+        _, gens = build()
+        assert closure(gens).order() == n, name
+
+
+def test_naming_c5_builds_only_order_5_models(monkeypatch):
+    """From a cold catalog, naming C5 builds the one model of order 5."""
+    c5 = closure([cyc((1, 2, 3, 4, 0))])
+    monkeypatch.setattr(groups, "_catalog", functools.cache(groups._catalog.__wrapped__))
+    built = []
+    models = [(n, name, lambda n=n, build=build: built.append(n) or build()) for n, name, build in groups._models()]
+    monkeypatch.setattr(groups, "_models", lambda: models)
+    assert structure_name(c5) == "C5"
+    assert built == [5]
 
 
 def test_structure_name_of_every_subgroup_of_s5():

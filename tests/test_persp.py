@@ -91,7 +91,7 @@ def test_hermitian_projection_index_pattern(h4):
     plane = h4.plane
     f = plane.field
     q = h4.q
-    eps = f.roots_of_unity(q + 1)
+    eps = [e for e in f.elements() if e and f.pow(e, q + 1) == 1]
     gen = next(e for e in eps if all(f.pow(e, d) != 1 for d in range(1, q + 1)))
     a_pts = [plane.normalize((0, 1, f.pow(gen, i))) for i in range(q + 1)]
     b_pts = [plane.normalize((f.pow(gen, j), 0, 1)) for j in range(q + 1)]

@@ -1,6 +1,9 @@
+import random
+from itertools import combinations
+
 import pytest
 
-from unitals.design import NotAUnital
+from unitals.design import NotAUnital, validate_unital
 from unitals.gf import GaloisField
 from unitals.groups import closure
 from unitals.hermitian import (
@@ -15,7 +18,6 @@ from unitals.hermitian import (
     hermitian_unital,
     is_baer_subline,
     is_self_conjugate,
-    line_secant_type,
     nuclei,
     polar_triangle_completion,
     polar_triangles_through_block,
@@ -34,8 +36,8 @@ def test_base_prime_power():
 
 
 def test_plane_point_counts():
-    assert hermitian_plane(2).num_points == 21  # PG(2,4)
-    assert hermitian_plane(3).num_points == 91  # PG(2,9)
+    assert len(hermitian_plane(2).points) == 21  # PG(2,4)
+    assert len(hermitian_plane(3).points) == 91  # PG(2,9)
 
 
 def test_each_line_has_order_plus_one_points():
@@ -94,10 +96,67 @@ def _reference_hermitian(q):
     return tuple(blocks), tuple(lines)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_hermitian_unital_matches_incidence_reference(q):
     emb = hermitian_unital(q)
     assert (emb.unital.all_blocks, emb.line_coords) == _reference_hermitian(q)
+
+
+def _pairwise_embedded_unital(plane, points):
+    """`embedded_unital` as first written: one cross product per point
+    pair, the points collected by the line they span."""
+    pts = tuple(points)
+    if len(set(pts)) != len(pts):
+        raise NotAUnital("a point is given twice")
+    on_line: dict = {}
+    for (i, p), (j, q) in combinations(enumerate(pts, start=1), 2):
+        on_line.setdefault(plane.line_through(p, q), set()).update((i, j))
+    block_lines = tuple(l for l in plane.lines if l in on_line)
+    return validate_unital(len(pts), [on_line[l] for l in block_lines]), block_lines
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_embedded_unital_matches_pairwise_reference(q):
+    """Curve order puts the q+1 points at infinity last; the shuffles also
+    key affine points from a point at infinity."""
+    plane = hermitian_plane(q)
+    curve = list(self_conjugate_points(plane))
+    assert sum(1 for p in curve if p[2] == 0) == q + 1
+    rng = random.Random(q)
+    for shuffles in range(4):
+        if shuffles:
+            rng.shuffle(curve)
+        u, lines = embedded_unital(plane, curve)
+        reference, reference_lines = _pairwise_embedded_unital(plane, curve)
+        assert (u.all_blocks, lines) == (reference.all_blocks, reference_lines)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_embedded_unital_and_reference_reject_a_curve_one_point_off(q):
+    plane = hermitian_plane(q)
+    curve = self_conjugate_points(plane)
+    off = next(p for p in plane.points if p not in curve)
+    for points in (curve[1:], curve + (off,)):
+        for build in (embedded_unital, _pairwise_embedded_unital):
+            with pytest.raises(NotAUnital):
+                build(plane, points)
+
+
+def test_embedded_unital_rejects_points_not_of_the_plane():
+    """A point must be given as its normalised triple: a scaled copy of a
+    curve point, the zero vector and a coordinate outside the field are not
+    plane points, even where they stand for the point they replace."""
+    plane = hermitian_plane(2)  # PG(2, 4)
+    curve = self_conjugate_points(plane)
+    f = plane.field
+    affine = next(p for p in curve if p[2])
+    at_infinity = next(p for p in curve if not p[2])
+    scaled = [tuple(f.mul(c, 2) for c in p) for p in (affine, at_infinity)]
+    for p, bad in [(affine, scaled[0]), (at_infinity, scaled[1]), (affine, (0, 0, 0)), (affine, affine[:2] + (5,))]:
+        with pytest.raises(NotAUnital):
+            embedded_unital(plane, [bad if x == p else x for x in curve])
+    with pytest.raises(NotAUnital):
+        embedded_unital(plane, curve + (scaled[0],))
 
 
 def test_embedded_unital_reads_no_incidence_cache(monkeypatch):
@@ -142,7 +201,7 @@ def test_line_secant_types():
     curve = frozenset(self_conjugate_points(plane))
     self_conj = 0
     for line in plane.lines:
-        t = line_secant_type(plane, line, curve)
+        t = sum(1 for p in plane.points_on_line(line) if p in curve)
         if is_self_conjugate(plane, line):
             assert t == 1
             self_conj += 1
