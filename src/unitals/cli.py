@@ -34,14 +34,6 @@ def _check_out_dir(option: str, path: str) -> None:
         _fail("OUT", f"{option} directory {out_dir} does not exist")
 
 
-def _worker_count() -> int:
-    """UNITAL_THREADS census workers; unset, empty or 0 means one per core."""
-    raw = os.environ.get("UNITAL_THREADS") or "0"
-    if not raw.isdecimal():
-        _fail("ARGS", f"UNITAL_THREADS must be a non-negative integer, got {raw!r}")
-    return int(raw) or os.cpu_count() or 1
-
-
 class _Group(click.Group):
     """Usage errors as one ``ERROR ARGS:`` line, from the group's options and
     from a command; a bare ``unital`` (a usage error in click 8.2+) prints help."""
@@ -159,8 +151,9 @@ def dualnets(file: str, latin: bool) -> None:
 
 
 def _census_worker(path):
-    """Classify one file, or say why it is skipped.  The report goes back
-    whole: its pair record is one Counter of pair analyses."""
+    """Classify one file as (path, report, error); error says why the file
+    is skipped.  `census` looks this name up for each file, so a wrapper
+    bound to it sees every file."""
     try:
         u = formats.load_unital(path)
         return (path, census_mod.classify_unital(u, name=os.path.basename(path)), None)
@@ -184,15 +177,9 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
         _fail("CENSUS", f"no unital files in {directory}")
     label = library or os.path.basename(os.path.abspath(directory))
 
-    workers = min(_worker_count(), len(paths))
     reports, skipped = [], 0
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_census_worker, paths)
-    else:
-        results = map(_census_worker, paths)
-    for path, report, error in results:
+    for path in paths:
+        _, report, error = _census_worker(path)
         if error is not None:
             skipped += 1
             click.echo(f"skipped {path}: {error}", err=True)

@@ -65,7 +65,11 @@ def is_self_conjugate(plane: ProjectivePlane, v) -> bool:
 
 
 def self_conjugate_points(plane: ProjectivePlane) -> tuple:
-    return tuple(p for p in plane.points if is_self_conjugate(plane, p))
+    """The curve sum(x_i^(q+1)) = 0, in `plane.points` order, from one table
+    of the norms a^(q+1) = a * a^q."""
+    f = plane.field
+    norm, add = [f.mul(a, f.conjugate(a)) for a in f.elements()], f.add
+    return tuple(p for p in plane.points if add(add(norm[p[0]], norm[p[1]]), norm[p[2]]) == 0)
 
 
 def are_conjugate_lines(plane: ProjectivePlane, l1, l2) -> bool:

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .design import AbstractUnital
 from .groups import PermGroup, compose, is_cyclic_regular, relative_to_first, structure_name
-from .persp import perspectivity_map
+from .persp import _projections
 
 
 class TooFewBlocks(ValueError):
@@ -114,7 +114,7 @@ def latin_square_from_3net(u: AbstractUnital, net) -> LatinSquare:
         raise NotA3Net(f"need exactly 3 blocks, got {len(net)}")
     b1, b2, b3 = net
     try:
-        return LatinSquare(u.order + 1, tuple(perspectivity_map(u, b2, p, b3) for p in u.block(b1)))
+        return LatinSquare(u.order + 1, tuple(_projections(u, b2, b3, u.block(b1))))
     except ValueError as e:  # NotAFullPoint, or a square that is not latin
         raise NotA3Net(f"blocks {net} do not form a dual 3-net") from e
 

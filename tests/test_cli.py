@@ -1,7 +1,6 @@
 import builtins
 import csv
 import json
-import os
 
 import click
 import pytest
@@ -201,12 +200,11 @@ def test_fullpoints_group_over_cap_gives_one_error_line(runner, appendix_file, s
     assert result.output.startswith("ERROR GROUP: group order exceeds cap 100") and result.output.count("ERROR") == 1
 
 
-def test_census_skips_and_counts_a_group_over_cap(runner, tmp_path, h2, monkeypatch, small_group_cap):
+def test_census_skips_and_counts_a_group_over_cap(runner, tmp_path, h2, small_group_cap):
     src = tmp_path / "lib"
     src.mkdir()
     (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
     (src / "appendix.txt").write_text(appendix_text())
-    monkeypatch.setenv("UNITAL_THREADS", "1")
     prefix = str(tmp_path / "census")
     result = runner.invoke(main, ["census", str(src), "--out", prefix, "--library", "demo"])
     assert result.exit_code == 0
@@ -216,12 +214,11 @@ def test_census_skips_and_counts_a_group_over_cap(runner, tmp_path, h2, monkeypa
         assert list(csv.reader(fh))[1] == ["demo", "1", "1", "1"]
 
 
-def test_census_writes_tables(runner, tmp_path, h2, monkeypatch):
+def test_census_writes_tables(runner, tmp_path, h2):
     src = tmp_path / "lib"
     src.mkdir()
     (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
     (src / "broken.txt").write_text("1 2 3\n")
-    monkeypatch.setenv("UNITAL_THREADS", "1")
     prefix = str(tmp_path / "census")
     result = runner.invoke(main, ["census", str(src), "--out", prefix, "--library", "demo"])
     assert result.exit_code == 0
@@ -243,13 +240,12 @@ def test_census_writes_tables(runner, tmp_path, h2, monkeypatch):
     assert rows[1][0] == "Omega"
 
 
-def test_census_skips_and_counts_malformed_files(runner, tmp_path, h2, monkeypatch):
+def test_census_skips_and_counts_malformed_files(runner, tmp_path, h2):
     src = tmp_path / "lib"
     src.mkdir()
     (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
     for name, content in MALFORMED.items():
         (src / name).write_bytes(content)
-    monkeypatch.setenv("UNITAL_THREADS", "1")
     prefix = str(tmp_path / "census")
     result = runner.invoke(main, ["census", str(src), "--out", prefix, "--library", "demo"])
     assert result.exit_code == 0
@@ -260,7 +256,7 @@ def test_census_skips_and_counts_malformed_files(runner, tmp_path, h2, monkeypat
         assert list(csv.reader(fh))[1] == ["demo", "1", "1", "1"]
 
 
-def test_byte_order_mark_is_accepted(runner, tmp_path, appendix, monkeypatch):
+def test_byte_order_mark_is_accepted(runner, tmp_path, appendix):
     """A UTF-8 file may start with a byte-order mark, in either format."""
     src = tmp_path / "lib"
     src.mkdir()
@@ -270,7 +266,6 @@ def test_byte_order_mark_is_accepted(runner, tmp_path, appendix, monkeypatch):
         result = runner.invoke(main, ["validate", str(src / name)])
         assert result.exit_code == 0, result.output
         assert result.output.startswith("OK: unital of order 4 with 65 points and 208 blocks")
-    monkeypatch.setenv("UNITAL_THREADS", "1")
     result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "census")])
     assert result.exit_code == 0
     assert "census of 2 unital(s)" in result.output and "skipped" not in result.output
@@ -290,12 +285,11 @@ def unreadable(monkeypatch):
     monkeypatch.setattr(formats, "open", fake_open, raising=False)
 
 
-def test_census_skips_and_counts_unreadable_files(runner, tmp_path, h2, monkeypatch, unreadable):
+def test_census_skips_and_counts_unreadable_files(runner, tmp_path, h2, unreadable):
     src = tmp_path / "lib"
     src.mkdir()
     (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
     (src / "locked.txt").write_text(serialize_text(h2.unital, "h2"))
-    monkeypatch.setenv("UNITAL_THREADS", "1")
     result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "census")])
     assert result.exit_code == 0
     assert "census of 1 unital(s)" in result.output and "1 file(s) skipped" in result.output
@@ -321,7 +315,6 @@ def test_census_checks_out_dir_before_classifying(runner, tmp_path, h2, monkeypa
     src.mkdir()
     (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
     classified = []
-    monkeypatch.setenv("UNITAL_THREADS", "1")
     monkeypatch.setattr(cli, "_census_worker", classified.append)
     result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "missing" / "census")])
     assert result.exit_code == 1
@@ -379,26 +372,3 @@ def test_bare_group_and_help_behave_as_in_click(runner, args):
     ours, theirs = runner.invoke(main, args), runner.invoke(plain, args)
     assert "Commands:" in ours.output
     assert (ours.output, ours.exit_code) == (theirs.output, theirs.exit_code)
-
-
-@pytest.mark.parametrize("threads", ["abc", "-2", "1.5", " 2"])
-def test_census_rejects_a_bad_thread_count_before_classifying(runner, tmp_path, h2, monkeypatch, threads):
-    src = tmp_path / "lib"
-    src.mkdir()
-    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
-    classified = []
-    monkeypatch.setenv("UNITAL_THREADS", threads)
-    monkeypatch.setattr(cli, "_census_worker", classified.append)
-    result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "census")])
-    assert result.exit_code == 1
-    assert result.stderr == f"ERROR ARGS: UNITAL_THREADS must be a non-negative integer, got {threads!r}\n"
-    assert classified == []
-
-
-@pytest.mark.parametrize("threads, workers", [(None, None), ("", None), ("0", None), ("00", None), ("3", 3)])
-def test_worker_count_reads_unital_threads(monkeypatch, threads, workers):
-    if threads is None:
-        monkeypatch.delenv("UNITAL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("UNITAL_THREADS", threads)
-    assert cli._worker_count() == (workers or os.cpu_count() or 1)

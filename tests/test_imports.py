@@ -7,8 +7,8 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
-def _run(code: str) -> str:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+def _run(code: str, **env_vars: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])), **env_vars)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
@@ -23,6 +23,38 @@ def test_cli_import_loads_no_module_that_only_some_commands_run():
     assert "unitals.census" in loaded
     for module in ("unitals.hermitian", "unitals.nets", "unitals.gf", "unitals.plane", "hashlib", "concurrent.futures"):
         assert module not in loaded
+
+
+def test_census_classifies_every_file_in_its_own_process(tmp_path):
+    """Whatever UNITAL_THREADS says, the census calls `_census_worker` once
+    per file, in sorted order, and starts no worker process."""
+    from unitals.formats import serialize_json, serialize_text
+    from unitals.hermitian import hermitian_unital
+
+    h2 = hermitian_unital(2).unital
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    (lib / "b.txt").write_text(serialize_text(h2, "h2"))
+    (lib / "a.json").write_text(serialize_json(h2, "h2"))
+    (lib / "c.txt").write_text("1 2 3\n")
+    out = _run(
+        "import os, sys\n"
+        "import unitals.cli as cli\n"
+        "seen, real = [], cli._census_worker\n"
+        "cli._census_worker = lambda path: seen.append(os.path.basename(path)) or real(path)\n"
+        "try:\n"
+        f"    cli.main(['census', {str(lib)!r}, '--out', {str(tmp_path / 'census')!r}])\n"
+        "except SystemExit as e:\n"
+        "    print(e.code)\n"
+        "print(*seen)\n"
+        "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n",
+        UNITAL_THREADS="2",
+    )
+    summary, code, seen, loaded = out.splitlines()
+    assert summary.endswith("(1 file(s) skipped)") and "census of 2 unital(s)" in summary
+    assert code == "0"
+    assert seen == "a.json b.txt c.txt"
+    assert loaded == "False False"
 
 
 def test_star_import_binds_each_public_name_to_its_definition():

@@ -69,7 +69,7 @@ def test_polarity_reverses_incidence():
                 assert plane.incident(p, l) == plane.incident(polarity_image(plane, l), polarity_image(plane, p))
 
 
-@pytest.mark.parametrize("q,expected", [(2, 9), (3, 28), (4, 65)])
+@pytest.mark.parametrize("q,expected", [(2, 9), (3, 28), (4, 65), (5, 126)])
 def test_self_conjugate_point_counts(q, expected):
     assert len(self_conjugate_points(hermitian_plane(q))) == expected
 
