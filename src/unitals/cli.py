@@ -192,8 +192,12 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
         ("large", ["set", "property", "count"], census_mod.large_set_rows(reports)),
     )
     for table, header, rows in tables:
-        with open(f"{prefix}_{table}.csv", "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([header, *rows])
+        path = f"{prefix}_{table}.csv"
+        try:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header, *rows])
+        except OSError as e:
+            _fail("OUT", f"cannot write {path}: {e.strerror or e}")
     click.echo(
         f"census of {len(reports)} unital(s) written to {prefix}_groups.csv, "
         f"{prefix}_totals.csv, {prefix}_large.csv"

@@ -129,9 +129,6 @@ def validate_unital(num_points: int, raw_blocks) -> AbstractUnital:
             if rows[p - 1][q - 1]:
                 raise NotAUnital(f"pair ({p},{q}) covered by blocks {rows[p - 1][q - 1]} and {idx}")
             rows[p - 1][q - 1] = rows[q - 1][p - 1] = idx
-
-    covered = sum(1 for row in rows for v in row if v) // 2
-    if covered != num_points * (num_points - 1) // 2:
-        raise NotAUnital("some point pair is covered by no block")
+    # no pair twice: the n^2(n^2-n+1) blocks cover n^2(n^2-n+1) * n(n+1)/2 = (n^3+1)n^3/2 pairs, all of them
 
     return AbstractUnital(n, num_points, tuple(blocks), tuple(map(tuple, rows)))

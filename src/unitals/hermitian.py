@@ -17,7 +17,7 @@ from functools import lru_cache
 from .design import AbstractUnital, NotAUnital, block_ids, validate_unital
 from .gf import GaloisField
 from .groups import PermGroup, closure, relative_to_first
-from .plane import ProjectivePlane, cross_ratio, line_parameter, INFINITY
+from .plane import ProjectivePlane, line_parameter
 
 MAX_Q = 5
 
@@ -181,8 +181,8 @@ def all_polar_triangles(emb: HermitianEmbedding) -> tuple:
 
 
 def is_baer_subline(plane: ProjectivePlane, points) -> bool:
-    """Cross-ratio test: after fixing the first three points, every further
-    point must give a cross ratio in the index-2 subfield (or infinity)."""
+    """Cross-ratio test: with the first two points at parameters 0 and INFINITY, the cross
+    ratio (0, INFINITY; t3, t) of the third and each further point, t3/t, lies in GF(q)."""
     pts = list(points)
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
@@ -191,37 +191,28 @@ def is_baer_subline(plane: ProjectivePlane, points) -> bool:
     line = plane.line_through(pts[0], pts[1])
     if not all(plane.incident(p, line) for p in pts):
         raise NotCollinear("points do not lie on one line")
-    if len(pts) == 3:
-        return True
     f = plane.field
-    ts = [line_parameter(plane, pts[0], pts[1], p) for p in pts]
-    for t in ts[3:]:
-        cr = cross_ratio(f, ts[0], ts[1], ts[2], t)
-        if cr is not INFINITY and not f.is_in_subfield(cr):
-            return False
-    return True
+    ts = [line_parameter(plane, pts[0], pts[1], p) for p in pts[2:]]  # all finite and nonzero
+    return all(f.is_in_subfield(f.div(ts[0], t)) for t in ts[1:])
 
 
 def nuclei(plane: ProjectivePlane, point_set) -> tuple:
     """All points off the set through which every line meets it exactly once.
 
-    The set must have n+1 points, n the plane order.
+    The set must have n+1 points, n the plane order.  Its tangents come from
+    the once/twice fold of `AbstractUnital.secants`.
     """
     s = frozenset(point_set)
     if len(s) != plane.order + 1:
         raise ValueError(f"nucleus sets must have {plane.order + 1} points, got {len(s)}")
-    line_count = {l: sum(1 for p in plane.points_on_line(l) if p in s) for l in plane.lines}
-    return tuple(p for p in plane.points if p not in s and all(line_count[l] == 1 for l in plane.lines_through_point(p)))
-
-
-def _line_perspectivity(plane, src_pts, center, dst_line):
-    """Central projection of one full line onto another, point by point."""
-    out = []
-    for t in src_pts:
-        if t == center:
-            raise ValueError("center lies on the source line")
-        out.append(plane.meet(plane.line_through(t, center), dst_line))
-    return out
+    inc = plane.incidence
+    once = twice = 0
+    for p in s:
+        on_p = inc[plane.index(p)]
+        twice |= once & on_p
+        once |= on_p
+    tangents = once & ~twice
+    return tuple(p for p, on_p in zip(plane.points, inc) if not on_p & ~tangents and p not in s)
 
 
 @dataclass(frozen=True)
@@ -254,10 +245,16 @@ def gamma1_analysis(emb: HermitianEmbedding, b1: int, b2: int) -> Gamma1Record:
     script_b = b1_pts | (frozenset(plane.points_on_line(l2)) - b2_pts)
     nuc = nuclei(plane, script_b)
 
-    # phi_N0^-1 phi_N over the nuclei N generate every to-and-back phi_M^-1 phi_N
-    l1_pts = plane.points_on_line(l1)
-    at = {p: i for i, p in enumerate(plane.points_on_line(l2))}
-    maps = [tuple(at[pt] for pt in _line_perspectivity(plane, l1_pts, p, l2)) for p in nuc]
+    # phi_N0^-1 phi_N over the nuclei N generate every to-and-back phi_M^-1 phi_N; phi_N maps t
+    # to the point of l2 on the line tN (no nucleus is on l1 or l2: each meets script_b twice)
+    inc, index = plane.incidence, plane.index
+    l1_pts, on_l2 = plane.points_on_line(l1), inc[index(l2)]
+    at = {i: pos for pos, i in enumerate(block_ids(on_l2))}  # 1-based point index -> position on l2
+    through = [inc[index(t)] for t in l1_pts]
+    maps = [
+        tuple(at[(inc[(on_t & on_n).bit_length() - 1] & on_l2).bit_length()] for on_t in through)
+        for on_n in (inc[index(p)] for p in nuc)
+    ]
     group = closure(relative_to_first(maps) if maps else [tuple(range(len(l1_pts)))])
 
     fixed = {pt for i, pt in enumerate(l1_pts) if all(g[i] == i for g in group.generators)} - {z}

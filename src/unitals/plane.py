@@ -10,10 +10,13 @@ incidence is the vanishing of the bilinear form sum(P_i * l_i).
 
 from __future__ import annotations
 
+from functools import cached_property, reduce
+
+from .design import block_ids
 from .gf import GaloisField
 
 #: marker for the infinite parameter of a projective line, used by
-#: line_parameter and cross_ratio
+#: line_parameter
 INFINITY = None
 
 
@@ -25,7 +28,32 @@ class ProjectivePlane:
         pts = [(x, y, 1) for x in els for y in els] + [(x, 1, 0) for x in els] + [(1, 0, 0)]
         self.points: tuple[tuple[int, int, int], ...] = tuple(pts)
         self.lines = self.points  # duality: same normalized triples
-        self._points_on_line: dict = {}
+
+    def index(self, v) -> int:
+        """Position of a normalized triple in `points`, and so in `lines`."""
+        x, y, z = v
+        n = self.order
+        i = x * n + y if z else n * n + (x if y else n)
+        if not 0 <= i < len(self.points) or self.points[i] != tuple(v):
+            raise ValueError(f"{v!r} is not a point of the plane in normalized coordinates")
+        return i
+
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """Entry i is the bitset of the lines through `points[i]` (bit j for
+        `lines[j]`).  Incidence is symmetric in the triples, so entry i is
+        also the bitset of the points on `lines[i]`.  Built on first use,
+        from the points b and a + t*b of each line."""
+        f, rows = self.field, []
+        for l in self.lines:
+            k = 2 if l[2] else 1 if l[1] else 0  # l[k] == 1
+            i, j = (c for c in range(3) if c != k)  # a, b: the points of l with (1, 0) and (0, 1) at (i, j)
+            a, b = [0, 0, 0], [0, 0, 0]
+            a[i], a[k] = 1, f.sub(0, l[i])
+            b[j], b[k] = 1, f.sub(0, l[j])
+            on_l = [b] + [[f.add(x, f.mul(t, y)) for x, y in zip(a, b)] for t in f.elements()]
+            rows.append(sum(1 << self.index(self.normalize(v)) for v in on_l))
+        return tuple(rows)
 
     def normalize(self, v):
         f = self.field
@@ -36,11 +64,7 @@ class ProjectivePlane:
         raise ValueError("zero vector has no projective representative")
 
     def incident(self, point, line) -> bool:
-        f = self.field
-        s = 0
-        for p, l in zip(point, line):
-            s = f.add(s, f.mul(p, l))
-        return s == 0
+        return reduce(self.field.add, map(self.field.mul, point, line)) == 0
 
     def _cross(self, a, b):
         f = self.field
@@ -63,11 +87,7 @@ class ProjectivePlane:
         return self._cross(l, m)
 
     def points_on_line(self, line) -> tuple:
-        cached = self._points_on_line.get(line)
-        if cached is None:
-            cached = tuple(p for p in self.points if self.incident(p, line))
-            self._points_on_line[line] = cached
-        return cached
+        return tuple(self.points[i - 1] for i in block_ids(self.incidence[self.index(line)]))
 
     # incidence is symmetric and lines are the same triples as points, so
     # the lines through a point are the points on the line of that triple
@@ -92,23 +112,3 @@ def line_parameter(plane: ProjectivePlane, a, b, p):
                 return f.div(beta, alpha)
     raise ValueError("base points are not independent")
 
-
-def cross_ratio(f: GaloisField, t1, t2, t3, t4):
-    """Cross ratio (t1,t2; t3,t4) on the projective line GF ∪ {INFINITY}.
-
-    Returns a field element, or INFINITY when the denominator vanishes.
-    """
-    if t1 is INFINITY:
-        num, den = f.sub(t2, t4), f.sub(t2, t3)
-    elif t2 is INFINITY:
-        num, den = f.sub(t1, t3), f.sub(t1, t4)
-    elif t3 is INFINITY:
-        num, den = f.sub(t2, t4), f.sub(t1, t4)
-    elif t4 is INFINITY:
-        num, den = f.sub(t1, t3), f.sub(t2, t3)
-    else:
-        num = f.mul(f.sub(t1, t3), f.sub(t2, t4))
-        den = f.mul(f.sub(t1, t4), f.sub(t2, t3))
-    if den == 0:
-        return INFINITY
-    return f.div(num, den)

@@ -322,6 +322,19 @@ def test_census_checks_out_dir_before_classifying(runner, tmp_path, h2, monkeypa
     assert classified == []
 
 
+def test_census_table_that_cannot_be_written_gives_one_error_line(runner, tmp_path, h2):
+    src = tmp_path / "lib"
+    src.mkdir()
+    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    prefix = tmp_path / "census"
+    (tmp_path / "census_groups.csv").mkdir()
+    result = runner.invoke(main, ["census", str(src), "--out", str(prefix)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"ERROR OUT: cannot write {prefix}_groups.csv: ")
+
+
 def test_census_worker_returns_the_report_unchanged(tmp_path, h2):
     p = tmp_path / "h2.txt"
     p.write_text(serialize_text(h2.unital, "h2"))

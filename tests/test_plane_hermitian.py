@@ -25,7 +25,7 @@ from unitals.hermitian import (
     self_conjugate_points,
 )
 from unitals.persp import full_points
-from unitals.plane import INFINITY, ProjectivePlane, cross_ratio, line_parameter
+from unitals.plane import INFINITY, ProjectivePlane, line_parameter
 
 
 def test_base_prime_power():
@@ -160,11 +160,12 @@ def test_embedded_unital_rejects_points_not_of_the_plane():
 
 
 def test_embedded_unital_reads_no_incidence_cache(monkeypatch):
-    def refuse(self, v):
+    def refuse(self, *args):
         raise AssertionError("incidence cache read")
 
     monkeypatch.setattr(ProjectivePlane, "points_on_line", refuse)
     monkeypatch.setattr(ProjectivePlane, "lines_through_point", refuse)
+    monkeypatch.setattr(ProjectivePlane, "incidence", property(refuse))
     plane = ProjectivePlane(GaloisField(2, 2))
     curve = self_conjugate_points(plane)
     u, lines = embedded_unital(plane, curve)
@@ -175,6 +176,33 @@ def test_embedded_unital_rejects_non_unital():
     plane = hermitian_plane(2)
     with pytest.raises(NotAUnital):
         embedded_unital(plane, self_conjugate_points(plane)[:-1])
+
+
+def _incidence_by_tests(plane):
+    return tuple(sum(1 << j for j, l in enumerate(plane.lines) if plane.incident(p, l)) for p in plane.points)
+
+
+@pytest.mark.parametrize("plane", [hermitian_plane(2), hermitian_plane(3), hermitian_plane(4), ProjectivePlane(GaloisField(3))])
+def test_incidence_table_matches_incidence_tests(plane):
+    n = plane.order
+    assert len(plane.incidence) == n * n + n + 1
+    assert plane.incidence == _incidence_by_tests(plane)
+    assert all(row.bit_count() == n + 1 for row in plane.incidence)
+
+
+def test_index_is_the_position_in_points_and_lines():
+    plane = hermitian_plane(2)
+    assert [plane.index(p) for p in plane.points] == list(range(len(plane.points)))
+    assert [plane.index(l) for l in plane.lines] == list(range(len(plane.lines)))
+
+
+@pytest.mark.parametrize("v", [(0, 0, 2), (0, 0, 0), (4, 1, 1), (1, 2, 0), (2, 0, 0), (0, 16, 1), (-1, 0, 1)])
+def test_index_and_points_on_line_reject_a_triple_not_normalized(v):
+    plane = hermitian_plane(2)  # PG(2, 4)
+    with pytest.raises(ValueError):
+        plane.index(v)
+    with pytest.raises(ValueError):
+        plane.points_on_line(v)
 
 
 def test_lines_through_point_by_incidence():
@@ -270,16 +298,6 @@ def test_embedding_maps_are_consistent(h3):
         assert {h3.point(p) for p in h3.unital.block(i)} == on_line
 
 
-def test_cross_ratio_basics():
-    f = GaloisField(3, 2)
-    # coincidences land on the standard values: t4=t2 -> 0, t4=t3 -> 1, t4=t1 -> inf
-    assert cross_ratio(f, 0, 1, INFINITY, 1) == 0
-    assert cross_ratio(f, 0, 1, 2, 2) == 1
-    assert cross_ratio(f, 0, 1, 2, 0) is INFINITY
-    cr = cross_ratio(f, 0, 1, 2, INFINITY)
-    assert cr == f.div(f.sub(0, 2), f.sub(1, 2))
-
-
 def test_line_parameter_recovers_points():
     plane = hermitian_plane(2)
     line = plane.lines[3]
@@ -300,23 +318,19 @@ def test_hermitian_blocks_are_baer_sublines(q):
 
 
 def test_perturbed_baer_subline_fails():
+    """Three points of a line lie on one Baer subline only, so a block's
+    first three points and any other point of its line, off the block,
+    are no Baer subline, in either order."""
     emb = hermitian_unital(3)
     plane = emb.plane
-    f = plane.field
     for i in emb.unital.block_indices():
         pts = [emb.point(p) for p in emb.unital.block(i)]
-        line = plane.line_through(pts[0], pts[1])
-        on_line = plane.points_on_line(line)
-        for repl in on_line:
-            if repl in pts:
-                continue
+        off_block = [p for p in plane.points_on_line(emb.block_line(i)) if p not in pts]
+        assert len(off_block) == 10 - 4  # q^2+1 points on the line, q+1 on the block
+        for repl in off_block:
             cand = pts[:3] + [repl]
-            t = [line_parameter(plane, pts[0], pts[1], p) for p in cand]
-            cr = cross_ratio(f, t[0], t[1], t[2], t[3])
-            if cr is not INFINITY and not f.is_in_subfield(cr):
-                assert not is_baer_subline(plane, cand)
-                return
-    pytest.fail("no perturbation found")
+            assert not is_baer_subline(plane, cand)
+            assert not is_baer_subline(plane, cand[::-1])
 
 
 def test_three_points_vacuously_baer():
@@ -347,6 +361,20 @@ def test_nuclei_of_a_line_plus_point():
         if all(sum(1 for x in plane.points_on_line(l) if x in s) == 1 for l in plane.lines_through_point(p)):
             brute.add(p)
     assert result == brute
+
+
+def test_nuclei_match_line_counts_on_every_disjoint_pair_of_h3(h3):
+    """The nuclei of b1 ∪ (l2 \\ b2) by counting, with each line's points
+    found by incidence tests."""
+    plane, u = h3.plane, h3.unital
+    on_line = {l: [p for p in plane.points if plane.incident(p, l)] for l in plane.lines}
+    for b1, b2 in u.disjoint_block_pairs():
+        b2_pts = {h3.point(p) for p in u.block(b2)}
+        s = {h3.point(p) for p in u.block(b1)} | {p for p in on_line[h3.block_line(b2)] if p not in b2_pts}
+        count = {l: sum(1 for p in on_line[l] if p in s) for l in plane.lines}
+        # by duality, the lines through p are the points on the line with p's coordinates
+        brute = tuple(p for p in plane.points if p not in s and all(count[l] == 1 for l in on_line[p]))
+        assert nuclei(plane, s) == brute
 
 
 def test_nuclei_wrong_size_rejected():
