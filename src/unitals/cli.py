@@ -34,6 +34,16 @@ def _check_out_dir(option: str, path: str) -> None:
         _fail("OUT", f"{option} directory {out_dir} does not exist")
 
 
+def _write(path: str, fill) -> None:
+    """Open PATH for writing and hand the file to `fill`; any OSError, at
+    open, write or close, is one ``ERROR OUT:`` line."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fill(fh)
+    except OSError as e:
+        _fail("OUT", f"cannot write {path}: {e.strerror or e}")
+
+
 class _Group(click.Group):
     """Usage errors as one ``ERROR ARGS:`` line, from the group's options and
     from a command; a bare ``unital`` (a usage error in click 8.2+) prints help."""
@@ -87,17 +97,15 @@ def hermitian(q: int, out: str | None, coords: str | None) -> None:
         _fail("HERMITIAN", str(e))
     payload = formats.serialize_json(emb.unital, name=f"hermitian-{q}")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write(out, lambda fh: fh.write(payload + "\n"))
         click.echo(f"wrote H({q}) to {out}")
     else:
         click.echo(payload)
     if coords:
         f = emb.plane.field
-        with open(coords, "w", encoding="utf-8") as fh:
-            fh.write(f"# point id -> homogeneous coordinates over GF({f.p}^{f.k}), coefficient vectors low degree first\n")
-            for pid, pt in enumerate(emb.point_coords, start=1):
-                fh.write(f"{pid}\t" + " ".join(str(list(f.coeffs(c))) for c in pt) + "\n")
+        text = f"# point id -> homogeneous coordinates over GF({f.p}^{f.k}), coefficient vectors low degree first\n"
+        text += "".join(f"{pid}\t{' '.join(str(list(f.coeffs(c))) for c in pt)}\n" for pid, pt in enumerate(emb.point_coords, 1))
+        _write(coords, lambda fh: fh.write(text))
         click.echo(f"wrote coordinates to {coords}")
 
 
@@ -192,12 +200,7 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
         ("large", ["set", "property", "count"], census_mod.large_set_rows(reports)),
     )
     for table, header, rows in tables:
-        path = f"{prefix}_{table}.csv"
-        try:
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows([header, *rows])
-        except OSError as e:
-            _fail("OUT", f"cannot write {path}: {e.strerror or e}")
+        _write(f"{prefix}_{table}.csv", lambda fh: csv.writer(fh).writerows([header, *rows]))
     click.echo(
         f"census of {len(reports)} unital(s) written to {prefix}_groups.csv, "
         f"{prefix}_totals.csv, {prefix}_large.csv"

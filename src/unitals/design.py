@@ -2,8 +2,9 @@
 
 Points and blocks are 1-based, as in the published block listings.  Which
 blocks hold which points is kept as bitsets over blocks (bit i-1 for block
-i), and join rows give the block through two points.  Construction validates
-every design axiom eagerly; an AbstractUnital is immutable and safe to share.
+i), and join rows give the block through two points.  `validate_unital` checks
+every design axiom and is how an AbstractUnital is built; the constructor
+itself checks nothing.  The package never mutates an instance once built.
 """
 
 from __future__ import annotations
@@ -14,6 +15,15 @@ from itertools import combinations
 
 class NotAUnital(ValueError):
     """The given point/block data violates the unital design axioms."""
+
+
+def fold(masks) -> tuple[int, int]:
+    """(once, twice): the bits set in at least one and in at least two of the masks."""
+    once = twice = 0
+    for mask in masks:
+        twice |= once & mask
+        once |= mask
+    return once, twice
 
 
 def block_ids(mask: int):
@@ -50,36 +60,33 @@ class AbstractUnital:
     def all_blocks(self) -> tuple[tuple[int, ...], ...]:
         return self._blocks
 
-    def _block_pos(self, i: int) -> int:
+    def block_pos(self, i: int) -> int:
+        """Position i-1 of block i; IndexError outside 1..num_blocks, where Python would wrap."""
         if not 1 <= i <= len(self._blocks):
             raise IndexError(f"block index {i} outside 1..{len(self._blocks)}")
         return i - 1
 
     def block(self, i: int) -> tuple[int, ...]:
         """Points of block i (1-based index)."""
-        return self._blocks[self._block_pos(i)]
+        return self._blocks[self.block_pos(i)]
 
-    def _point_pos(self, p: int) -> int:
+    def point_pos(self, p: int) -> int:
+        """Position p-1 of point p; IndexError outside 1..num_points."""
         if not 1 <= p <= self.num_points:
             raise IndexError(f"point id {p} outside 1..{self.num_points}")
         return p - 1
 
     def join_row(self, p: int) -> tuple[int, ...]:
         """Entry q-1 is the index of the block through points p and q (0 at q = p)."""
-        return self._join_rows[self._point_pos(p)]
+        return self._join_rows[self.point_pos(p)]
 
     def secants(self, points) -> int:
         """The bitset of the blocks holding at least two of the given points;
         each pair of the points lies on exactly one of them."""
-        once = twice = 0
-        for p in points:
-            on_p = self.point_blocks[self._point_pos(p)]
-            twice |= once & on_p
-            once |= on_p
-        return twice
+        return fold(self.point_blocks[self.point_pos(p)] for p in points)[1]
 
     def blocks_disjoint(self, i: int, j: int) -> bool:
-        return not self.block_meets[self._block_pos(i)] >> self._block_pos(j) & 1
+        return not self.block_meets[self.block_pos(i)] >> self.block_pos(j) & 1
 
     def points(self) -> range:
         return range(1, self.num_points + 1)

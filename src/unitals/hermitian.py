@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .design import AbstractUnital, NotAUnital, block_ids, validate_unital
+from .design import AbstractUnital, NotAUnital, block_ids, fold, validate_unital
 from .gf import GaloisField
 from .groups import PermGroup, closure, relative_to_first
 from .plane import ProjectivePlane, line_parameter
@@ -95,14 +95,10 @@ class HermitianEmbedding:
     line_to_block: dict  # plane line -> block index
 
     def block_line(self, i: int):
-        if not 1 <= i <= len(self.line_coords):
-            raise IndexError(f"block index {i} outside 1..{len(self.line_coords)}")
-        return self.line_coords[i - 1]
+        return self.line_coords[self.unital.block_pos(i)]
 
     def point(self, pid: int):
-        if not 1 <= pid <= len(self.point_coords):
-            raise IndexError(f"point id {pid} outside 1..{len(self.point_coords)}")
-        return self.point_coords[pid - 1]
+        return self.point_coords[self.unital.point_pos(pid)]
 
 
 def embedded_unital(plane: ProjectivePlane, points) -> tuple[AbstractUnital, tuple]:
@@ -199,18 +195,14 @@ def is_baer_subline(plane: ProjectivePlane, points) -> bool:
 def nuclei(plane: ProjectivePlane, point_set) -> tuple:
     """All points off the set through which every line meets it exactly once.
 
-    The set must have n+1 points, n the plane order.  Its tangents come from
-    the once/twice fold of `AbstractUnital.secants`.
+    The set must have n+1 points, n the plane order.  Its tangents are the
+    lines in the `design.fold` of its points' rows once but not twice.
     """
     s = frozenset(point_set)
     if len(s) != plane.order + 1:
         raise ValueError(f"nucleus sets must have {plane.order + 1} points, got {len(s)}")
     inc = plane.incidence
-    once = twice = 0
-    for p in s:
-        on_p = inc[plane.index(p)]
-        twice |= once & on_p
-        once |= on_p
+    once, twice = fold(inc[plane.index(p)] for p in s)
     tangents = once & ~twice
     return tuple(p for p, on_p in zip(plane.points, inc) if not on_p & ~tangents and p not in s)
 

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .design import AbstractUnital
 from .groups import PermGroup, compose, is_cyclic_regular, relative_to_first, structure_name
-from .persp import _projections
+from .persp import projections
 
 
 class TooFewBlocks(ValueError):
@@ -49,28 +49,24 @@ class LatinSquare:
 
 
 def is_dual_knet(u: AbstractUnital, blocks) -> bool:
-    """Exact check of both dual k-net conditions, read off the meet masks
-    and join rows.  The blocks are pairwise disjoint when each meets no
-    other; then the join of two points on different blocks holds points of
-    two disjoint net blocks, so it is none of them and meets each at most
-    once: it must meet them all."""
+    """Exact check of both dual k-net conditions, read off the meet masks.
+    The blocks are pairwise disjoint when each meets no other.  Then they
+    form a net exactly when each block c lies inside the full points of
+    every pair of the others, that is (see `find_dual_3nets`) when every
+    other block b gives c the one key meets[b-1] & meets[c-1].  A join of
+    points on B_i and B_j meets every B_l: from p on B_i the n+1 joins to
+    B_l meet B_j in n+1 distinct points, so one of them is the join."""
     blocks = list(blocks)
     if len(blocks) < 3:
         raise TooFewBlocks("a dual k-net needs k >= 3 blocks")
-    if len(set(blocks)) != len(blocks):
+    ids = [u.block_pos(b) for b in blocks]
+    if len(set(ids)) != len(ids):
         return False
-    points = [u.block(b) for b in blocks]  # IndexError outside 1..num_blocks
     meets = u.block_meets
-    net = sum(1 << b - 1 for b in blocks)
-    if any(meets[b - 1] & net != 1 << b - 1 for b in blocks):
+    net = sum(1 << i for i in ids)
+    if any(meets[i] & net != 1 << i for i in ids):
         return False
-    for i, pts in enumerate(points):
-        for p in pts:
-            join = u.join_row(p)
-            for other in points[i + 1 :]:
-                if any(meets[join[q - 1] - 1] & net != net for q in other):
-                    return False
-    return True
+    return all(len({meets[i] & meets[c] for i in ids if i != c}) == 1 for c in ids)
 
 
 def find_dual_3nets(u: AbstractUnital) -> tuple:
@@ -114,7 +110,7 @@ def latin_square_from_3net(u: AbstractUnital, net) -> LatinSquare:
         raise NotA3Net(f"need exactly 3 blocks, got {len(net)}")
     b1, b2, b3 = net
     try:
-        return LatinSquare(u.order + 1, tuple(_projections(u, b2, b3, u.block(b1))))
+        return LatinSquare(u.order + 1, tuple(projections(u, b2, b3, u.block(b1))))
     except ValueError as e:  # NotAFullPoint, or a square that is not latin
         raise NotA3Net(f"blocks {net} do not form a dual 3-net") from e
 

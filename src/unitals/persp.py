@@ -29,8 +29,8 @@ def full_points(u: AbstractUnital, b1: int, b2: int) -> tuple[int, ...]:
     """
     if b1 == b2:
         raise SameBlock("full points need two distinct blocks")
-    u.block(b1), u.block(b2)  # IndexError outside 1..num_blocks, before a negative index wraps
-    off = u.block_meets[b1 - 1] & ~u.block_meets[b2 - 1] | 1 << b1 - 1 | 1 << b2 - 1
+    i, j = u.block_pos(b1), u.block_pos(b2)
+    off = u.block_meets[i] & ~u.block_meets[j] | 1 << i | 1 << j
     return tuple(p for p, on_p in enumerate(u.point_blocks, start=1) if not on_p & off)
 
 
@@ -39,7 +39,8 @@ def full_point_rows(u: AbstractUnital):
     `empty` pairs have no full point, `single` pairs one, and `sets` maps each
     other b2 to its full points, all in increasing order.  A point p off b1 is
     a full point of (b1, b2) exactly when p is off b2 and b2 meets each join
-    of p to b1: AND their meet masks, and fold the results as `secants` does."""
+    of p to b1: AND their meet masks, and fold the results as `design.fold`
+    does, inline, as a call per point slows the sweep."""
     meets, joins = u.block_meets, [u.join_row(p) for p in u.points()]
     full = (1 << u.num_blocks) - 1
     for b1, blk in enumerate(u.all_blocks, start=1):
@@ -68,10 +69,10 @@ def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> tuple
     an image tuple: entry i is the position in b2 of the image of the i-th
     point of b1.  The center's join row names the join of each point, so
     each point of b1 is mapped by looking up its join among b2's."""
-    return _projections(u, b1, b2, (center,))[0]
+    return projections(u, b1, b2, (center,))[0]
 
 
-def _projections(u: AbstractUnital, b1: int, b2: int, centers) -> list[tuple[int, ...]]:
+def projections(u: AbstractUnital, b1: int, b2: int, centers) -> list[tuple[int, ...]]:
     """`perspectivity_map` from each center in turn; the blocks are checked once."""
     if b1 == b2:
         raise SameBlock("a perspectivity needs two distinct blocks")
@@ -100,7 +101,7 @@ def persp_generators(u: AbstractUnital, b1: int, b2: int, fp=None) -> list[tuple
         fp = full_points(u, b1, b2)
     if not fp:
         raise NoFullPoints(f"blocks ({b1},{b2}) have no full points")
-    return relative_to_first(_projections(u, b1, b2, fp))
+    return relative_to_first(projections(u, b1, b2, fp))
 
 
 def persp_group(u: AbstractUnital, b1: int, b2: int, fp=None) -> PermGroup:

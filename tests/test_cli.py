@@ -100,6 +100,23 @@ def test_hermitian_checks_out_dirs_before_building(runner, tmp_path, monkeypatch
     assert built == []
 
 
+@pytest.mark.parametrize("option", ["--out", "--coords"])
+def test_hermitian_file_that_cannot_be_written_gives_one_error_line(runner, tmp_path, monkeypatch, option):
+    target = str(tmp_path / "h2.out")
+
+    def full_open(path, *args, **kwargs):
+        if str(path) == target:
+            raise OSError(28, "No space left on device", path)
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", full_open, raising=False)
+    result = runner.invoke(main, ["hermitian", "--q", "2", option, target])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.splitlines() == [f"ERROR OUT: cannot write {target}: No space left on device"]
+    assert "wrote" not in result.stdout
+
+
 def test_hermitian_bad_order(runner):
     result = runner.invoke(main, ["hermitian", "--q", "6"])
     assert result.exit_code == 1

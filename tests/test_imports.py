@@ -1,8 +1,10 @@
 """What importing the package and the CLI loads, each in a fresh interpreter."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -95,3 +97,14 @@ def test_a_wrapper_on_the_module_is_not_kept_in_the_package():
         "print('ok')\n"
     )
     assert out.strip() == "ok"
+
+
+def test_no_module_imports_a_private_name_of_another_unitals_module():
+    """A `_` name is its module's own: another module that needs it needs a
+    public name instead."""
+    private = []
+    for path in sorted(Path(SRC, "unitals").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "unitals"):
+                private += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert private == []

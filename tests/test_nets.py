@@ -113,15 +113,23 @@ def _is_dual_knet_by_definition(u, blocks, join):
 
 def test_dual_knet_matches_definition(appendix, h2, h4):
     """Every ordered triple of H(2) blocks, repeats included; fixed-seed
-    appendix triples; every net of the appendix unital and of H(4), and each
-    of those nets with its first block disjoint from all three."""
+    appendix triples and 4-sets; every net of the appendix unital and of
+    H(4), that net with its first block disjoint from all three, and with
+    the first two disjoint blocks disjoint from all three, where two exist."""
     rng = random.Random(3)
     cases = [(h2.unital, t) for t in product(h2.unital.block_indices(), repeat=3)]
-    cases += [(appendix, rng.sample(appendix.block_indices(), 3)) for _ in range(2000)]
+    cases += [(appendix, rng.sample(appendix.block_indices(), k)) for k in (3, 4) for _ in range(2000)]
+    extended = 0
     for u in (appendix, h4.unital):
         for net in find_dual_3nets(u):
             met = u.block_meets[net[0] - 1] | u.block_meets[net[1] - 1] | u.block_meets[net[2] - 1]
-            cases += [(u, net), (u, net + (next(c for c in u.block_indices() if not met >> c - 1 & 1),))]
+            free = [c for c in u.block_indices() if not met >> c - 1 & 1]
+            cases += [(u, net), (u, net + (free[0],))]
+            pair = next(((c, d) for c, d in combinations(free, 2) if u.blocks_disjoint(c, d)), None)
+            if pair:
+                cases.append((u, net + pair))
+                extended += 1
+    assert extended > 0
     joins = {u: _joins(u) for u in (h2.unital, appendix, h4.unital)}
     nets = 0
     for u, blocks in cases:
@@ -129,6 +137,16 @@ def test_dual_knet_matches_definition(appendix, h2, h4):
         assert is_dual_knet(u, blocks) == expected, blocks
         nets += expected
     assert nets > 86 + 416
+
+
+@pytest.mark.parametrize("bad", [0, -1, 209], ids=["zero", "negative", "num_blocks+1"])
+@pytest.mark.parametrize("position", range(3))
+def test_dual_knet_rejects_a_block_id_out_of_range(appendix, bad, position):
+    net = list(APPENDIX_NET)
+    net[position] = bad
+    assert appendix.num_blocks == 208
+    with pytest.raises(IndexError):
+        is_dual_knet(appendix, net)
 
 
 def test_too_few_blocks(appendix):

@@ -147,8 +147,8 @@ def test_single_full_point_gives_trivial_group(h4, h4_pair_fp):
 
 def test_persp_group_projects_once_per_full_point(appendix, monkeypatch):
     calls = []
-    real = persp._projections
-    monkeypatch.setattr(persp, "_projections", lambda *args: calls.append(args) or real(*args))
+    real = persp.projections
+    monkeypatch.setattr(persp, "projections", lambda *args: calls.append(args) or real(*args))
     fp = full_points(appendix, 1, 33)
     persp_group(appendix, 1, 33, fp=fp)
     assert len(fp) == 5
