@@ -11,7 +11,7 @@ _MODULE_OF = {
     "builtin_appendix_unital": "formats", "load_unital": "formats", "parse_unital": "formats",
     "GaloisField": "gf",
     "structure_name": "groups",
-    "HermitianEmbedding": "hermitian", "hermitian_unital": "hermitian",
+    "Embedding": "hermitian", "hermitian_unital": "hermitian",
     "full_points": "persp", "persp_group": "persp", "perspectivity_map": "persp",
     "find_dual_3nets": "nets", "is_cyclic_3net": "nets", "is_dual_knet": "nets", "is_group_based": "nets",
     "latin_square_from_3net": "nets",

@@ -11,6 +11,7 @@ stderr.
 from __future__ import annotations
 
 import csv
+import errno
 import os
 import sys
 
@@ -46,7 +47,8 @@ def _write(path: str, fill) -> None:
 
 class _Group(click.Group):
     """Usage errors as one ``ERROR ARGS:`` line, from the group's options and
-    from a command; a bare ``unital`` (a usage error in click 8.2+) prints help."""
+    from a command; a bare ``unital`` (a usage error in click 8.2+) prints help.
+    A standard output that cannot be written is one ``ERROR OUT:`` line."""
 
     def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
         try:
@@ -61,6 +63,15 @@ class _Group(click.Group):
             return super().invoke(ctx)
         except click.UsageError as e:
             _fail("ARGS", e.format_message())
+        except OSError as e:
+            import traceback
+            # standard output is written by `click.echo` without err=True; click ends a broken pipe quietly
+            frames = [frame for frame, _ in traceback.walk_tb(e.__traceback__)]
+            if e.errno == errno.EPIPE or not any(f.f_code is click.echo.__code__ and not f.f_locals["err"] for f in frames):
+                raise
+            # what stays buffered is flushed at exit: to nowhere, not to a second error line
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _fail("OUT", f"cannot write standard output: {e.strerror or e}")
 
 
 @click.group(cls=_Group)
@@ -176,10 +187,12 @@ def _census_worker(path):
 def census_cmd(directory: str, prefix: str, library: str | None) -> None:
     """Classify every unital file in DIRECTORY and write table CSVs."""
     _check_out_dir("--out", prefix)
+    try:
+        names = os.listdir(directory)
+    except OSError as e:
+        _fail("CENSUS", f"cannot read {directory}: {e.strerror or e}")
     paths = sorted(
-        os.path.join(directory, f)
-        for f in os.listdir(directory)
-        if not f.startswith(".") and os.path.isfile(os.path.join(directory, f))
+        os.path.join(directory, f) for f in names if not f.startswith(".") and os.path.isfile(os.path.join(directory, f))
     )
     if not paths:
         _fail("CENSUS", f"no unital files in {directory}")

@@ -4,8 +4,8 @@ The Hermitian form is fixed as the identity form sum(x_i^(q+1)); all
 Hermitian polarities are projectively equivalent to it, so nothing is
 lost.  The curve (set of self-conjugate points) has q^3+1 points.  Like
 any embedded unital (`embedded_unital`), its blocks are its secant lines,
-found as the joins of its points; the natural embedding's point/line maps
-are retained for the geometric analyses: polar triangles, Baer-subline
+found as the joins of its points, and its `Embedding` keeps the point and
+line maps for the geometric analyses: polar triangles, Baer-subline
 tests, nuclei and the affine perspectivity group of a disjoint block pair.
 """
 
@@ -17,7 +17,7 @@ from functools import lru_cache
 from .design import AbstractUnital, NotAUnital, block_ids, fold, validate_unital
 from .gf import GaloisField
 from .groups import PermGroup, closure, relative_to_first
-from .plane import ProjectivePlane, line_parameter
+from .plane import ProjectivePlane
 
 MAX_Q = 5
 
@@ -86,8 +86,9 @@ def polar_triangle_completion(plane: ProjectivePlane, l1, l2):
 
 
 @dataclass(frozen=True)
-class HermitianEmbedding:
-    q: int
+class Embedding:
+    """A unital in a plane: the plane point of each point, the line of each block."""
+
     plane: ProjectivePlane
     unital: AbstractUnital
     point_coords: tuple  # point id (1-based) -> plane point
@@ -101,8 +102,8 @@ class HermitianEmbedding:
         return self.point_coords[self.unital.point_pos(pid)]
 
 
-def embedded_unital(plane: ProjectivePlane, points) -> tuple[AbstractUnital, tuple]:
-    """The unital a plane point set carries, with the line of each block.
+def embedded_unital(plane: ProjectivePlane, points) -> Embedding:
+    """The unital a plane point set carries, as its `Embedding`.
 
     Point i is the i-th given point (1-based).  The blocks are the secant
     lines, the joins of two of the points, listed in `plane.lines` order;
@@ -136,26 +137,18 @@ def embedded_unital(plane: ProjectivePlane, points) -> tuple[AbstractUnital, tup
                 covered[j - 1] |= mask
             on_line[plane.line_through(pts[i], pts[block[1] - 1])] = block
     block_lines = tuple(l for l in plane.lines if l in on_line)
-    return validate_unital(len(pts), [on_line[l] for l in block_lines]), block_lines
+    unital = validate_unital(len(pts), [on_line[l] for l in block_lines])
+    return Embedding(plane, unital, pts, block_lines, {l: i for i, l in enumerate(block_lines, start=1)})
 
 
 @lru_cache(maxsize=None)
-def hermitian_unital(q: int) -> HermitianEmbedding:
+def hermitian_unital(q: int) -> Embedding:
     """Construct H(q) with its natural embedding in PG(2,q^2)."""
     plane = hermitian_plane(q)
-    curve = self_conjugate_points(plane)
-    unital, block_lines = embedded_unital(plane, curve)
-    return HermitianEmbedding(
-        q=q,
-        plane=plane,
-        unital=unital,
-        point_coords=curve,
-        line_coords=block_lines,
-        line_to_block={l: i for i, l in enumerate(block_lines, start=1)},
-    )
+    return embedded_unital(plane, self_conjugate_points(plane))
 
 
-def polar_triangles_through_block(emb: HermitianEmbedding, block_index: int) -> tuple:
+def polar_triangles_through_block(emb: Embedding, block_index: int) -> tuple:
     """All polar triangles containing the given block, as sorted index triples."""
     plane = emb.plane
     l1 = emb.block_line(block_index)
@@ -169,7 +162,7 @@ def polar_triangles_through_block(emb: HermitianEmbedding, block_index: int) -> 
     return tuple(sorted(triangles))
 
 
-def all_polar_triangles(emb: HermitianEmbedding) -> tuple:
+def all_polar_triangles(emb: Embedding) -> tuple:
     triangles = set()
     for i in emb.unital.block_indices():
         triangles.update(polar_triangles_through_block(emb, i))
@@ -177,8 +170,9 @@ def all_polar_triangles(emb: HermitianEmbedding) -> tuple:
 
 
 def is_baer_subline(plane: ProjectivePlane, points) -> bool:
-    """Cross-ratio test: with the first two points at parameters 0 and INFINITY, the cross
-    ratio (0, INFINITY; t3, t) of the third and each further point, t3/t, lies in GF(q)."""
+    """Cross-ratio test: (P0, P1; P2, P) = d(P0, P2)*d(P1, P) / (d(P1, P2)*d(P0, P))
+    lies in GF(q) for each further point P, d(P, Q) the 2x2 minor P_a*Q_b - P_b*Q_a
+    on the first coordinate pair (a, b) where d(P0, P1) != 0; no factor is 0."""
     pts = list(points)
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
@@ -188,8 +182,14 @@ def is_baer_subline(plane: ProjectivePlane, points) -> bool:
     if not all(plane.incident(p, line) for p in pts):
         raise NotCollinear("points do not lie on one line")
     f = plane.field
-    ts = [line_parameter(plane, pts[0], pts[1], p) for p in pts[2:]]  # all finite and nonzero
-    return all(f.is_in_subfield(f.div(ts[0], t)) for t in ts[1:])
+    p0, p1, p2 = pts[:3]
+    a, b = next((a, b) for a, b in ((0, 1), (0, 2), (1, 2)) if f.mul(p0[a], p1[b]) != f.mul(p0[b], p1[a]))
+
+    def d(u, v):
+        return f.sub(f.mul(u[a], v[b]), f.mul(u[b], v[a]))
+
+    c0, c1 = d(p0, p2), d(p1, p2)
+    return all(f.is_in_subfield(f.div(f.mul(c0, d(p1, p)), f.mul(c1, d(p0, p)))) for p in pts[3:])
 
 
 def nuclei(plane: ProjectivePlane, point_set) -> tuple:
@@ -222,7 +222,7 @@ class Gamma1Record:
     z_on_nuclei_line: bool
 
 
-def gamma1_analysis(emb: HermitianEmbedding, b1: int, b2: int) -> Gamma1Record:
+def gamma1_analysis(emb: Embedding, b1: int, b2: int) -> Gamma1Record:
     """Group generated by composed line perspectivities centered at the
     nuclei of b1 ∪ (l2 \\ b2), acting on the line of b1."""
     u = emb.unital

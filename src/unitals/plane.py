@@ -15,10 +15,6 @@ from functools import cached_property, reduce
 from .design import block_ids
 from .gf import GaloisField
 
-#: marker for the infinite parameter of a projective line, used by
-#: line_parameter
-INFINITY = None
-
 
 class ProjectivePlane:
     def __init__(self, field: GaloisField):
@@ -95,20 +91,4 @@ class ProjectivePlane:
 
     def __repr__(self) -> str:
         return f"ProjectivePlane(order={self.order})"
-
-
-def line_parameter(plane: ProjectivePlane, a, b, p):
-    """Parameter of p on the line spanned by a and b: p ~ alpha*a + beta*b,
-    returned as t = beta/alpha (INFINITY when alpha = 0, i.e. p = b)."""
-    f = plane.field
-    for i in range(3):
-        for j in range(i + 1, 3):
-            det = f.sub(f.mul(a[i], b[j]), f.mul(a[j], b[i]))
-            if det:
-                alpha = f.sub(f.mul(p[i], b[j]), f.mul(p[j], b[i]))
-                beta = f.sub(f.mul(a[i], p[j]), f.mul(a[j], p[i]))
-                if alpha == 0:
-                    return INFINITY
-                return f.div(beta, alpha)
-    raise ValueError("base points are not independent")
 

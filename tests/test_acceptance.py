@@ -72,7 +72,7 @@ def test_criterion_01_hermitian_construction(capsys):
 def test_criterion_02_conjugate_pairs_even_q(capsys, h2, h4, h4_pair_fp):
     with _Check(capsys, 2, "conjugate disjoint pairs: full points = third triangle block", limit=60):
         for emb in (h2, h4):
-            q = emb.q
+            q = emb.unital.order
             u = emb.unital
             pair_fp = h4_pair_fp if q == 4 else {(b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()}
             checked = 0
@@ -106,7 +106,7 @@ def test_criterion_04_nonconjugate_pairs_h4(capsys, h4, h4_pair_fp):
 def test_criterion_05_hermitian_strong_regularity(capsys, h3, h4, h4_pair_fp):
     with _Check(capsys, 5, "H(3), H(4): every disjoint pair SFPR, cyclic semi-regular group", limit=300):
         for emb in (h3, h4):
-            q = emb.q
+            q = emb.unital.order
             u = emb.unital
             pair_fp = h4_pair_fp if q == 4 else {(b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()}
             for (b1, b2), fp in pair_fp.items():

@@ -124,7 +124,7 @@ def test_classify_hermitian_small(h2, h3):
     for emb, name in ((h2, "H(2)"), (h3, "H(3)")):
         rep = classify_unital(emb.unital, name)
         assert rep.name == name
-        assert rep.order == emb.q
+        assert rep.order == emb.unital.order
         assert rep.is_fpr and rep.is_sfpr and rep.embeddable_in_pg
         assert sum(rep.pair_kinds.values()) == sum(1 for _ in emb.unital.disjoint_block_pairs())
     rep2 = classify_unital(h2.unital, "H(2)")

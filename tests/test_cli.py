@@ -1,6 +1,9 @@
 import builtins
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import click
 import pytest
@@ -360,6 +363,25 @@ def test_census_worker_returns_the_report_unchanged(tmp_path, h2):
     assert report == census.classify_unital(h2.unital, "h2.txt")
 
 
+def test_census_directory_that_cannot_be_listed_gives_one_error_line(runner, tmp_path, monkeypatch):
+    """A directory without read permission (permission bits do not stop a
+    superuser, so `os.listdir` is replaced instead)."""
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    listdir = os.listdir
+
+    def fake_listdir(path="."):
+        if str(path) == str(locked):
+            raise PermissionError(13, "Permission denied", str(path))
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", fake_listdir)
+    result = runner.invoke(main, ["census", str(locked), "--out", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.splitlines() == [f"ERROR CENSUS: cannot read {locked}: Permission denied"]
+
+
 def test_census_empty_dir(runner, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -392,6 +414,19 @@ def test_usage_errors_give_one_error_line(runner, tmp_path, appendix_file, args)
     assert isinstance(result.exception, SystemExit)
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR ARGS:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device that is always full")
+@pytest.mark.parametrize("args", [["hermitian", "--q", "2"], ["validate", "{appendix}"]], ids=["hermitian", "validate"])
+def test_full_standard_output_gives_one_error_line(appendix_file, args):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-m", "unitals.cli", *(a.format(appendix=appendix_file) for a in args)]
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR OUT: cannot write standard output: ")
 
 
 @pytest.mark.parametrize("args", [[], ["--help"]])

@@ -149,6 +149,16 @@ def test_dual_knet_rejects_a_block_id_out_of_range(appendix, bad, position):
         is_dual_knet(appendix, net)
 
 
+def test_dual_knet_rejects_pairwise_meeting_blocks_with_one_meet_key():
+    """The three blocks of a triangle pairwise meet, and each block's meet
+    mask is all three, so every pair gives each block the one key 0b111:
+    only the disjointness check rejects them."""
+    join_rows = ((0, 1, 2), (1, 0, 3), (2, 3, 0))
+    u = AbstractUnital(1, 3, ((1, 2), (1, 3), (2, 3)), join_rows)
+    assert u.block_meets == (0b111,) * 3
+    assert is_dual_knet(u, (1, 2, 3)) is False
+
+
 def test_too_few_blocks(appendix):
     with pytest.raises(TooFewBlocks):
         is_dual_knet(appendix, (1, 33))

@@ -61,7 +61,7 @@ def test_hermitian_conjugate_pair_full_points_are_third_block(h4, h4_triangles):
     tri = sorted(h4_triangles)[0]
     fp = full_points(u, tri[0], tri[1])
     assert set(fp) == set(u.block(tri[2]))
-    assert len(fp) == h4.q + 1
+    assert len(fp) == h4.unital.order + 1
 
 
 def test_perspectivity_is_position_bijection(appendix):
@@ -90,7 +90,7 @@ def test_hermitian_projection_index_pattern(h4):
     so projecting the X1=0 block from the X3=0 block sends index i to -i-k."""
     plane = h4.plane
     f = plane.field
-    q = h4.q
+    q = h4.unital.order
     eps = [e for e in f.elements() if e and f.pow(e, q + 1) == 1]
     gen = next(e for e in eps if all(f.pow(e, d) != 1 for d in range(1, q + 1)))
     a_pts = [plane.normalize((0, 1, f.pow(gen, i))) for i in range(q + 1)]
@@ -142,7 +142,7 @@ def test_single_full_point_gives_trivial_group(h4, h4_pair_fp):
     pair = next(k for k, v in h4_pair_fp.items() if len(v) == 1)
     g = persp_group(h4.unital, *pair, fp=h4_pair_fp[pair])
     assert g.order() == 1
-    assert g.degree == h4.q + 1
+    assert g.degree == h4.unital.order + 1
 
 
 def test_persp_group_projects_once_per_full_point(appendix, monkeypatch):

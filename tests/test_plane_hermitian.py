@@ -25,7 +25,7 @@ from unitals.hermitian import (
     self_conjugate_points,
 )
 from unitals.persp import full_points
-from unitals.plane import INFINITY, ProjectivePlane, line_parameter
+from unitals.plane import ProjectivePlane
 
 
 def test_base_prime_power():
@@ -82,6 +82,16 @@ def test_hermitian_unital_is_design(q):
     assert u.num_blocks == q * q * (q * q - q + 1)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_hermitian_unital_is_the_embedded_unital_of_the_curve(q):
+    emb = hermitian_unital(q)
+    plane = hermitian_plane(q)
+    built = embedded_unital(plane, self_conjugate_points(plane))
+    assert emb.plane is built.plane is plane
+    assert emb.unital.all_blocks == built.unital.all_blocks
+    assert (emb.point_coords, emb.line_coords, emb.line_to_block) == (built.point_coords, built.line_coords, built.line_to_block)
+
+
 def _reference_hermitian(q):
     """H(q) as first built, from incidence alone: the curve points on each
     line that is not self-conjugate, lines in plane order."""
@@ -126,9 +136,9 @@ def test_embedded_unital_matches_pairwise_reference(q):
     for shuffles in range(4):
         if shuffles:
             rng.shuffle(curve)
-        u, lines = embedded_unital(plane, curve)
+        emb = embedded_unital(plane, curve)
         reference, reference_lines = _pairwise_embedded_unital(plane, curve)
-        assert (u.all_blocks, lines) == (reference.all_blocks, reference_lines)
+        assert (emb.unital.all_blocks, emb.line_coords) == (reference.all_blocks, reference_lines)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -168,8 +178,8 @@ def test_embedded_unital_reads_no_incidence_cache(monkeypatch):
     monkeypatch.setattr(ProjectivePlane, "incidence", property(refuse))
     plane = ProjectivePlane(GaloisField(2, 2))
     curve = self_conjugate_points(plane)
-    u, lines = embedded_unital(plane, curve)
-    assert (u.num_points, u.num_blocks, len(lines)) == (9, 12, 12)
+    emb = embedded_unital(plane, curve)
+    assert (emb.unital.num_points, emb.unital.num_blocks, len(emb.line_coords)) == (9, 12, 12)
 
 
 def test_embedded_unital_rejects_non_unital():
@@ -298,23 +308,51 @@ def test_embedding_maps_are_consistent(h3):
         assert {h3.point(p) for p in h3.unital.block(i)} == on_line
 
 
-def test_line_parameter_recovers_points():
-    plane = hermitian_plane(2)
-    line = plane.lines[3]
-    pts = plane.points_on_line(line)
-    a, b = pts[0], pts[1]
-    params = [line_parameter(plane, a, b, p) for p in pts]
-    assert params.count(INFINITY) == 1
-    finite = [t for t in params if t is not INFINITY]
-    assert len(set(finite)) == len(finite)
-
-
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_hermitian_blocks_are_baer_sublines(q):
     emb = hermitian_unital(q)
     for i in emb.unital.block_indices():
         pts = [emb.point(p) for p in emb.unital.block(i)]
         assert is_baer_subline(emb.plane, pts)
+
+
+def _baer_subline_through(plane, p0, p1, p2):
+    """The q+1 points a*P0' + b*P1' over (a : b) in PG(1, q), with P0 and P1
+    scaled by search so that P2 = P0' + P1'."""
+    f = plane.field
+    q = f.subfield_order
+    subfield = [x for x in f.elements() if f.pow(x, q) == x]
+    scale = next(s for s in f.elements() if plane.normalize([f.add(f.mul(s, x), y) for x, y in zip(p0, p1)]) == p2)
+    p0 = [f.mul(scale, x) for x in p0]
+    return {tuple(p1)} | {plane.normalize([f.add(x, f.mul(t, y)) for x, y in zip(p0, p1)]) for t in subfield}
+
+
+def _baer_cases(q):
+    """Every block of H(q), shuffled, each block with one point swapped for
+    another point of its line, and seeded random collinear sets."""
+    emb = hermitian_unital(q)
+    plane, rng = emb.plane, random.Random(q)
+    for i in emb.unital.block_indices():
+        pts = [emb.point(p) for p in emb.unital.block(i)]
+        rng.shuffle(pts)
+        yield pts
+        off_block = [p for p in plane.points_on_line(emb.block_line(i)) if p not in pts]
+        yield pts[:-1] + [rng.choice(off_block)]
+        yield [rng.choice(off_block)] + pts[1:]
+    for _ in range(300):
+        line = rng.choice(plane.lines)
+        yield rng.sample(plane.points_on_line(line), rng.randint(3, q + 2))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_baer_subline_matches_the_subline_through_three_points(q):
+    plane = hermitian_plane(q)
+    verdicts = []
+    for pts in _baer_cases(q):
+        expected = set(pts) <= _baer_subline_through(plane, *pts[:3])
+        assert is_baer_subline(plane, pts) == expected
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
 
 
 def test_perturbed_baer_subline_fails():
