@@ -6,14 +6,15 @@ block beyond the first two lies wholly inside the full-point set of the
 first two, which the search below tests from the meet masks alone.  A
 dual 3-net yields a latin square of order n+1 whose main class
 (parastrophe and isotopy closure) carries the classification:
-group-based or not, cyclic or not.
+group-based or not, cyclic or not.  `latin_square_from_3net` and
+`is_cyclic_3net` share one checked row kernel; only the first builds a square.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 from .design import AbstractUnital
 from .groups import PermGroup, compose, is_cyclic_regular, relative_to_first, structure_name
@@ -77,42 +78,50 @@ def find_dual_3nets(u: AbstractUnital) -> tuple:
     meets[c-1]: a block other than c meets c at most once, so for x off c
     the AND is the disjoint union over p in c of the joins of p to x; and p
     is a full point of (a, b) iff its n+1 joins to a are its joins to b.
-    Each c keys the blocks below it by that AND: the disjoint pairs sharing
-    a key without bit c (only blocks meeting c have it) are the nets whose
-    largest block is c."""
-    meets = u.block_meets
-    nets = []
+    Each c keys by that AND the blocks below it that miss it (the 1 digits
+    of ~meets[c-1]); the disjoint pairs sharing a key are the nets topped by c."""
+    meets, nets = u.block_meets, []
     for c, mc in enumerate(meets, start=1):
-        keys = list(map(mc.__and__, meets[: c - 1]))
+        below = bin(~mc & (1 << c - 1) - 1 | 1 << c - 1)[:2:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+        keys = list(map(mc.__and__, compress(meets, below)))
         if len(set(keys)) == len(keys):
             continue
+        ids = list(compress(range(1, c), below))
         for key, count in Counter(keys).items():
-            if count > 1 and not key >> c - 1 & 1:
-                group = [keys.index(key) + 1]  # block ids: index + 1
+            if count > 1:
+                group = [keys.index(key)]
                 while len(group) < count:
-                    group.append(keys.index(key, group[-1]) + 1)
+                    group.append(keys.index(key, group[-1] + 1))
+                group = [ids[i] for i in group]
                 nets.extend((a, b, c) for a, b in combinations(group, 2) if not meets[a - 1] >> b - 1 & 1)
     return tuple(sorted(nets))
 
 
-def latin_square_from_3net(u: AbstractUnital, net) -> LatinSquare:
-    """Coordinate latin square of a dual 3-net, rows/columns/symbols labeled
-    by the sorted point order within each block.
-
-    Building the square is the check.  Row p is the projection of b2 onto b3
-    from p in b1, which exists exactly when p is off b2 and b3 and each of its
-    joins to b2 meets b3.  A latin result rules out b2 meeting b3 (that
-    point's column would be constant), and its rows and columns say that the
-    joins of b1 x b3 and of b2 x b3 meet the third block: a dual 3-net.
-    """
+def _square_rows(u: AbstractUnital, net) -> list[tuple[int, ...]]:
+    """Rows of the coordinate square of (b1, b2, b3), sorted: row p projects
+    b2 onto b3 from the p-th point of b1; `NotA3Net` unless they are latin,
+    that is (and then the blocks are a dual 3-net) unless a projection is
+    missing or b2 meets b3.  A row is injective, as its center is off b2 and
+    b3; a column repeats only if some q of b2 lies on b3, as two centers on
+    b1 sent to one point of b3 share a block with q; if b2 meets b3 at z,
+    z's column is constant."""
     net = tuple(sorted(net))
     if len(net) != 3:
         raise NotA3Net(f"need exactly 3 blocks, got {len(net)}")
     b1, b2, b3 = net
     try:
-        return LatinSquare(u.order + 1, tuple(projections(u, b2, b3, u.block(b1))))
-    except ValueError as e:  # NotAFullPoint, or a square that is not latin
+        rows = projections(u, b2, b3, u.block(b1))
+    except ValueError as e:  # SameBlock or NotAFullPoint
         raise NotA3Net(f"blocks {net} do not form a dual 3-net") from e
+    if u.block_meets[b2 - 1] >> b3 - 1 & 1:
+        raise NotA3Net(f"blocks {net} do not form a dual 3-net: {b2} meets {b3}")
+    return rows
+
+
+def latin_square_from_3net(u: AbstractUnital, net) -> LatinSquare:
+    """Coordinate latin square of a dual 3-net, labeled by the sorted point
+    order within each block: the rows of `_square_rows`, already checked."""
+    return LatinSquare(u.order + 1, tuple(_square_rows(u, net)))
 
 
 def is_group_based(sq: LatinSquare) -> str | None:
@@ -139,5 +148,5 @@ def is_cyclic_square(sq: LatinSquare) -> bool:
 
 def is_cyclic_3net(u: AbstractUnital, net) -> bool:
     """True when the coordinate latin square is based on the cyclic group
-    of order n+1."""
-    return is_cyclic_square(latin_square_from_3net(u, net))
+    of order n+1: `is_cyclic_square` of the kernel's rows, building no square."""
+    return is_cyclic_regular(relative_to_first(_square_rows(u, net)))

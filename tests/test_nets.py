@@ -289,7 +289,7 @@ def _square_by_definition(u, net):
     )
 
 
-def test_latin_square_raises_exactly_off_dual_3nets(appendix, h2):
+def _triple_cases(appendix, h2):
     """All appendix nets, fixed-seed triples (1, b, c) of the appendix unital
     and every ordered triple of H(2), repeated blocks included."""
     nets = find_dual_3nets(appendix)
@@ -297,9 +297,12 @@ def test_latin_square_raises_exactly_off_dual_3nets(appendix, h2):
     rng = random.Random(11)
     cases = [(appendix, net) for net in nets]
     cases += [(appendix, (1, *rng.sample(range(2, appendix.num_blocks + 1), 2))) for _ in range(2000)]
-    cases += [(h2.unital, t) for t in product(h2.unital.block_indices(), repeat=3)]
+    return cases + [(h2.unital, t) for t in product(h2.unital.block_indices(), repeat=3)]
+
+
+def test_latin_square_raises_exactly_off_dual_3nets(appendix, h2):
     found = 0
-    for u, net in cases:
+    for u, net in _triple_cases(appendix, h2):
         if is_dual_knet(u, net):
             found += 1
             assert latin_square_from_3net(u, net).rows == _square_by_definition(u, net)
@@ -307,6 +310,50 @@ def test_latin_square_raises_exactly_off_dual_3nets(appendix, h2):
             with pytest.raises(NotA3Net):
                 latin_square_from_3net(u, net)
     assert found > 86
+
+
+def test_cyclic_3net_raises_exactly_off_dual_3nets(appendix, h2, h4, h4_triangles):
+    """`_triple_cases` and every one-block swap of a few H(4) nets (order-3
+    unitals have no dual 3-net to swap from): the verdict is the square's
+    wherever the triple is a net, and `NotA3Net` everywhere else."""
+    cases = _triple_cases(appendix, h2)
+    for net in sorted(h4_triangles)[:3]:
+        for i, b in product(range(3), h4.unital.block_indices()):
+            cases.append((h4.unital, net[:i] + (b,) + net[i + 1 :]))
+    found = 0
+    for u, net in cases:
+        if is_dual_knet(u, net):
+            found += 1
+            assert is_cyclic_3net(u, net) == is_cyclic_square(latin_square_from_3net(u, net))
+        else:
+            with pytest.raises(NotA3Net):
+                is_cyclic_3net(u, net)
+    assert found > 86 + 3
+
+
+@pytest.mark.parametrize("check", [is_cyclic_3net, latin_square_from_3net])
+@pytest.mark.parametrize("bad", [0, -1, 209], ids=["zero", "negative", "num_blocks+1"])
+@pytest.mark.parametrize("position", range(3))
+def test_net_square_rejects_a_block_id_out_of_range(appendix, check, bad, position):
+    net = list(APPENDIX_NET)
+    net[position] = bad
+    with pytest.raises(IndexError):
+        check(appendix, net)
+
+
+def test_net_square_rejects_meeting_b2_b3_with_full_points():
+    """Blocks 2 = {3, 4} and 3 = {4, 5} meet at 4, and both points of block
+    1 = {1, 2} project block 2 onto block 3 (the join rows are hand-built;
+    the constructor checks nothing).  Both rows are (1, 0), so column 4 is
+    constant: only the disjointness check of b2 and b3 rejects the triple."""
+    blocks = ((1, 2), (3, 4), (4, 5), (1, 3, 5), (2, 3, 5), (1, 4), (2, 4))
+    join_rows = ((0, 1, 4, 6, 4), (1, 0, 5, 7, 5), (4, 5, 0, 2, 4), (6, 7, 2, 0, 3), (4, 5, 4, 3, 0))
+    u = AbstractUnital(1, 5, blocks, join_rows)
+    assert [u.join_row(p)[q - 1] for p in (1, 2) for q in (3, 4, 5)] == [4, 6, 4, 5, 7, 5]
+    assert is_dual_knet(u, (1, 2, 3)) is False
+    for check in (is_cyclic_3net, latin_square_from_3net):
+        with pytest.raises(NotA3Net, match="2 meets 3"):
+            check(u, (1, 2, 3))
 
 
 def test_latin_square_row_column_property(h4, h4_triangles):
