@@ -163,11 +163,9 @@ def dualnets(file: str, latin: bool) -> None:
     found = nets.find_dual_3nets(u)
     click.echo(f"{len(found)} embedded dual 3-net(s)")
     for net in found:
-        sq = nets.latin_square_from_3net(u, net) if latin else None
-        cyclic = nets.is_cyclic_square(sq) if latin else nets.is_cyclic_3net(u, net)
-        click.echo(f"blocks {list(net)}: {'cyclic' if cyclic else 'non-cyclic'}")
+        click.echo(f"blocks {list(net)}: {'cyclic' if nets.is_cyclic_3net(u, net) else 'non-cyclic'}")
         if latin:
-            click.echo(sq.serialize())
+            click.echo(nets.latin_square_from_3net(u, net).serialize())
 
 
 def _census_worker(path):

@@ -4,8 +4,8 @@ The Hermitian form is fixed as the identity form sum(x_i^(q+1)); all
 Hermitian polarities are projectively equivalent to it, so nothing is
 lost.  The curve (set of self-conjugate points) has q^3+1 points.  Like
 any embedded unital (`embedded_unital`), its blocks are its secant lines,
-found as the joins of its points, and its `Embedding` keeps the point and
-line maps for the geometric analyses: polar triangles, Baer-subline
+read off the plane's incidence table, and its `Embedding` keeps the point
+and line maps for the geometric analyses: polar triangles, Baer-subline
 tests, nuclei and the affine perspectivity group of a disjoint block pair.
 """
 
@@ -106,39 +106,24 @@ def embedded_unital(plane: ProjectivePlane, points) -> Embedding:
     """The unital a plane point set carries, as its `Embedding`.
 
     Point i is the i-th given point (1-based).  The blocks are the secant
-    lines, the joins of two of the points, listed in `plane.lines` order;
-    a tangent line holds one point and is no join.  Each secant is found
-    once, from its first point, by a key of its joins that needs no cross
-    product.  Raises NotAUnital when the points are not distinct members of
-    `plane.points` or their secant sections do not form a unital.
+    lines, read off `plane.incidence` in `plane.lines` order: each line
+    whose row holds two or more of the points.  Raises NotAUnital when the
+    points are not distinct members of `plane.points` or their secant
+    sections do not form a unital.
     """
     pts = tuple(points)
-    if len(set(pts)) != len(pts) or not set(pts) <= set(plane.points):
-        raise NotAUnital("the points must be distinct points of the plane, in its normalised coordinates")
-    f = plane.field
-    covered = [0] * len(pts)  # bit j of covered[i]: points i and j lie on a block found so far
-    on_line: dict = {}
-    for i, (x, y, z) in enumerate(pts):
-        later = ((1 << len(pts)) - (2 << i)) & ~covered[i]
-        joins: dict = {}
-        for j in block_ids(later):  # 1-based
-            x2, y2, z2 = pts[j - 1]
-            if z:  # i affine: the join's point at infinity, from j - i, or j itself when at infinity
-                dx, dy = (f.sub(x2, x), f.sub(y2, y)) if z2 else (x2, y2)
-                key = (f.div(dx, dy), 1) if dy else (1, 0)
-            elif z2:  # i = (x, y, 0) at infinity: the intercept of the join, the line through j in direction i
-                key = f.sub(x2, f.mul(x, y2)) if y else y2
-            else:  # both at infinity: the line at infinity
-                key = None
-            joins[key] = joins.get(key, 1 << i) | 1 << j - 1
-        for mask in joins.values():
-            block = list(block_ids(mask))  # 1-based point ids
-            for j in block:
-                covered[j - 1] |= mask
-            on_line[plane.line_through(pts[i], pts[block[1] - 1])] = block
-    block_lines = tuple(l for l in plane.lines if l in on_line)
-    unital = validate_unital(len(pts), [on_line[l] for l in block_lines])
-    return Embedding(plane, unital, pts, block_lines, {l: i for i, l in enumerate(block_lines, start=1)})
+    try:
+        ids = {plane.index(p): pid for pid, p in enumerate(pts, start=1)}  # plane position -> point id
+    except ValueError as e:
+        raise NotAUnital(f"the points must be points of the plane, in its normalised coordinates: {e}") from None
+    if len(ids) != len(pts):
+        raise NotAUnital("a point is given twice")
+    mask = sum(1 << i for i in ids)
+    secants = [(l, on) for l, row in zip(plane.lines, plane.incidence) if (on := row & mask).bit_count() > 1]
+    unital = validate_unital(len(pts), [[ids[i - 1] for i in block_ids(on)] for _, on in secants])
+    block_lines = tuple(l for l, _ in secants)
+    point_coords = tuple(plane.points[i] for i in ids)  # the plane's own triples, also for a point given as a list
+    return Embedding(plane, unital, point_coords, block_lines, {l: i for i, l in enumerate(block_lines, start=1)})
 
 
 @lru_cache(maxsize=None)

@@ -26,29 +26,42 @@ class ProjectivePlane:
         self.lines = self.points  # duality: same normalized triples
 
     def index(self, v) -> int:
-        """Position of a normalized triple in `points`, and so in `lines`."""
-        x, y, z = v
+        """Position of a normalized triple in `points`, and so in `lines`;
+        ValueError for any other triple."""
         n = self.order
-        i = x * n + y if z else n * n + (x if y else n)
-        if not 0 <= i < len(self.points) or self.points[i] != tuple(v):
-            raise ValueError(f"{v!r} is not a point of the plane in normalized coordinates")
-        return i
+        if len(v) == 3 and all(isinstance(c, int) for c in v):
+            x, y, z = v
+            i = x * n + y if z else n * n + (x if y else n)
+            if 0 <= i < len(self.points) and self.points[i] == tuple(v):
+                return i
+        raise ValueError(f"{v!r} is not a point of the plane in normalized coordinates")
 
     @cached_property
     def incidence(self) -> tuple[int, ...]:
-        """Entry i is the bitset of the lines through `points[i]` (bit j for
-        `lines[j]`).  Incidence is symmetric in the triples, so entry i is
-        also the bitset of the points on `lines[i]`.  Built on first use,
-        from the points b and a + t*b of each line."""
-        f, rows = self.field, []
-        for l in self.lines:
-            k = 2 if l[2] else 1 if l[1] else 0  # l[k] == 1
-            i, j = (c for c in range(3) if c != k)  # a, b: the points of l with (1, 0) and (0, 1) at (i, j)
-            a, b = [0, 0, 0], [0, 0, 0]
-            a[i], a[k] = 1, f.sub(0, l[i])
-            b[j], b[k] = 1, f.sub(0, l[j])
-            on_l = [b] + [[f.add(x, f.mul(t, y)) for x, y in zip(a, b)] for t in f.elements()]
-            rows.append(sum(1 << self.index(self.normalize(v)) for v in on_l))
+        """Entry i is the bitset of the points on `lines[i]` (bit j for
+        `points[j]`).  Incidence is symmetric in the triples, so entry i is
+        also the bitset of the lines through `points[i]`.  Built on first
+        use from each line's equation l0*x + l1*y + l2*z = 0: the affine
+        points (x, a*x + b, 1) when l1 != 0, (c, y, 1) when only l0 != 0, or
+        every (x, 1, 0) on the line at infinity, and one more point at
+        infinity, each placed at its `index` position, so no point is
+        normalized.  Sums and products come from q x q tables built here,
+        since `GaloisField.add` loops over digits when p is odd."""
+        f, n = self.field, self.order
+        els = f.elements()
+        mul = [[f.mul(a, b) for b in els] for a in els]
+        add = [[f.add(a, b) for b in els] for a in els]
+        neg = [f.sub(0, a) for a in els]
+        rows = []
+        for l0, l1, l2 in self.lines:
+            if l1:  # y = a*x + b
+                times_a, plus_b = mul[f.div(neg[l0], l1)], add[f.div(neg[l2], l1)]
+                row = sum(1 << x * n + plus_b[times_a[x]] for x in els)
+            elif l0:  # x = c
+                row = ((1 << n) - 1) << f.div(neg[l2], l0) * n
+            else:  # the line at infinity: every (x, 1, 0)
+                row = ((1 << n) - 1) << n * n
+            rows.append(row | 1 << n * n + (f.div(neg[l1], l0) if l0 else n))  # (-l1/l0, 1, 0), or (1, 0, 0)
         return tuple(rows)
 
     def normalize(self, v):

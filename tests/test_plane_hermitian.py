@@ -1,9 +1,11 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
 from unitals.design import NotAUnital, validate_unital
+from unitals.formats import serialize_json
 from unitals.gf import GaloisField
 from unitals.groups import closure
 from unitals.hermitian import (
@@ -154,32 +156,51 @@ def test_embedded_unital_and_reference_reject_a_curve_one_point_off(q):
 
 def test_embedded_unital_rejects_points_not_of_the_plane():
     """A point must be given as its normalised triple: a scaled copy of a
-    curve point, the zero vector and a coordinate outside the field are not
-    plane points, even where they stand for the point they replace."""
+    curve point, the zero vector, a coordinate outside the field and one
+    that is not an int are not plane points, even where they stand for (or
+    equal) the point they replace."""
     plane = hermitian_plane(2)  # PG(2, 4)
     curve = self_conjugate_points(plane)
     f = plane.field
     affine = next(p for p in curve if p[2])
     at_infinity = next(p for p in curve if not p[2])
     scaled = [tuple(f.mul(c, 2) for c in p) for p in (affine, at_infinity)]
-    for p, bad in [(affine, scaled[0]), (at_infinity, scaled[1]), (affine, (0, 0, 0)), (affine, affine[:2] + (5,))]:
+    cases = [(affine, scaled[0]), (at_infinity, scaled[1]), (affine, (0, 0, 0)), (affine, affine[:2] + (5,))]
+    cases += [(affine, (float(affine[0]),) + affine[1:]), (affine, ("a",) + affine[1:])]
+    for p, bad in cases:
         with pytest.raises(NotAUnital):
             embedded_unital(plane, [bad if x == p else x for x in curve])
     with pytest.raises(NotAUnital):
         embedded_unital(plane, curve + (scaled[0],))
 
 
-def test_embedded_unital_reads_no_incidence_cache(monkeypatch):
-    def refuse(self, *args):
-        raise AssertionError("incidence cache read")
+@pytest.mark.parametrize(
+    "q,p,k,unital_sha,lines_sha",
+    [
+        (7, 7, 2, "40d82ab16fb873c4d00c0262a578939707a31cd195d193827a861038abe6fca4",
+         "8e1918a0c7afee5f7de3a54247246cb4a6a6f646f6b3c0cf980c9b448999049b"),
+        (8, 2, 6, "35d7a144d039149b8ec93bc918ef04434873af335c75676a448e0b22790f374a",
+         "c8e7c9709734ffb15e77bc4e6a36fae94a928fb46b0afa41ddccddcc7ec1e366"),
+    ],
+)
+def test_hermitian_unitals_past_max_q_are_pinned(q, p, k, unital_sha, lines_sha):
+    """H(7) and H(8), on planes built directly since `hermitian_plane` caps q
+    at MAX_Q: their blocks and block lines, by SHA-256, as first built."""
+    plane = ProjectivePlane(GaloisField(p, k))
+    emb = embedded_unital(plane, self_conjugate_points(plane))
+    assert emb.unital.num_points == q**3 + 1
+    assert hashlib.sha256(serialize_json(emb.unital, f"hermitian-{q}").encode()).hexdigest() == unital_sha
+    assert hashlib.sha256(repr(emb.line_coords).encode()).hexdigest() == lines_sha
 
-    monkeypatch.setattr(ProjectivePlane, "points_on_line", refuse)
-    monkeypatch.setattr(ProjectivePlane, "lines_through_point", refuse)
-    monkeypatch.setattr(ProjectivePlane, "incidence", property(refuse))
-    plane = ProjectivePlane(GaloisField(2, 2))
-    curve = self_conjugate_points(plane)
-    emb = embedded_unital(plane, curve)
-    assert (emb.unital.num_points, emb.unital.num_blocks, len(emb.line_coords)) == (9, 12, 12)
+
+def test_embedded_unital_keeps_the_planes_triples_for_points_given_as_lists(h2):
+    """A point given as a list is the plane point it lists; the embedding
+    holds the plane's hashable triple, so the analyses that key on points run."""
+    plane = h2.plane
+    emb = embedded_unital(plane, [list(p) for p in h2.point_coords])
+    assert emb.unital.all_blocks == h2.unital.all_blocks
+    assert (emb.point_coords, emb.line_coords, emb.line_to_block) == (h2.point_coords, h2.line_coords, h2.line_to_block)
+    assert gamma1_analysis(emb, *next(emb.unital.disjoint_block_pairs())).order >= 1
 
 
 def test_embedded_unital_rejects_non_unital():
@@ -192,12 +213,40 @@ def _incidence_by_tests(plane):
     return tuple(sum(1 << j for j, l in enumerate(plane.lines) if plane.incident(p, l)) for p in plane.points)
 
 
-@pytest.mark.parametrize("plane", [hermitian_plane(2), hermitian_plane(3), hermitian_plane(4), ProjectivePlane(GaloisField(3))])
+@pytest.mark.parametrize(
+    "plane",
+    [hermitian_plane(2), hermitian_plane(3), hermitian_plane(4)]
+    + [ProjectivePlane(GaloisField(p, k)) for p, k in [(3, 1), (2, 1), (5, 1), (2, 3)]],
+)
 def test_incidence_table_matches_incidence_tests(plane):
     n = plane.order
     assert len(plane.incidence) == n * n + n + 1
     assert plane.incidence == _incidence_by_tests(plane)
     assert all(row.bit_count() == n + 1 for row in plane.incidence)
+
+
+def _incidence_by_spans(plane):
+    """The incidence table as first built: for each line, the points b and
+    a + t*b, normalized, where a and b are the points of the line with
+    (1, 0) and (0, 1) on the two coordinates other than its last nonzero one."""
+    f, rows = plane.field, []
+    for l in plane.lines:
+        k = 2 if l[2] else 1 if l[1] else 0  # l[k] == 1
+        i, j = (c for c in range(3) if c != k)
+        a, b = [0, 0, 0], [0, 0, 0]
+        a[i], a[k] = 1, f.sub(0, l[i])
+        b[j], b[k] = 1, f.sub(0, l[j])
+        on_l = [b] + [[f.add(x, f.mul(t, y)) for x, y in zip(a, b)] for t in f.elements()]
+        rows.append(sum(1 << plane.index(plane.normalize(v)) for v in on_l))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4), (5, 2)]
+)
+def test_incidence_table_matches_the_spans_of_each_line(p, k):
+    plane = ProjectivePlane(GaloisField(p, k))
+    assert plane.incidence == _incidence_by_spans(plane)
 
 
 def test_index_is_the_position_in_points_and_lines():
@@ -206,7 +255,9 @@ def test_index_is_the_position_in_points_and_lines():
     assert [plane.index(l) for l in plane.lines] == list(range(len(plane.lines)))
 
 
-@pytest.mark.parametrize("v", [(0, 0, 2), (0, 0, 0), (4, 1, 1), (1, 2, 0), (2, 0, 0), (0, 16, 1), (-1, 0, 1)])
+@pytest.mark.parametrize(
+    "v", [(0, 0, 2), (0, 0, 0), (4, 1, 1), (1, 2, 0), (2, 0, 0), (0, 16, 1), (-1, 0, 1), (1.0, 0, 1), ("a", 0, 1)]
+)
 def test_index_and_points_on_line_reject_a_triple_not_normalized(v):
     plane = hermitian_plane(2)  # PG(2, 4)
     with pytest.raises(ValueError):
