@@ -54,6 +54,8 @@ def _parse_json(text: str, name: str) -> UnitalFile:
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno) from e
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError as e:  # an integer past the interpreter's int-string digit limit
+        raise ParseError(f"invalid JSON: {e}") from None
     for key in ("order", "points", "blocks"):
         if key not in obj:
             raise ParseError(f"missing JSON field {key!r}")

@@ -54,10 +54,10 @@ def polarity_image(plane: ProjectivePlane, v):
     """The Hermitian polarity x -> x^q applied coordinatewise.
 
     Maps points to lines and lines to points; applying it twice is the
-    identity.  Normalized input stays normalized because 0 and 1 are fixed.
+    identity.  Normalized input stays normalized because 0 and 1 are fixed;
+    any other triple raises ValueError from `plane.index`.
     """
-    f = plane.field
-    return tuple(f.conjugate(c) for c in v)
+    return tuple(map(plane.field.conjugate, plane.points[plane.index(v)]))
 
 
 def is_self_conjugate(plane: ProjectivePlane, v) -> bool:
@@ -157,8 +157,9 @@ def all_polar_triangles(emb: Embedding) -> tuple:
 def is_baer_subline(plane: ProjectivePlane, points) -> bool:
     """Cross-ratio test: (P0, P1; P2, P) = d(P0, P2)*d(P1, P) / (d(P1, P2)*d(P0, P))
     lies in GF(q) for each further point P, d(P, Q) the 2x2 minor P_a*Q_b - P_b*Q_a
-    on the first coordinate pair (a, b) where d(P0, P1) != 0; no factor is 0."""
-    pts = list(points)
+    on the first coordinate pair (a, b) where d(P0, P1) != 0; no factor is 0.
+    Each point is read as its plane triple through `plane.index`."""
+    pts = [plane.points[plane.index(p)] for p in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
     if len(set(pts)) != len(pts):
@@ -182,8 +183,9 @@ def nuclei(plane: ProjectivePlane, point_set) -> tuple:
 
     The set must have n+1 points, n the plane order.  Its tangents are the
     lines in the `design.fold` of its points' rows once but not twice.
+    Each point is read as its plane triple through `plane.index`.
     """
-    s = frozenset(point_set)
+    s = frozenset(plane.points[plane.index(p)] for p in point_set)
     if len(s) != plane.order + 1:
         raise ValueError(f"nucleus sets must have {plane.order + 1} points, got {len(s)}")
     inc = plane.incidence

@@ -18,6 +18,7 @@ MALFORMED = {
     "blocks.json": b'{"order": 2, "points": 9, "blocks": 5}',
     "latin1.txt": b"1 2 3\n\xff\n",
     "nested.json": b'{"order": 2, "points": 9, "blocks": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "bigint.json": b'{"order": 2, "points": 9, "blocks": [[' + b"1" * 5000 + b", 2, 3]]}",
 }
 
 
@@ -269,7 +270,7 @@ def test_census_skips_and_counts_malformed_files(runner, tmp_path, h2):
     prefix = str(tmp_path / "census")
     result = runner.invoke(main, ["census", str(src), "--out", prefix, "--library", "demo"])
     assert result.exit_code == 0
-    assert "census of 1 unital(s)" in result.output and "4 file(s) skipped" in result.output
+    assert "census of 1 unital(s)" in result.output and "5 file(s) skipped" in result.output
     for name in MALFORMED:
         assert f"skipped {src / name}: " in result.output
     with open(prefix + "_totals.csv") as fh:

@@ -55,6 +55,13 @@ def test_json_nested_too_deeply():
         parse_unital('{"order": 2, "points": 9, "blocks": ' + "[" * 100_000 + "]" * 100_000 + "}")
 
 
+def test_json_integer_past_the_digit_limit():
+    """json.loads raises a plain ValueError for an integer of more digits
+    than the interpreter converts; that is a parse error too."""
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_unital('{"order": 2, "points": 9, "blocks": [[' + "1" * 5000 + ", 2, 3]]}")
+
+
 def test_non_integer_token():
     with pytest.raises(ParseError) as exc:
         parse_unital("1 2 3\n4 x 6\n")

@@ -1,6 +1,7 @@
 import hashlib
 import random
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -30,6 +31,29 @@ from unitals.persp import full_points
 from unitals.plane import ProjectivePlane
 
 
+# The plane answers every query from its incidence table; these are the
+# first algorithms, kept here as oracles that do not read the table.
+
+
+def _on(plane, point, line):
+    """Whether the bilinear form sum(P_i * l_i) vanishes."""
+    f = plane.field
+    return reduce(f.add, map(f.mul, point, line)) == 0
+
+
+def _cross(plane, a, b):
+    """The normalized cross product: the line of two distinct points, or
+    the meet of two distinct lines."""
+    f = plane.field
+    return plane.normalize(
+        (
+            f.sub(f.mul(a[1], b[2]), f.mul(a[2], b[1])),
+            f.sub(f.mul(a[2], b[0]), f.mul(a[0], b[2])),
+            f.sub(f.mul(a[0], b[1]), f.mul(a[1], b[0])),
+        )
+    )
+
+
 def test_base_prime_power():
     assert base_prime_power(4) == (2, 2)
     assert base_prime_power(5) == (5, 1)
@@ -52,7 +76,53 @@ def test_incidence_via_line_through():
     plane = ProjectivePlane(GaloisField(3))
     p, q = plane.points[0], plane.points[5]
     line = plane.line_through(p, q)
-    assert plane.incident(p, line) and plane.incident(q, line)
+    assert _on(plane, p, line) and _on(plane, q, line)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_plane_queries_match_the_form_and_cross_product(q):
+    """On PG(2, q^2): `incident` on every point-line pair, and `line_through`
+    and `meet` on every ordered pair of distinct triples (points for the
+    one, lines for the other)."""
+    plane = hermitian_plane(q)
+    for p, l in product(plane.points, plane.lines):
+        assert plane.incident(p, l) == _on(plane, p, l)
+    for a, b in permutations(plane.points, 2):
+        assert plane.line_through(a, b) == plane.meet(a, b) == _cross(plane, a, b)
+
+
+def test_meet_is_line_through_by_duality():
+    assert ProjectivePlane.meet is ProjectivePlane.line_through
+
+
+def test_plane_queries_match_the_form_and_cross_product_on_pg_2_25():
+    plane = hermitian_plane(5)  # PG(2, 25)
+    rng = random.Random(25)
+    for _ in range(20_000):
+        a, b = rng.sample(plane.points, 2)
+        assert plane.incident(a, b) == _on(plane, a, b)
+        assert plane.line_through(a, b) == plane.meet(a, b) == _cross(plane, a, b)
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 0), (0, 0, 2), (5, 1, 1), (1.0, 0, 1)])
+def test_plane_queries_reject_a_triple_not_of_the_plane(bad):
+    """The zero vector, a scaled copy of (0, 0, 1), an entry outside GF(4)
+    and a non-int entry, as either argument of each query."""
+    plane = hermitian_plane(2)  # PG(2, 4)
+    good = (0, 1, 1)
+    calls = [
+        lambda: plane.incident(bad, good),
+        lambda: plane.incident(good, bad),
+        lambda: plane.line_through(bad, good),
+        lambda: plane.line_through(good, bad),
+        lambda: plane.meet(bad, good),
+        lambda: plane.meet(good, bad),
+        lambda: polarity_image(plane, bad),
+        lambda: is_self_conjugate(plane, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_polarity_involution_and_fixed_coords():
@@ -98,12 +168,12 @@ def _reference_hermitian(q):
     """H(q) as first built, from incidence alone: the curve points on each
     line that is not self-conjugate, lines in plane order."""
     plane = hermitian_plane(q)
-    curve = [p for p in plane.points if plane.incident(p, polarity_image(plane, p))]
+    curve = [p for p in plane.points if _on(plane, p, polarity_image(plane, p))]
     ids = {p: i for i, p in enumerate(curve, start=1)}
     blocks, lines = [], []
     for l in plane.lines:
-        if not plane.incident(polarity_image(plane, l), l):
-            blocks.append(tuple(ids[p] for p in curve if plane.incident(p, l)))
+        if not _on(plane, polarity_image(plane, l), l):
+            blocks.append(tuple(ids[p] for p in curve if _on(plane, p, l)))
             lines.append(l)
     return tuple(blocks), tuple(lines)
 
@@ -122,7 +192,7 @@ def _pairwise_embedded_unital(plane, points):
         raise NotAUnital("a point is given twice")
     on_line: dict = {}
     for (i, p), (j, q) in combinations(enumerate(pts, start=1), 2):
-        on_line.setdefault(plane.line_through(p, q), set()).update((i, j))
+        on_line.setdefault(_cross(plane, p, q), set()).update((i, j))
     block_lines = tuple(l for l in plane.lines if l in on_line)
     return validate_unital(len(pts), [on_line[l] for l in block_lines]), block_lines
 
@@ -210,7 +280,7 @@ def test_embedded_unital_rejects_non_unital():
 
 
 def _incidence_by_tests(plane):
-    return tuple(sum(1 << j for j, l in enumerate(plane.lines) if plane.incident(p, l)) for p in plane.points)
+    return tuple(sum(1 << j for j, l in enumerate(plane.lines) if _on(plane, p, l)) for p in plane.points)
 
 
 @pytest.mark.parametrize(
@@ -269,7 +339,7 @@ def test_index_and_points_on_line_reject_a_triple_not_normalized(v):
 def test_lines_through_point_by_incidence():
     plane = hermitian_plane(2)  # PG(2,4)
     for p in plane.points:
-        assert plane.lines_through_point(p) == tuple(l for l in plane.lines if plane.incident(p, l))
+        assert plane.lines_through_point(p) == tuple(l for l in plane.lines if _on(plane, p, l))
 
 
 def test_embedding_rejects_out_of_range_indices(h2):
@@ -428,6 +498,22 @@ def test_three_points_vacuously_baer():
     assert is_baer_subline(emb.plane, pts)
 
 
+def test_baer_subline_and_nuclei_take_plane_points_as_lists_and_reject_other_triples(h2):
+    """Each point is read through `plane.index`, as `embedded_unital` reads
+    its points: a list is the plane point it lists, and a scaled copy of a
+    point is no plane point."""
+    plane = h2.plane
+    block = [h2.point(p) for p in h2.unital.block(1)]
+    s = block + [p for p in plane.points_on_line(h2.block_line(2)) if p not in block][: plane.order + 1 - len(block)]
+    assert is_baer_subline(plane, [list(p) for p in block]) == is_baer_subline(plane, block)
+    assert nuclei(plane, [list(p) for p in s]) == nuclei(plane, s)
+    scaled = tuple(plane.field.mul(c, 2) for c in block[0])
+    with pytest.raises(ValueError):
+        is_baer_subline(plane, [scaled] + block[1:])
+    with pytest.raises(ValueError):
+        nuclei(plane, [scaled] + s[1:])
+
+
 def test_baer_subline_noncollinear_rejected():
     plane = hermitian_plane(2)
     with pytest.raises(NotCollinear):
@@ -440,7 +526,7 @@ def test_nuclei_of_a_line_plus_point():
     plane = hermitian_plane(2)
     line = plane.lines[0]
     pts = list(plane.points_on_line(line))
-    off = next(p for p in plane.points if not plane.incident(p, line))
+    off = next(p for p in plane.points if not _on(plane, p, line))
     s = frozenset(pts[:-1] + [off])
     result = set(nuclei(plane, s))
     brute = set()
@@ -456,7 +542,7 @@ def test_nuclei_match_line_counts_on_every_disjoint_pair_of_h3(h3):
     """The nuclei of b1 ∪ (l2 \\ b2) by counting, with each line's points
     found by incidence tests."""
     plane, u = h3.plane, h3.unital
-    on_line = {l: [p for p in plane.points if plane.incident(p, l)] for l in plane.lines}
+    on_line = {l: [p for p in plane.points if _on(plane, p, l)] for l in plane.lines}
     for b1, b2 in u.disjoint_block_pairs():
         b2_pts = {h3.point(p) for p in u.block(b2)}
         s = {h3.point(p) for p in u.block(b1)} | {p for p in on_line[h3.block_line(b2)] if p not in b2_pts}
@@ -524,7 +610,7 @@ def _gamma1_by_definition(emb, b1, b2, nuc):
     l1_pts, l2_pts = plane.points_on_line(l1), plane.points_on_line(l2)
 
     def project(center, points, line):
-        return {t: plane.meet(plane.line_through(t, center), line) for t in points}
+        return {t: _cross(plane, _cross(plane, t, center), line) for t in points}
 
     fwd = {n: project(n, l1_pts, l2) for n in nuc}
     back = {n: project(n, l2_pts, l1) for n in nuc}
