@@ -28,6 +28,19 @@ def _fail(code: str, message: str) -> None:
     sys.exit(1)
 
 
+def _echo(message: str) -> None:
+    """Every standard-output line: a failed write is one ``ERROR OUT:`` line,
+    and a broken pipe is re-raised for click, which ends it quietly."""
+    try:
+        click.echo(message)
+    except OSError as e:
+        if e.errno == errno.EPIPE:
+            raise
+        # what stays buffered is flushed at exit: to nowhere, not to a second error line
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _fail("OUT", f"cannot write standard output: {e.strerror or e}")
+
+
 def _check_out_dir(option: str, path: str) -> None:
     """Fail before any work is done when the directory of an output path is missing."""
     out_dir = os.path.dirname(os.path.abspath(path))
@@ -47,8 +60,7 @@ def _write(path: str, fill) -> None:
 
 class _Group(click.Group):
     """Usage errors as one ``ERROR ARGS:`` line, from the group's options and
-    from a command; a bare ``unital`` (a usage error in click 8.2+) prints help.
-    A standard output that cannot be written is one ``ERROR OUT:`` line."""
+    from a command; a bare ``unital`` (a usage error in click 8.2+) prints help."""
 
     def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
         try:
@@ -63,15 +75,6 @@ class _Group(click.Group):
             return super().invoke(ctx)
         except click.UsageError as e:
             _fail("ARGS", e.format_message())
-        except OSError as e:
-            import traceback
-            # standard output is written by `click.echo` without err=True; click ends a broken pipe quietly
-            frames = [frame for frame, _ in traceback.walk_tb(e.__traceback__)]
-            if e.errno == errno.EPIPE or not any(f.f_code is click.echo.__code__ and not f.f_locals["err"] for f in frames):
-                raise
-            # what stays buffered is flushed at exit: to nowhere, not to a second error line
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            _fail("OUT", f"cannot write standard output: {e.strerror or e}")
 
 
 @click.group(cls=_Group)
@@ -89,7 +92,7 @@ def validate(file: str) -> None:
         _fail("PARSE", str(e))
     except NotAUnital as e:
         _fail("NOT_A_UNITAL", str(e))
-    click.echo(f"OK: unital of order {u.order} with {u.num_points} points and {u.num_blocks} blocks")
+    _echo(f"OK: unital of order {u.order} with {u.num_points} points and {u.num_blocks} blocks")
 
 
 @main.command()
@@ -109,15 +112,15 @@ def hermitian(q: int, out: str | None, coords: str | None) -> None:
     payload = formats.serialize_json(emb.unital, name=f"hermitian-{q}")
     if out:
         _write(out, lambda fh: fh.write(payload + "\n"))
-        click.echo(f"wrote H({q}) to {out}")
+        _echo(f"wrote H({q}) to {out}")
     else:
-        click.echo(payload)
+        _echo(payload)
     if coords:
         f = emb.plane.field
         text = f"# point id -> homogeneous coordinates over GF({f.p}^{f.k}), coefficient vectors low degree first\n"
         text += "".join(f"{pid}\t{' '.join(str(list(f.coeffs(c))) for c in pt)}\n" for pid, pt in enumerate(emb.point_coords, 1))
         _write(coords, lambda fh: fh.write(text))
-        click.echo(f"wrote coordinates to {coords}")
+        _echo(f"wrote coordinates to {coords}")
 
 
 @main.command()
@@ -139,15 +142,10 @@ def fullpoints(file: str, pair: str) -> None:
         fp, pa = census_mod.analyze_pair(u, b1, b2)
     except GroupTooLarge as e:
         _fail("GROUP", str(e))
-    click.echo(f"full points of ({b1},{b2}): {list(fp)}")
-    if pa.group_order is not None:
-        click.echo(f"group order {pa.group_order}, structure {pa.group_name}")
-    else:
-        click.echo("group trivial (fewer than 2 full points)")
-    if pa.disjoint:
-        click.echo(f"SFPR triple: {pa.sfpr}")
-    else:
-        click.echo("blocks intersect; regularity flags apply to disjoint pairs only")
+    _echo(f"full points of ({b1},{b2}): {list(fp)}")
+    _echo(f"group order {pa.group_order}, structure {pa.group_name}" if pa.group_order is not None
+          else "group trivial (fewer than 2 full points)")
+    _echo(f"SFPR triple: {pa.sfpr}" if pa.disjoint else "blocks intersect; regularity flags apply to disjoint pairs only")
 
 
 @main.command()
@@ -161,11 +159,11 @@ def dualnets(file: str, latin: bool) -> None:
     except (formats.ParseError, NotAUnital) as e:
         _fail("LOAD", str(e))
     found = nets.find_dual_3nets(u)
-    click.echo(f"{len(found)} embedded dual 3-net(s)")
+    _echo(f"{len(found)} embedded dual 3-net(s)")
     for net in found:
-        click.echo(f"blocks {list(net)}: {'cyclic' if nets.is_cyclic_3net(u, net) else 'non-cyclic'}")
+        _echo(f"blocks {list(net)}: {'cyclic' if nets.is_cyclic_3net(u, net) else 'non-cyclic'}")
         if latin:
-            click.echo(nets.latin_square_from_3net(u, net).serialize())
+            _echo(nets.latin_square_from_3net(u, net).serialize())
 
 
 def _census_worker(path):
@@ -213,11 +211,8 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
     )
     for table, header, rows in tables:
         _write(f"{prefix}_{table}.csv", lambda fh: csv.writer(fh).writerows([header, *rows]))
-    click.echo(
-        f"census of {len(reports)} unital(s) written to {prefix}_groups.csv, "
-        f"{prefix}_totals.csv, {prefix}_large.csv"
-        + (f" ({skipped} file(s) skipped)" if skipped else "")
-    )
+    written = ", ".join(f"{prefix}_{table}.csv" for table, _, _ in tables)
+    _echo(f"census of {len(reports)} unital(s) written to {written}" + (f" ({skipped} file(s) skipped)" if skipped else ""))
 
 
 @main.command("appendix-check")
@@ -227,31 +222,30 @@ def appendix_check() -> None:
     if formats.appendix_digest() != formats.APPENDIX_SHA256:
         _fail("GOLDEN", "embedded dataset hash drifted")
     u = formats.builtin_appendix_unital()
-    click.echo(f"dataset hash ok; validates as 2-({u.num_points},{u.order + 1},1) with {u.num_blocks} blocks")
+    _echo(f"dataset hash ok; validates as 2-({u.num_points},{u.order + 1},1) with {u.num_blocks} blocks")
 
     net = (1, 33, 200)
     if not nets.is_dual_knet(u, net):
         _fail("GOLDEN", f"blocks {net} no longer form a dual 3-net")
-    click.echo(f"blocks {list(net)} form an embedded dual 3-net")
+    _echo(f"blocks {list(net)} form an embedded dual 3-net")
 
-    sq = nets.latin_square_from_3net(u, net)
-    based = nets.is_group_based(sq)
+    based = nets.is_group_based(nets.latin_square_from_3net(u, net))
     if based is not None:
         _fail("GOLDEN", f"latin square unexpectedly group-based ({based})")
-    click.echo("coordinate latin square is not group-based (net is non-cyclic)")
+    _echo("coordinate latin square is not group-based (net is non-cyclic)")
 
     _, pa = census_mod.analyze_pair(u, 1, 33)
     if (pa.group_order, pa.group_name) != (120, "S5"):
         _fail("GOLDEN", f"perspectivity group of (1,33) changed: order {pa.group_order}, structure {pa.group_name}")
-    click.echo(f"perspectivity group of (1,33): order {pa.group_order}, structure {pa.group_name}")
+    _echo(f"perspectivity group of (1,33): order {pa.group_order}, structure {pa.group_name}")
 
     found = nets.find_dual_3nets(u)
     listed = (len(found), sum(nets.is_cyclic_3net(u, net) for net in found))
     report = census_mod.classify_unital(u, "appendix")
     if listed != (86, 81) or (report.net_count, report.cyclic_net_count) != listed:
         _fail("GOLDEN", f"(nets, cyclic) listed {listed}, census {report.net_count, report.cyclic_net_count}, expected (86, 81)")
-    click.echo("86 embedded dual 3-nets, 81 cyclic, by the net listing and by the census")
-    click.echo("PASS")
+    _echo("86 embedded dual 3-nets, 81 cyclic, by the net listing and by the census")
+    _echo("PASS")
 
 
 if __name__ == "__main__":

@@ -83,7 +83,13 @@ def _parse_text(text: str, name: str) -> UnitalFile:
         try:
             ids = [int(x) for x in parts]
         except ValueError:
-            raise ParseError(f"non-integer token in {line!r}", line=lineno) from None
+            for token in parts:  # the first bad token; ASCII digits fail only past the int-string digit limit
+                try:
+                    int(token)
+                except ValueError:
+                    shown = repr(token) if len(token) <= 20 else f"'{token[:20]}…' ({len(token)} characters)"
+                    kind = "integer token too long" if token.isascii() and token.isdigit() else "non-integer token"
+                    raise ParseError(f"{kind}: {shown}", line=lineno) from None
         if min(ids) < 1:
             raise ParseError("point ids must be positive", line=lineno)
         blocks.append(tuple(ids))

@@ -121,20 +121,6 @@ def test_hermitian_file_that_cannot_be_written_gives_one_error_line(runner, tmp_
     assert "wrote" not in result.stdout
 
 
-def test_hermitian_bad_order(runner):
-    result = runner.invoke(main, ["hermitian", "--q", "6"])
-    assert result.exit_code == 1
-    assert "ERROR HERMITIAN:" in result.output
-
-
-def test_fullpoints_golden(runner, appendix_file):
-    result = runner.invoke(main, ["fullpoints", appendix_file, "--blocks", "1,33"])
-    assert result.exit_code == 0
-    assert "[30, 31, 35, 46, 48]" in result.output
-    assert "group order 120, structure S5" in result.output
-    assert "SFPR triple: False" in result.output
-
-
 def test_fullpoints_bad_args(runner, appendix_file):
     result = runner.invoke(main, ["fullpoints", appendix_file, "--blocks", "1"])
     assert result.exit_code == 1
@@ -172,24 +158,6 @@ def test_fullpoints_text_from_one_full_point_scan(runner, tmp_path, request, mon
     assert result.exit_code == 0
     assert result.output.splitlines() == expected
     assert len(calls) == 1
-
-
-def test_dualnets_h2(runner, tmp_path, h2):
-    p = tmp_path / "h2.txt"
-    p.write_text(serialize_text(h2.unital, "h2"))
-    result = runner.invoke(main, ["dualnets", str(p), "--latin"])
-    assert result.exit_code == 0
-    assert "embedded dual 3-net(s)" in result.output
-    assert "cyclic" in result.output
-
-
-def test_dualnets_appendix(runner, appendix_file):
-    result = runner.invoke(main, ["dualnets", appendix_file])
-    assert result.exit_code == 0
-    lines = result.output.splitlines()
-    assert lines[0] == "86 embedded dual 3-net(s)"
-    assert (sum(l.endswith(": cyclic") for l in lines), sum(l.endswith(": non-cyclic") for l in lines)) == (81, 5)
-    assert "blocks [1, 33, 200]: non-cyclic" in lines
 
 
 def test_dualnets_latin_builds_each_square_once(runner, appendix_file, appendix, monkeypatch):
@@ -383,40 +351,6 @@ def test_census_directory_that_cannot_be_listed_gives_one_error_line(runner, tmp
     assert result.stderr.splitlines() == [f"ERROR CENSUS: cannot read {locked}: Permission denied"]
 
 
-def test_census_empty_dir(runner, tmp_path):
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    result = runner.invoke(main, ["census", str(empty), "--out", str(tmp_path / "x")])
-    assert result.exit_code == 1
-    assert "ERROR CENSUS:" in result.output
-
-
-def test_appendix_check(runner):
-    result = runner.invoke(main, ["appendix-check"])
-    assert result.exit_code == 0
-    assert result.output.strip().endswith("PASS")
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["validate", "{tmp}/missing.json"],
-        ["hermitian", "--q", "abc"],
-        ["fullpoints", "{appendix}"],
-        ["census", "{tmp}/missing", "--out", "{tmp}/x"],
-        ["bogus"],
-        ["--bogus"],
-    ],
-    ids=["missing-file", "bad-int", "missing-option", "missing-dir", "unknown-command", "unknown-group-option"],
-)
-def test_usage_errors_give_one_error_line(runner, tmp_path, appendix_file, args):
-    result = runner.invoke(main, [a.format(tmp=tmp_path, appendix=appendix_file) for a in args])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ERROR ARGS:")
-
-
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device that is always full")
 @pytest.mark.parametrize("args", [["hermitian", "--q", "2"], ["validate", "{appendix}"]], ids=["hermitian", "validate"])
 def test_full_standard_output_gives_one_error_line(appendix_file, args):
@@ -428,6 +362,19 @@ def test_full_standard_output_gives_one_error_line(appendix_file, args):
     assert run.returncode == 1
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR OUT: cannot write standard output: ")
+
+
+def test_broken_pipe_ends_quietly(appendix_file):
+    """A reader that closes standard output after one line, as `| head -n 1`
+    does, ends the run with exit 1 and nothing on stderr."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-m", "unitals.cli", "dualnets", appendix_file, "--latin"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as run:
+        assert run.stdout.readline() == b"86 embedded dual 3-net(s)\n"
+        run.stdout.close()
+        assert run.stderr.read() == b""
+        assert run.wait() == 1
 
 
 @pytest.mark.parametrize("args", [[], ["--help"]])

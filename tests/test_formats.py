@@ -68,6 +68,23 @@ def test_non_integer_token():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, line, reason",
+    [
+        ("1 2 3\n" + "1" * 5000 + " 2 3\n", 2, "integer token too long: '11111111111111111111…' (5000 characters)"),
+        ("1 2 x" * 2000 + "\n", 1, "non-integer token: 'x1'"),
+        ("1 2 " + "y" * 50 + "\n", 1, "non-integer token: 'yyyyyyyyyyyyyyyyyyyy…' (50 characters)"),
+    ],
+    ids=["past-the-digit-limit", "long-line", "long-token"],
+)
+def test_bad_text_token_is_named_short(text, line, reason):
+    """A bad token is named by itself, cut to a short prefix with its
+    length, not by the whole line it stands on."""
+    with pytest.raises(ParseError) as exc:
+        parse_unital(text)
+    assert (exc.value.reason, exc.value.line) == (reason, line)
+
+
 def test_json_bad_block_reports_block_index():
     text = '{"order": 2,\n "points": 9,\n "blocks": [[1, 2, 3],\n  [4, "a", 6]]}'
     with pytest.raises(ParseError) as exc:
