@@ -141,23 +141,19 @@ def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> tuple[tuple[int, ...], 
     return fp, pa._replace(disjoint=False, fpr=None, sfpr=None, nets=0, cyclic_nets=0)
 
 
-def _disjoint_pair(u: AbstractUnital, b1: int, b2: int, fp) -> PairAnalysis:
+def _disjoint_pair(u: AbstractUnital, b1: int, b2: int) -> PairAnalysis:
     if not u.blocks_disjoint(b1, b2):
         raise NotDisjoint(f"blocks ({b1},{b2}) are not disjoint")
-    actual, pa = analyze_pair(u, b1, b2)
-    if fp is not None and tuple(fp) != actual:
-        raise ValueError(f"{list(fp)} are not the full points {list(actual)} of ({b1},{b2})")
-    return pa
+    return analyze_pair(u, b1, b2)[1]
 
 
-def is_fpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None) -> bool:
-    """Full point regularity of one disjoint pair; vacuously true with at
-    most one full point.  A given `fp` must be the pair's full points."""
-    return _disjoint_pair(u, b1, b2, fp).fpr
+def is_fpr_triple(u: AbstractUnital, b1: int, b2: int) -> bool:
+    """FPR of one disjoint pair, from its `analyze_pair`; vacuous with at most one full point."""
+    return _disjoint_pair(u, b1, b2).fpr
 
 
-def is_sfpr_triple(u: AbstractUnital, b1: int, b2: int, fp=None) -> bool:
-    return _disjoint_pair(u, b1, b2, fp).sfpr
+def is_sfpr_triple(u: AbstractUnital, b1: int, b2: int) -> bool:
+    return _disjoint_pair(u, b1, b2).sfpr
 
 
 def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:

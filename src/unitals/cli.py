@@ -5,7 +5,8 @@ Hermitian unital H(q), inspect the full points of a block pair, list
 embedded dual 3-nets, run a census over a directory, and run the
 self-check against the embedded order-4 reference unital.  Errors exit
 nonzero with one machine-parseable line ``ERROR <code>: <message>`` on
-stderr.
+stderr.  An output is checked by opening it, all before any is written; a
+``--blocks`` id by `formats.parse_ids` and `AbstractUnital.block_pos`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import census as census_mod
 from . import formats
 from .design import NotAUnital
 from .groups import GroupTooLarge
+from .persp import SameBlock
 
 
 def _fail(code: str, message: str) -> None:
@@ -41,21 +43,28 @@ def _echo(message: str) -> None:
         _fail("OUT", f"cannot write standard output: {e.strerror or e}")
 
 
-def _check_out_dir(option: str, path: str) -> None:
-    """Fail before any work is done when the directory of an output path is missing."""
-    out_dir = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(out_dir):
-        _fail("OUT", f"{option} directory {out_dir} does not exist")
-
-
-def _write(path: str, fill) -> None:
-    """Open PATH for writing and hand the file to `fill`; any OSError, at
-    open, write or close, is one ``ERROR OUT:`` line."""
+def _open(path: str):
+    """PATH opened for writing, closed with the click context; an OSError is one ``ERROR OUT:`` line."""
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fill(fh)
+        return click.get_current_context().with_resource(open(path, "w", newline="", encoding="utf-8"))
     except OSError as e:
         _fail("OUT", f"cannot write {path}: {e.strerror or e}")
+
+
+def _write(fh, fill) -> None:
+    """Fill FH, from `_open`, and close it; an OSError is one ``ERROR OUT:`` line."""
+    try:
+        with fh:
+            fill(fh)
+    except OSError as e:
+        _fail("OUT", f"cannot write {fh.name}: {e.strerror or e}")
+
+
+def _load(file: str):
+    try:
+        return formats.load_unital(file)
+    except (formats.ParseError, NotAUnital) as e:
+        _fail("LOAD", str(e))
 
 
 class _Group(click.Group):
@@ -102,44 +111,41 @@ def validate(file: str) -> None:
 def hermitian(q: int, out: str | None, coords: str | None) -> None:
     """Construct H(q) and write it in JSON format."""
     from .hermitian import hermitian_unital
-    for option, path in (("--out", out), ("--coords", coords)):
-        if path:
-            _check_out_dir(option, path)
     try:
         emb = hermitian_unital(q)
     except ValueError as e:
         _fail("HERMITIAN", str(e))
+    out_fh, coords_fh = (_open(path) if path else None for path in (out, coords))
     payload = formats.serialize_json(emb.unital, name=f"hermitian-{q}")
-    if out:
-        _write(out, lambda fh: fh.write(payload + "\n"))
+    if out_fh:
+        _write(out_fh, lambda fh: fh.write(payload + "\n"))
         _echo(f"wrote H({q}) to {out}")
     else:
         _echo(payload)
-    if coords:
+    if coords_fh:
         f = emb.plane.field
         text = f"# point id -> homogeneous coordinates over GF({f.p}^{f.k}), coefficient vectors low degree first\n"
         text += "".join(f"{pid}\t{' '.join(str(list(f.coeffs(c))) for c in pt)}\n" for pid, pt in enumerate(emb.point_coords, 1))
-        _write(coords, lambda fh: fh.write(text))
+        _write(coords_fh, lambda fh: fh.write(text))
         _echo(f"wrote coordinates to {coords}")
 
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--blocks", "pair", required=True, help="comma-separated block pair, e.g. 1,33")
+@click.option("--blocks", "pair", required=True, help="two block ids, as on a block-list line, e.g. 1,33")
 def fullpoints(file: str, pair: str) -> None:
     """Full points and perspectivity group of one block pair."""
     try:
-        b1, b2 = (int(x) for x in pair.split(","))
-    except ValueError:
-        _fail("ARGS", f"--blocks expects two comma-separated indices, got {pair!r}")
-    try:
-        u = formats.load_unital(file)
-    except (formats.ParseError, NotAUnital) as e:
-        _fail("LOAD", str(e))
-    if not (1 <= b1 <= u.num_blocks and 1 <= b2 <= u.num_blocks) or b1 == b2:
-        _fail("ARGS", f"block indices must be distinct and in 1..{u.num_blocks}")
+        b1, b2 = formats.parse_ids(pair)
+    except formats.ParseError as e:
+        _fail("ARGS", f"--blocks: {e}")
+    except ValueError:  # not two ids
+        _fail("ARGS", f"--blocks expects two block ids, got {pair!r}")
+    u = _load(file)
     try:
         fp, pa = census_mod.analyze_pair(u, b1, b2)
+    except (IndexError, SameBlock) as e:  # from full_points, which checks both ids before any analysis
+        _fail("ARGS", f"--blocks: {e}")
     except GroupTooLarge as e:
         _fail("GROUP", str(e))
     _echo(f"full points of ({b1},{b2}): {list(fp)}")
@@ -154,10 +160,7 @@ def fullpoints(file: str, pair: str) -> None:
 def dualnets(file: str, latin: bool) -> None:
     """List all embedded dual 3-nets of FILE with cyclicity verdicts."""
     from . import nets
-    try:
-        u = formats.load_unital(file)
-    except (formats.ParseError, NotAUnital) as e:
-        _fail("LOAD", str(e))
+    u = _load(file)
     found = nets.find_dual_3nets(u)
     _echo(f"{len(found)} embedded dual 3-net(s)")
     for net in found:
@@ -183,16 +186,17 @@ def _census_worker(path):
 @click.option("--library", default=None, help="library label (default: directory name)")
 def census_cmd(directory: str, prefix: str, library: str | None) -> None:
     """Classify every unital file in DIRECTORY and write table CSVs."""
-    _check_out_dir("--out", prefix)
     try:
         names = os.listdir(directory)
     except OSError as e:
         _fail("CENSUS", f"cannot read {directory}: {e.strerror or e}")
-    paths = sorted(
-        os.path.join(directory, f) for f in names if not f.startswith(".") and os.path.isfile(os.path.join(directory, f))
-    )
+    tables = [f"{prefix}_{table}.csv" for table in ("groups", "totals", "large")]
+    own = {os.path.realpath(t) for t in tables}  # a table of an earlier run into DIRECTORY is not an input
+    paths = sorted(p for p in (os.path.join(directory, f) for f in names if not f.startswith("."))
+                   if os.path.isfile(p) and os.path.realpath(p) not in own)
     if not paths:
         _fail("CENSUS", f"no unital files in {directory}")
+    handles = [_open(t) for t in tables]
     label = library or os.path.basename(os.path.abspath(directory))
 
     reports, skipped = [], 0
@@ -204,15 +208,14 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
         else:
             reports.append(report)
 
-    tables = (
-        ("groups", ["full_points", "group", "count"], census_mod.group_table_rows(reports)),
-        ("totals", ["library", "unitals", "fpr", "sfpr"], [census_mod.totals_row(label, reports)]),
-        ("large", ["set", "property", "count"], census_mod.large_set_rows(reports)),
+    contents = (
+        [["full_points", "group", "count"], *census_mod.group_table_rows(reports)],
+        [["library", "unitals", "fpr", "sfpr"], census_mod.totals_row(label, reports)],
+        [["set", "property", "count"], *census_mod.large_set_rows(reports)],
     )
-    for table, header, rows in tables:
-        _write(f"{prefix}_{table}.csv", lambda fh: csv.writer(fh).writerows([header, *rows]))
-    written = ", ".join(f"{prefix}_{table}.csv" for table, _, _ in tables)
-    _echo(f"census of {len(reports)} unital(s) written to {written}" + (f" ({skipped} file(s) skipped)" if skipped else ""))
+    for fh, rows in zip(handles, contents):
+        _write(fh, lambda fh: csv.writer(fh).writerows(rows))
+    _echo(f"census of {len(reports)} unital(s) written to {', '.join(tables)}" + (f" ({skipped} file(s) skipped)" if skipped else ""))
 
 
 @main.command("appendix-check")

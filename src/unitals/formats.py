@@ -2,8 +2,8 @@
 
 Two interchange formats are supported, both with 1-based point ids:
 
-* plain text: one block per line, comma- or space-separated integers,
-  ``#`` starts a comment; the point count is the maximum id seen;
+* plain text: one block per line, read by `parse_ids` (ASCII decimal ids,
+  comma- or space-separated, ``#`` comments); the point count is the maximum id;
 * JSON: an object with "order", "points" and "blocks" fields plus an
   optional "name".
 """
@@ -73,31 +73,31 @@ def _parse_json(text: str, name: str) -> UnitalFile:
     return UnitalFile(name=obj.get("name", name), order=order, points=points, blocks=blocks)
 
 
+def parse_ids(line: str, lineno: int | None = None) -> tuple[int, ...]:
+    """The ids of one block-list line: ASCII decimal digits split by commas or
+    whitespace, up to a ``#``; a bad token is a ParseError at LINENO naming it."""
+    parts = line.split("#", 1)[0].replace(",", " ").split()
+    kind, bad = "non-integer token", [t for t in parts if not (t.isascii() and t.isdigit())]
+    if not bad:
+        try:
+            return tuple(map(int, parts))
+        except ValueError:  # the longest token is past the interpreter's int-string digit limit
+            kind, bad = "integer token too long", [max(parts, key=len)]
+    shown = repr(bad[0]) if len(bad[0]) <= 20 else f"'{bad[0][:20]}…' ({len(bad[0])} characters)"
+    raise ParseError(f"{kind}: {shown}", line=lineno)
+
+
 def _parse_text(text: str, name: str) -> UnitalFile:
     blocks = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        try:
-            ids = [int(x) for x in parts]
-        except ValueError:
-            for token in parts:  # the first bad token; ASCII digits fail only past the int-string digit limit
-                try:
-                    int(token)
-                except ValueError:
-                    shown = repr(token) if len(token) <= 20 else f"'{token[:20]}…' ({len(token)} characters)"
-                    kind = "integer token too long" if token.isascii() and token.isdigit() else "non-integer token"
-                    raise ParseError(f"{kind}: {shown}", line=lineno) from None
-        if min(ids) < 1:
+        ids = parse_ids(raw, lineno)
+        if 0 in ids:
             raise ParseError("point ids must be positive", line=lineno)
-        blocks.append(tuple(ids))
+        if ids:
+            blocks.append(ids)
     if not blocks:
         raise ParseError("no blocks found")
-    points = max(max(b) for b in blocks)
-    order = len(blocks[0]) - 1
-    return UnitalFile(name=name, order=order, points=points, blocks=tuple(blocks))
+    return UnitalFile(name=name, order=len(blocks[0]) - 1, points=max(map(max, blocks)), blocks=tuple(blocks))
 
 
 def serialize_text(u: AbstractUnital, name: str = "unital") -> str:

@@ -139,6 +139,19 @@ ROWS = (
             (("416 embedded dual 3-net(s)", 1), (": cyclic", 416), (": non-cyclic", 0)),
         ),
     ),
+    # a block id is ASCII digits (`int` would read 3_3 as 33) and inside 1..num_blocks
+    Row(
+        "fullpoints-appendix-bad-id",
+        ("fullpoints", "{appendix}", "--blocks", "1,3_3"),
+        code=1,
+        stderr="ERROR ARGS: --blocks: non-integer token: '3_3'\n",
+    ),
+    Row(
+        "fullpoints-appendix-block-0",
+        ("fullpoints", "{appendix}", "--blocks", "0,33"),
+        code=1,
+        stderr="ERROR ARGS: --blocks: block index 0 outside 1..208\n",
+    ),
     # one pair: one full-point scan, its group and its SFPR verdict
     Row(
         "fullpoints-h4-1-197",
@@ -189,6 +202,15 @@ ROWS = (
         copy=(("{appendix}", "unwritable-in"),),
         code=1,
         stderr=Prefix("ERROR OUT: cannot write unwritable_groups.csv: "),
+    ),
+    # the tables are opened before the first file is classified: no skip line comes before the ERROR OUT line
+    Row(
+        "census-blocked-table-before-skip",
+        ("census", "blocked-in", "--out", "blocked"),
+        mkdir=("blocked-in", "blocked_groups.csv"),
+        copy=(("{appendix}", "blocked-in"), ("h4.coords", "blocked-in")),
+        code=1,
+        stderr=Prefix("ERROR OUT: cannot write blocked_groups.csv: "),
     ),
     Row(
         "census-empty-dir",

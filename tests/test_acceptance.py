@@ -110,7 +110,7 @@ def test_criterion_05_hermitian_strong_regularity(capsys, h3, h4, h4_pair_fp):
             u = emb.unital
             pair_fp = h4_pair_fp if q == 4 else {(b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()}
             for (b1, b2), fp in pair_fp.items():
-                assert is_sfpr_triple(u, b1, b2, fp=fp)
+                assert is_sfpr_triple(u, b1, b2)
                 if len(fp) >= 2:
                     g = persp_group(u, b1, b2, fp=fp)
                     assert g.is_cyclic() and g.is_semiregular()

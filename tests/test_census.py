@@ -78,7 +78,7 @@ def test_one_pair_questions_share_one_analysis(request, name):
         assert fp == full_points(u, b1, b2)
         assert pa.disjoint == u.blocks_disjoint(b1, b2)
         if pa.disjoint:
-            assert (is_fpr_triple(u, b1, b2), is_sfpr_triple(u, b1, b2, fp=fp)) == (pa.fpr, pa.sfpr)
+            assert (is_fpr_triple(u, b1, b2), is_sfpr_triple(u, b1, b2)) == (pa.fpr, pa.sfpr)
         else:
             for triple in (is_fpr_triple, is_sfpr_triple):
                 with pytest.raises(NotDisjoint):
@@ -104,20 +104,10 @@ def test_fpr_vacuous_vs_strict(appendix, appendix_pair_fp):
     assert is_fpr_triple(appendix, *pair)  # vacuous by default
 
 
-def test_regularity_triples_reject_wrong_full_points(appendix):
-    fp = full_points(appendix, 1, 33)
-    assert is_fpr_triple(appendix, 1, 33, fp=fp) and not is_sfpr_triple(appendix, 1, 33, fp=list(fp))
-    for wrong in (fp + fp[:1], fp[1:], (), fp[::-1]):
-        with pytest.raises(ValueError):
-            is_fpr_triple(appendix, 1, 33, fp=wrong)
-        with pytest.raises(ValueError):
-            is_sfpr_triple(appendix, 1, 33, fp=wrong)
-
-
 def test_hermitian_pairs_strongly_regular(h3):
     u = h3.unital
     for b1, b2 in u.disjoint_block_pairs():
-        assert is_sfpr_triple(u, b1, b2, fp=full_points(u, b1, b2))
+        assert is_sfpr_triple(u, b1, b2)
 
 
 def test_classify_hermitian_small(h2, h3):

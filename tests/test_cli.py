@@ -9,7 +9,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from unitals import census, cli, formats, groups, hermitian, nets
+from unitals import census, cli, formats, groups, nets
 from unitals.cli import main
 from unitals.formats import appendix_text, serialize_json, serialize_text
 
@@ -95,13 +95,15 @@ def test_hermitian_files(runner, tmp_path):
 
 
 @pytest.mark.parametrize("option", ["--out", "--coords"])
-def test_hermitian_checks_out_dirs_before_building(runner, tmp_path, monkeypatch, option):
-    built = []
-    monkeypatch.setattr(hermitian, "hermitian_unital", built.append)
-    result = runner.invoke(main, ["hermitian", "--q", "2", option, str(tmp_path / "missing" / "x.json")])
+def test_hermitian_opens_every_output_before_writing_any(runner, tmp_path, option):
+    """An output in a missing directory is the same ERROR OUT line as any
+    file that cannot be opened, and comes before the other output is written."""
+    missing = str(tmp_path / "missing" / "x")
+    other = "--coords" if option == "--out" else "--out"
+    result = runner.invoke(main, ["hermitian", "--q", "2", option, missing, other, str(tmp_path / "other")])
     assert result.exit_code == 1
-    assert result.output.startswith(f"ERROR OUT: {option} directory") and result.output.count("ERROR") == 1
-    assert built == []
+    assert result.stderr.splitlines() == [f"ERROR OUT: cannot write {missing}: No such file or directory"]
+    assert result.stdout == "" and (option == "--coords" or not (tmp_path / "other").exists())
 
 
 @pytest.mark.parametrize("option", ["--out", "--coords"])
@@ -128,6 +130,30 @@ def test_fullpoints_bad_args(runner, appendix_file):
     result = runner.invoke(main, ["fullpoints", appendix_file, "--blocks", "1,999"])
     assert result.exit_code == 1
     assert "ERROR ARGS:" in result.output
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ("1,3_3", "--blocks: non-integer token: '3_3'"),
+        ("0,33", "--blocks: block index 0 outside 1..208"),
+        ("1,1", "--blocks: full points need two distinct blocks"),
+        ("1,209", "--blocks: block index 209 outside 1..208"),
+        ("+1,33", "--blocks: non-integer token: '+1'"),
+        ("1,33,200", "--blocks expects two block ids, got '1,33,200'"),
+    ],
+)
+def test_fullpoints_bad_block_ids_give_one_error_line(runner, appendix_file, pair, message):
+    result = runner.invoke(main, ["fullpoints", appendix_file, "--blocks", pair])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"ERROR ARGS: {message}"] and result.stdout == ""
+
+
+@pytest.mark.parametrize("pair", ["1 33", "1, 33", " 1\t33 # a comment"])
+def test_fullpoints_blocks_read_as_a_block_list_line(runner, appendix_file, pair):
+    result = runner.invoke(main, ["fullpoints", appendix_file, "--blocks", pair])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[0] == "full points of (1,33): [30, 31, 35, 46, 48]"
 
 
 @pytest.mark.parametrize(
@@ -322,6 +348,41 @@ def test_census_table_that_cannot_be_written_gives_one_error_line(runner, tmp_pa
     assert isinstance(result.exception, SystemExit)
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"ERROR OUT: cannot write {prefix}_groups.csv: ")
+
+
+def test_census_opens_its_tables_before_classifying(runner, tmp_path, h2, monkeypatch):
+    """A table that cannot be opened is one ERROR OUT line before the first
+    file is classified, so a file that would be skipped prints nothing."""
+    src = tmp_path / "lib"
+    src.mkdir()
+    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    (src / "notes.txt").write_text("not a unital\n")
+    prefix = tmp_path / "census"
+    (tmp_path / "census_groups.csv").mkdir()
+    classified = []
+    monkeypatch.setattr(cli, "_census_worker", classified.append)
+    result = runner.invoke(main, ["census", str(src), "--out", str(prefix)])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"ERROR OUT: cannot write {prefix}_groups.csv: ")
+    assert classified == []
+
+
+def test_second_census_into_its_directory_reads_none_of_its_tables(runner, tmp_path, h2, monkeypatch):
+    src = tmp_path / "lib"
+    src.mkdir()
+    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    prefix = os.path.join(str(src), "run")
+    first = runner.invoke(main, ["census", str(src), "--out", prefix])
+    tables = {name: (src / name).read_text() for name in ("run_groups.csv", "run_totals.csv", "run_large.csv")}
+    classified = []
+    real = cli._census_worker
+    monkeypatch.setattr(cli, "_census_worker", lambda path: classified.append(path) or real(path))
+    second = runner.invoke(main, ["census", str(src), "--out", prefix])
+    assert first.exit_code == second.exit_code == 0
+    assert second.stderr == "" and second.stdout == first.stdout and second.stdout.startswith("census of 1 unital(s)")
+    assert classified == [str(src / "h2.txt")]
+    assert {name: (src / name).read_text() for name in tables} == tables
 
 
 def test_census_worker_returns_the_report_unchanged(tmp_path, h2):

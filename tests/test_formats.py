@@ -85,6 +85,20 @@ def test_bad_text_token_is_named_short(text, line, reason):
     assert (exc.value.reason, exc.value.line) == (reason, line)
 
 
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "\uff11", "-1"])
+def test_text_ids_are_ascii_decimal_digits(token):
+    """`int` reads each of these as an integer; the text format does not."""
+    with pytest.raises(ParseError) as exc:
+        parse_unital(f"1 2 3\n4 {token} 6\n")
+    assert (exc.value.reason, exc.value.line) == (f"non-integer token: {token!r}", 2)
+
+
+def test_text_separators_and_comments():
+    text = "# a comment line\n1, 2 ,3\n4\t5\t6  # trailing comment\n\n7,8,,9\n"
+    uf = parse_unital(text)
+    assert uf.blocks == ((1, 2, 3), (4, 5, 6), (7, 8, 9)) and (uf.points, uf.order) == (9, 2)
+
+
 def test_json_bad_block_reports_block_index():
     text = '{"order": 2,\n "points": 9,\n "blocks": [[1, 2, 3],\n  [4, "a", 6]]}'
     with pytest.raises(ParseError) as exc:
