@@ -7,8 +7,9 @@ stream in from `full_point_rows`, one per block.  Each pair is analysed
 once, into a `PairAnalysis` (without its block indices) that carries its
 FPR and SFPR verdicts and counts the dual 3-nets through it, cyclic ones
 apart; pairs with at most one full point share one of two analyses.  The
-unital's one record is the `Counter` of those analyses, and every flag,
-net count and table row is read off it.  The aggregation mirrors the
+unital's one record is the `Counter` of those analyses; its `UnitalReport`
+adds only the FPR/SFPR verdicts and the net counts read off it, and each
+table function reads the Counters itself.  The aggregation mirrors the
 published census tables: pair rows keyed by (full point count, group
 name), FPR/SFPR totals, and the breakdown of unitals by the structure of
 their large (>= 3 point) full point sets.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .design import AbstractUnital, block_ids
@@ -50,21 +50,14 @@ class PairAnalysis(NamedTuple):
     cyclic_nets: int
 
 
-@dataclass
-class UnitalReport:
+class UnitalReport(NamedTuple):
     name: str
     order: int
     pair_kinds: Counter  # PairAnalysis -> number of disjoint pairs analysed to it
     is_fpr: bool
     is_sfpr: bool
-    embeddable_in_pg: bool  # contrapositive: non-SFPR unitals cannot embed
     net_count: int
     cyclic_net_count: int
-    has_large_set: bool
-    all_large_form_block: bool
-    all_large_in_block: bool
-    some_large_not_in_block: bool
-    no_large_in_block: bool
 
 
 def _classify_structure(fp, secants: int) -> str:
@@ -164,25 +157,14 @@ def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:
     for b1, empty, single, sets in full_point_rows(u):
         pair_kinds.update(_analyze(u, b1, b2, fp, groups) for b2, fp in sets.items())
         pair_kinds.update({pa: k for pa, k in zip(small, (empty, single)) if k})  # no key counts 0
-    is_sfpr = all(pa.sfpr for pa in pair_kinds)
-    large = [pa for pa in pair_kinds if pa.full_point_count >= LARGE_SET_THRESHOLD]
-    in_block = [pa.fp_structure == FP_IN_BLOCK for pa in large]
-    forms_block = [pa.fp_structure == FP_IN_BLOCK and pa.full_point_count == u.order + 1 for pa in large]
-    has_large = bool(large)
     return UnitalReport(
         name=name,
         order=u.order,
         pair_kinds=pair_kinds,
         is_fpr=all(pa.fpr for pa in pair_kinds),
-        is_sfpr=is_sfpr,
-        embeddable_in_pg=is_sfpr,  # necessary condition only
+        is_sfpr=all(pa.sfpr for pa in pair_kinds),
         net_count=sum(k * pa.nets for pa, k in pair_kinds.items()) // 3,
         cyclic_net_count=sum(k * pa.cyclic_nets for pa, k in pair_kinds.items()) // 3,
-        has_large_set=has_large,
-        all_large_form_block=has_large and all(forms_block),
-        all_large_in_block=has_large and all(in_block),
-        some_large_not_in_block=has_large and not all(in_block),
-        no_large_in_block=has_large and not any(in_block),
     )
 
 
@@ -202,14 +184,24 @@ def totals_row(library: str, reports) -> tuple[str, int, int, int]:
 
 
 def large_set_rows(reports) -> list[tuple[str, str, int]]:
-    """Unital counts by large full-point-set structure (the Omega/A/B/Bbar/C
-    breakdown, following the published set algebra: Omega = B ∪ Bbar)."""
-    reports = list(reports)
-    omega = [r for r in reports if r.has_large_set]
+    """Unital counts by the structure of their large full point sets, the
+    kinds with at least LARGE_SET_THRESHOLD full points (the Omega/A/B/Bbar/C
+    breakdown, following the published set algebra: Omega = B ∪ Bbar).  A
+    set is in a block when its secants are one block, and forms it with
+    all n+1 of its points."""
+    omega = forms = inside = outside = 0
+    for r in reports:
+        large = [pa for pa in r.pair_kinds if pa.full_point_count >= LARGE_SET_THRESHOLD]
+        in_block = [pa.full_point_count for pa in large if pa.fp_structure == FP_IN_BLOCK]
+        if large:  # each count below adds a bool to an int, so stays an int
+            omega += 1
+            forms += in_block == [r.order + 1] * len(large)
+            inside += len(in_block) == len(large)
+            outside += not in_block
     return [
-        ("Omega", "at least one large full point set", len(omega)),
-        ("A", "all large full point sets form a block", sum(1 for r in omega if r.all_large_form_block)),
-        ("B", "all large full point sets are contained in a block", sum(1 for r in omega if r.all_large_in_block)),
-        ("Bbar", "some large full point sets are not contained in a block", sum(1 for r in omega if r.some_large_not_in_block)),
-        ("C", "no large full point set is contained in a block", sum(1 for r in omega if r.no_large_in_block)),
+        ("Omega", "at least one large full point set", omega),
+        ("A", "all large full point sets form a block", forms),
+        ("B", "all large full point sets are contained in a block", inside),
+        ("Bbar", "some large full point sets are not contained in a block", omega - inside),
+        ("C", "no large full point set is contained in a block", outside),
     ]

@@ -110,6 +110,8 @@ def validate(file: str) -> None:
 @click.option("--coords", type=click.Path(dir_okay=False), default=None, help="coordinate side file")
 def hermitian(q: int, out: str | None, coords: str | None) -> None:
     """Construct H(q) and write it in JSON format."""
+    if out and coords and os.path.realpath(out) == os.path.realpath(coords):
+        _fail("ARGS", f"--out {out} and --coords {coords} name one file")
     from .hermitian import hermitian_unital
     try:
         emb = hermitian_unital(q)

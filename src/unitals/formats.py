@@ -11,6 +11,8 @@ Two interchange formats are supported, both with 1-based point ids:
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -113,6 +115,8 @@ def serialize_json(u: AbstractUnital, name: str = "unital") -> str:
 
 def load_unital(path) -> AbstractUnital:
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):  # a FIFO or a device may block or never end
+            raise ParseError("not a regular file")
         with open(path, encoding="utf-8") as fh:
             text = fh.read().removeprefix("\ufeff")  # drop a leading byte-order mark
     except UnicodeDecodeError as e:

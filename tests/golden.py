@@ -219,6 +219,13 @@ ROWS = (
         code=1,
         stderr="ERROR CENSUS: no unital files in empty\n",
     ),
+    # one file named twice is refused before H(q) is built: --coords would overwrite the JSON
+    Row(
+        "hermitian-out-is-coords",
+        ("hermitian", "--q", "2", "--out", "same.txt", "--coords", "./same.txt"),
+        code=1,
+        stderr="ERROR ARGS: --out same.txt and --coords ./same.txt name one file\n",
+    ),
     Row("hermitian-bad-order", ("hermitian", "--q", "6"), code=1, stderr="ERROR HERMITIAN: q=6 exceeds the desk-scale cap 5\n"),
     # a hermitian file that cannot be written (the device is full) is one ERROR OUT line and exit 1
     Row(

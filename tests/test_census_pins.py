@@ -13,7 +13,8 @@ from unitals.hermitian import hermitian_unital
 # Counter over (full points, group order, group name, fp structure) of the
 # disjoint pairs, then (FPR, SFPR, has large set, all large form a block,
 # all large in a block, some large not in a block, no large in a block,
-# nets, cyclic nets).
+# nets, cyclic nets); the five large-set values are the Omega, A, B, Bbar
+# and C counts of `large_set_rows` of the one unital.
 PINNED = {
     "appendix": (
         {
@@ -62,17 +63,7 @@ def _census(rep):
 
 
 def _flags(rep):
-    return (
-        rep.is_fpr,
-        rep.is_sfpr,
-        rep.has_large_set,
-        rep.all_large_form_block,
-        rep.all_large_in_block,
-        rep.some_large_not_in_block,
-        rep.no_large_in_block,
-        rep.net_count,
-        rep.cyclic_net_count,
-    )
+    return (rep.is_fpr, rep.is_sfpr, *(count for _, _, count in large_set_rows([rep])), rep.net_count, rep.cyclic_net_count)
 
 
 def test_pinned_pair_census(reports):

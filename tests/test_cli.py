@@ -123,6 +123,17 @@ def test_hermitian_file_that_cannot_be_written_gives_one_error_line(runner, tmp_
     assert "wrote" not in result.stdout
 
 
+def test_hermitian_one_file_for_out_and_coords_gives_one_error_line(runner, tmp_path, monkeypatch):
+    """Two names of one file are refused before H(q) is built, and nothing is written."""
+    built = []
+    monkeypatch.setattr("unitals.hermitian.hermitian_unital", built.append)
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["hermitian", "--q", "2", "--out", "same.txt", "--coords", "./same.txt"])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == ["ERROR ARGS: --out same.txt and --coords ./same.txt name one file"]
+    assert result.stdout == "" and built == [] and list(tmp_path.iterdir()) == []
+
+
 def test_fullpoints_bad_args(runner, appendix_file):
     result = runner.invoke(main, ["fullpoints", appendix_file, "--blocks", "1"])
     assert result.exit_code == 1
@@ -323,6 +334,24 @@ def test_unreadable_file_gives_one_error_line(runner, tmp_path, h2, unreadable, 
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith(f"ERROR {code}: cannot read file") and result.output.count("ERROR") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize(
+    "args, code",
+    [(["validate"], "PARSE"), (["fullpoints", "--blocks", "1,2"], "LOAD"), (["dualnets"], "LOAD")],
+    ids=["validate", "fullpoints", "dualnets"],
+)
+def test_fifo_gives_one_error_line(tmp_path, args, code):
+    """A FIFO passes click's exists check; reading it would wait for a writer forever."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-m", "unitals.cli", args[0], str(fifo), *args[1:]]
+    run = subprocess.run(command, capture_output=True, text=True, env=env, timeout=20)
+    assert run.returncode == 1
+    assert run.stdout == "" and run.stderr.splitlines() == [f"ERROR {code}: not a regular file"]
 
 
 def test_census_checks_out_dir_before_classifying(runner, tmp_path, h2, monkeypatch):
