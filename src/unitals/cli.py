@@ -194,8 +194,9 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
         _fail("CENSUS", f"cannot read {directory}: {e.strerror or e}")
     tables = [f"{prefix}_{table}.csv" for table in ("groups", "totals", "large")]
     own = {os.path.realpath(t) for t in tables}  # a table of an earlier run into DIRECTORY is not an input
+    # any other entry but a directory is an input: one that is not a regular file is skipped with load_unital's reason
     paths = sorted(p for p in (os.path.join(directory, f) for f in names if not f.startswith("."))
-                   if os.path.isfile(p) and os.path.realpath(p) not in own)
+                   if not os.path.isdir(p) and os.path.realpath(p) not in own)
     if not paths:
         _fail("CENSUS", f"no unital files in {directory}")
     handles = [_open(t) for t in tables]

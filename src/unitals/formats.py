@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import os
 import stat
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .design import AbstractUnital, validate_unital
 
@@ -31,8 +31,7 @@ class ParseError(ValueError):
         super().__init__(f"{reason}{where}")
 
 
-@dataclass(frozen=True)
-class UnitalFile:
+class UnitalFile(NamedTuple):
     name: str
     order: int
     points: int

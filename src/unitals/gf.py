@@ -73,7 +73,9 @@ class GaloisField:
     def __init__(self, p: int, k: int = 1):
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if p**k > MAX_FIELD_SIZE:  # before the primality test, whose trial division is slow on a huge p
+        # p and k bound p**k before it is computed (2**k > cap from k = cap.bit_length()),
+        # and the cap comes before the primality test, whose trial division is slow on a huge p
+        if p > 1 and (p > MAX_FIELD_SIZE or k >= MAX_FIELD_SIZE.bit_length() or p**k > MAX_FIELD_SIZE):
             raise ValueError(f"field GF({p}^{k}) exceeds the size cap {MAX_FIELD_SIZE}")
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")

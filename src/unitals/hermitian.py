@@ -11,8 +11,8 @@ tests, nuclei and the affine perspectivity group of a disjoint block pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .design import AbstractUnital, NotAUnital, block_ids, fold, validate_unital
 from .gf import GaloisField
@@ -85,8 +85,7 @@ def polar_triangle_completion(plane: ProjectivePlane, l1, l2):
     return polarity_image(plane, plane.meet(l1, l2))
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """A unital in a plane: the plane point of each point, the line of each block."""
 
     plane: ProjectivePlane
@@ -194,8 +193,7 @@ def nuclei(plane: ProjectivePlane, point_set) -> tuple:
     return tuple(p for p, on_p in zip(plane.points, inc) if not on_p & ~tangents and p not in s)
 
 
-@dataclass(frozen=True)
-class Gamma1Record:
+class Gamma1Record(NamedTuple):
     """Outcome of the nuclei-generated affinity group of a disjoint block pair."""
 
     order: int

@@ -12,8 +12,7 @@ group-based or not, cyclic or not.  `latin_square_from_3net` and
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations, compress
 
 from .design import AbstractUnital
@@ -29,21 +28,27 @@ class NotA3Net(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LatinSquare:
-    m: int
-    rows: tuple[tuple[int, ...], ...]
+class LatinSquare(namedtuple("LatinSquare", "m rows")):
+    """A latin square of order m, its rows a tuple of m symbol tuples; every
+    row and column must be a permutation of range(m), else ValueError."""
 
-    def __post_init__(self):
-        if len(self.rows) != self.m:
-            raise ValueError(f"need {self.m} rows, got {len(self.rows)}")
-        sym = set(range(self.m))
-        for r in self.rows:
-            if len(r) != self.m or set(r) != sym:
+    __slots__ = ()
+
+    def __new__(cls, m: int, rows: tuple[tuple[int, ...], ...]):
+        if len(rows) != m:
+            raise ValueError(f"need {m} rows, got {len(rows)}")
+        sym = set(range(m))
+        for r in rows:
+            if len(r) != m or set(r) != sym:
                 raise ValueError("row is not a permutation of the symbols")
-        for j in range(self.m):
-            if {r[j] for r in self.rows} != sym:
+        for j in range(m):
+            if {r[j] for r in rows} != sym:
                 raise ValueError("column is not a permutation of the symbols")
+        return super().__new__(cls, m, rows)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here, so its square is checked too
+        return cls(*iterable)
 
     def serialize(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -140,13 +145,8 @@ def is_group_based(sq: LatinSquare) -> str | None:
     return structure_name(PermGroup(sq.m, maps, maps))
 
 
-def is_cyclic_square(sq: LatinSquare) -> bool:
-    """True when the square is based on C_m: its row maps r0^-1 r are the
-    powers of one m-cycle (see `is_group_based`)."""
-    return is_cyclic_regular(relative_to_first(sq.rows))
-
-
 def is_cyclic_3net(u: AbstractUnital, net) -> bool:
     """True when the coordinate latin square is based on the cyclic group
-    of order n+1: `is_cyclic_square` of the kernel's rows, building no square."""
+    of order n+1: its row maps r0^-1 r (see `is_group_based`) are the powers
+    of one (n+1)-cycle, read off the kernel's rows, building no square."""
     return is_cyclic_regular(relative_to_first(_square_rows(u, net)))

@@ -282,6 +282,28 @@ def test_census_skips_and_counts_malformed_files(runner, tmp_path, h2):
         assert list(csv.reader(fh))[1] == ["demo", "1", "1", "1"]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_census_skips_and_counts_entries_that_are_not_regular_files(runner, tmp_path, h2):
+    """A FIFO and a dangling symlink are inputs too: each is skipped with
+    `load_unital`'s reason, and the tables are those of the unital alone."""
+    alone, src = tmp_path / "alone", tmp_path / "lib"
+    for d in (alone, src):
+        d.mkdir()
+        (d / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    os.mkfifo(src / "fifo")
+    os.symlink(tmp_path / "missing.txt", src / "dangling.txt")
+    expected = runner.invoke(main, ["census", str(alone), "--out", str(tmp_path / "alone"), "--library", "demo"])
+    result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "lib"), "--library", "demo"])
+    assert expected.exit_code == 0 and result.exit_code == 0
+    assert result.stderr.splitlines() == [
+        f"skipped {src / 'dangling.txt'}: cannot read file: No such file or directory",
+        f"skipped {src / 'fifo'}: not a regular file",
+    ]
+    assert result.stdout.startswith("census of 1 unital(s)") and result.stdout.endswith(" (2 file(s) skipped)\n")
+    for table in ("groups", "totals", "large"):
+        assert (tmp_path / f"lib_{table}.csv").read_text() == (tmp_path / f"alone_{table}.csv").read_text()
+
+
 def test_byte_order_mark_is_accepted(runner, tmp_path, appendix):
     """A UTF-8 file may start with a byte-order mark, in either format."""
     src = tmp_path / "lib"
@@ -442,11 +464,24 @@ def test_census_directory_that_cannot_be_listed_gives_one_error_line(runner, tmp
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device that is always full")
-@pytest.mark.parametrize("args", [["hermitian", "--q", "2"], ["validate", "{appendix}"]], ids=["hermitian", "validate"])
-def test_full_standard_output_gives_one_error_line(appendix_file, args):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["hermitian", "--q", "2"],
+        ["validate", "{appendix}"],
+        ["fullpoints", "{appendix}", "--blocks", "1,33"],
+        ["dualnets", "{appendix}"],
+        ["census", "{dir}", "--out", "{dir}/census"],
+        ["appendix-check"],
+    ],
+    ids=["hermitian", "validate", "fullpoints", "dualnets", "census", "appendix-check"],
+)
+def test_full_standard_output_gives_one_error_line(tmp_path, appendix_file, args):
+    """Every command, its standard output on a full device (click's test
+    runner has no file descriptor to point there, so each runs as a process)."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    command = [sys.executable, "-m", "unitals.cli", *(a.format(appendix=appendix_file) for a in args)]
+    command = [sys.executable, "-m", "unitals.cli", *(a.format(appendix=appendix_file, dir=tmp_path) for a in args)]
     with open("/dev/full", "w") as full:
         run = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert run.returncode == 1

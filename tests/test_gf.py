@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from unitals import gf
@@ -40,6 +44,16 @@ def test_size_cap_checked_before_primality(monkeypatch):
     monkeypatch.setattr(gf, "is_prime", refuse)
     with pytest.raises(ValueError, match="size cap"):
         GaloisField(2**61 - 1)
+
+
+def test_size_cap_checked_before_the_power():
+    """GF(3^k) for a huge k is refused from k alone: computing 3**k first
+    takes minutes, so the subprocess's timeout ends it."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "from unitals.gf import GaloisField\ntry:\n    GaloisField(3, 10**8)\nexcept ValueError as e:\n    print(e)\n"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+    assert run.stdout == "field GF(3^100000000) exceeds the size cap 65536\n"
 
 
 def test_gf4_multiplication():

@@ -1,10 +1,13 @@
-"""What importing the package and the CLI loads, each in a fresh interpreter."""
+"""What importing the package and the CLI loads, each in a fresh interpreter,
+and the named-tuple records that keep `dataclasses` out of it."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -25,6 +28,48 @@ def test_cli_import_loads_no_module_that_only_some_commands_run():
     assert "unitals.census" in loaded
     for module in ("unitals.hermitian", "unitals.nets", "unitals.gf", "unitals.plane", "hashlib", "concurrent.futures"):
         assert module not in loaded
+
+
+def test_cli_import_loads_no_dataclasses_beyond_click():
+    """Every record of the package is a named tuple, so the CLI needs
+    `dataclasses` only if click does."""
+    out = _run(
+        "import sys, click\n"
+        "before = set(sys.modules)\n"
+        "import unitals.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    assert "unitals.formats" in out.split() and "dataclasses" not in out.split()
+
+
+def test_no_module_imports_dataclasses():
+    imports = []
+    for path in sorted(Path(SRC, "unitals").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "dataclasses":
+                imports.append(f"{path.name}: from {node.module}")
+    assert imports == []
+
+
+def test_records_keep_their_fields_and_refuse_assignment(h2):
+    from unitals.formats import appendix_text, parse_unital
+    from unitals.hermitian import gamma1_analysis
+    from unitals.nets import LatinSquare
+
+    gamma1 = gamma1_analysis(h2, *next(h2.unital.disjoint_block_pairs()))
+    records = [
+        (parse_unital(appendix_text()), ("name", "order", "points", "blocks")),
+        (LatinSquare(2, ((0, 1), (1, 0))), ("m", "rows")),
+        (h2, ("plane", "unital", "point_coords", "line_coords", "line_to_block")),
+        (gamma1, ("order", "is_cyclic", "group", "z", "v1", "nuclei", "nuclei_line", "nuclei_collinear", "z_on_nuclei_line")),
+    ]
+    for record, fields in records:
+        assert record._fields == fields
+        for name in (fields[0], "new_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_census_classifies_every_file_in_its_own_process(tmp_path):

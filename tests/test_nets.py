@@ -10,13 +10,12 @@ from unitals.nets import (
     TooFewBlocks,
     find_dual_3nets,
     is_cyclic_3net,
-    is_cyclic_square,
     is_dual_knet,
     is_group_based,
     latin_square_from_3net,
 )
 from unitals.design import AbstractUnital, block_ids, validate_unital
-from unitals.groups import closure, compose
+from unitals.groups import closure, compose, is_cyclic_regular, relative_to_first
 from unitals.hermitian import hermitian_unital
 from unitals.persp import full_point_rows, full_points, persp_group
 
@@ -314,8 +313,9 @@ def test_latin_square_raises_exactly_off_dual_3nets(appendix, h2):
 
 def test_cyclic_3net_raises_exactly_off_dual_3nets(appendix, h2, h4, h4_triangles):
     """`_triple_cases` and every one-block swap of a few H(4) nets (order-3
-    unitals have no dual 3-net to swap from): the verdict is the square's
-    wherever the triple is a net, and `NotA3Net` everywhere else."""
+    unitals have no dual 3-net to swap from): wherever the triple is a net
+    the verdict is whether `is_group_based`, which closes and names the
+    square's group, names C_{n+1}; everywhere else it is `NotA3Net`."""
     cases = _triple_cases(appendix, h2)
     for net in sorted(h4_triangles)[:3]:
         for i, b in product(range(3), h4.unital.block_indices()):
@@ -324,7 +324,7 @@ def test_cyclic_3net_raises_exactly_off_dual_3nets(appendix, h2, h4, h4_triangle
     for u, net in cases:
         if is_dual_knet(u, net):
             found += 1
-            assert is_cyclic_3net(u, net) == is_cyclic_square(latin_square_from_3net(u, net))
+            assert is_cyclic_3net(u, net) == (is_group_based(latin_square_from_3net(u, net)) == f"C{u.order + 1}")
         else:
             with pytest.raises(NotA3Net):
                 is_cyclic_3net(u, net)
@@ -382,6 +382,8 @@ def test_latin_square_needs_m_rows_of_m_symbols():
         LatinSquare(5, rows[:4])
     with pytest.raises(ValueError):
         LatinSquare(5, tuple(r + r[:1] for r in rows))
+    with pytest.raises(ValueError):
+        z5_table()._replace(rows=rows[:4])
 
 
 def _parastrophes(rows):
@@ -443,18 +445,19 @@ def _isotopes_and_parastrophes(rows, rng):
 
 
 def test_cyclic_square_matches_group_name(appendix, h2, h4):
-    """The cyclicity test agrees with naming the group, on every net of the
-    appendix unital, H(2) and H(4) and on the main-class table.  Four of the
-    appendix unital's five non-cyclic nets, the appendix square and most
-    switched C8 squares have a row map that is an m-cycle whose powers are
-    not the row maps, so a test that stops at the m-cycle fails here."""
+    """`is_cyclic_regular` of the row maps agrees with naming the group, on
+    every net of the appendix unital, H(2) and H(4) and on the main-class
+    table.  Four of the appendix unital's five non-cyclic nets, the appendix
+    square and most switched C8 squares have a row map that is an m-cycle
+    whose powers are not the row maps, so a test that stops at the m-cycle
+    fails here."""
     rng = random.Random(13)
     squares = [latin_square_from_3net(u, net) for u in (appendix, h2.unital, h4.unital) for net in find_dual_3nets(u)]
     assert len(squares) == 86 + 4 + 416
     squares += [sq for rows, _ in MAIN_CLASS_CASES for sq in _isotopes_and_parastrophes(rows, rng)]
     verdicts = Counter()
     for sq in squares:
-        cyclic = is_cyclic_square(sq)
+        cyclic = is_cyclic_regular(relative_to_first(sq.rows))
         assert cyclic == (is_group_based(sq) == f"C{sq.m}")
         verdicts[cyclic, _has_m_cycle_row_map(sq)] += 1
     assert verdicts[False, True] > 0 and verdicts[True, True] > 0
