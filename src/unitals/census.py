@@ -51,7 +51,6 @@ class PairAnalysis(NamedTuple):
 
 
 class UnitalReport(NamedTuple):
-    name: str
     order: int
     pair_kinds: Counter  # PairAnalysis -> number of disjoint pairs analysed to it
     is_fpr: bool
@@ -149,7 +148,7 @@ def is_sfpr_triple(u: AbstractUnital, b1: int, b2: int) -> bool:
     return _disjoint_pair(u, b1, b2).sfpr
 
 
-def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:
+def classify_unital(u: AbstractUnital) -> UnitalReport:
     """Analyse every disjoint pair once into the report's Counter.  Each dual
     3-net {a, b, c} is counted from each of its three pairs, hence the / 3."""
     groups, pair_kinds = group_triples(), Counter()
@@ -158,7 +157,6 @@ def classify_unital(u: AbstractUnital, name: str = "unital") -> UnitalReport:
         pair_kinds.update(_analyze(u, b1, b2, fp, groups) for b2, fp in sets.items())
         pair_kinds.update({pa: k for pa, k in zip(small, (empty, single)) if k})  # no key counts 0
     return UnitalReport(
-        name=name,
         order=u.order,
         pair_kinds=pair_kinds,
         is_fpr=all(pa.fpr for pa in pair_kinds),

@@ -177,7 +177,7 @@ def _census_worker(path):
     bound to it sees every file."""
     try:
         u = formats.load_unital(path)
-        return (path, census_mod.classify_unital(u, name=os.path.basename(path)), None)
+        return (path, census_mod.classify_unital(u), None)
     except (formats.ParseError, NotAUnital, GroupTooLarge) as e:
         return (path, None, str(e))
 
@@ -185,9 +185,9 @@ def _census_worker(path):
 @main.command("census")
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
 @click.option("--out", "prefix", required=True, help="output CSV prefix")
-@click.option("--library", default=None, help="library label (default: directory name)")
-def census_cmd(directory: str, prefix: str, library: str | None) -> None:
-    """Classify every unital file in DIRECTORY and write table CSVs."""
+def census_cmd(directory: str, prefix: str) -> None:
+    """Classify every unital file in DIRECTORY and write table CSVs; the
+    totals row labels the library by DIRECTORY's name."""
     try:
         names = os.listdir(directory)
     except OSError as e:
@@ -200,7 +200,6 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
     if not paths:
         _fail("CENSUS", f"no unital files in {directory}")
     handles = [_open(t) for t in tables]
-    label = library or os.path.basename(os.path.abspath(directory))
 
     reports, skipped = [], 0
     for path in paths:
@@ -213,7 +212,7 @@ def census_cmd(directory: str, prefix: str, library: str | None) -> None:
 
     contents = (
         [["full_points", "group", "count"], *census_mod.group_table_rows(reports)],
-        [["library", "unitals", "fpr", "sfpr"], census_mod.totals_row(label, reports)],
+        [["library", "unitals", "fpr", "sfpr"], census_mod.totals_row(os.path.basename(os.path.abspath(directory)), reports)],
         [["set", "property", "count"], *census_mod.large_set_rows(reports)],
     )
     for fh, rows in zip(handles, contents):
@@ -247,7 +246,7 @@ def appendix_check() -> None:
 
     found = nets.find_dual_3nets(u)
     listed = (len(found), sum(nets.is_cyclic_3net(u, net) for net in found))
-    report = census_mod.classify_unital(u, "appendix")
+    report = census_mod.classify_unital(u)
     if listed != (86, 81) or (report.net_count, report.cyclic_net_count) != listed:
         _fail("GOLDEN", f"(nets, cyclic) listed {listed}, census {report.net_count, report.cyclic_net_count}, expected (86, 81)")
     _echo("86 embedded dual 3-nets, 81 cyclic, by the net listing and by the census")

@@ -4,8 +4,9 @@ Two interchange formats are supported, both with 1-based point ids:
 
 * plain text: one block per line, read by `parse_ids` (ASCII decimal ids,
   comma- or space-separated, ``#`` comments); the point count is the maximum id;
-* JSON: an object with "order", "points" and "blocks" fields plus an
-  optional "name".
+* JSON: an object with "order", "points" and "blocks" fields; "order" is
+  checked against block 1, and any other field, such as the "name" that
+  the serializers write, is ignored.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ class ParseError(ValueError):
 
 
 class UnitalFile(NamedTuple):
-    name: str
-    order: int
     points: int
     blocks: tuple[tuple[int, ...], ...]
 
@@ -41,14 +40,11 @@ class UnitalFile(NamedTuple):
         return validate_unital(self.points, self.blocks)
 
 
-def parse_unital(text: str, name: str = "unital") -> UnitalFile:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_json(text, name)
-    return _parse_text(text, name)
+def parse_unital(text: str) -> UnitalFile:
+    return _parse_json(text) if text.lstrip().startswith("{") else _parse_text(text)
 
 
-def _parse_json(text: str, name: str) -> UnitalFile:
+def _parse_json(text: str) -> UnitalFile:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -71,7 +67,7 @@ def _parse_json(text: str, name: str) -> UnitalFile:
         raise ParseError(f"JSON fields 'order' and 'points' must be integers, got {order!r} and {points!r}")
     if blocks and order != len(blocks[0]) - 1:
         raise ParseError(f"JSON field 'order' is {order}, but block 1 has {len(blocks[0])} points")
-    return UnitalFile(name=obj.get("name", name), order=order, points=points, blocks=blocks)
+    return UnitalFile(points, blocks)
 
 
 def parse_ids(line: str, lineno: int | None = None) -> tuple[int, ...]:
@@ -88,7 +84,7 @@ def parse_ids(line: str, lineno: int | None = None) -> tuple[int, ...]:
     raise ParseError(f"{kind}: {shown}", line=lineno)
 
 
-def _parse_text(text: str, name: str) -> UnitalFile:
+def _parse_text(text: str) -> UnitalFile:
     blocks = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         ids = parse_ids(raw, lineno)
@@ -98,7 +94,7 @@ def _parse_text(text: str, name: str) -> UnitalFile:
             blocks.append(ids)
     if not blocks:
         raise ParseError("no blocks found")
-    return UnitalFile(name=name, order=len(blocks[0]) - 1, points=max(map(max, blocks)), blocks=tuple(blocks))
+    return UnitalFile(max(map(max, blocks)), tuple(blocks))
 
 
 def serialize_text(u: AbstractUnital, name: str = "unital") -> str:
@@ -122,7 +118,7 @@ def load_unital(path) -> AbstractUnital:
         raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}") from None
     except OSError as e:
         raise ParseError(f"cannot read file: {e.strerror or e}") from None
-    return parse_unital(text, name=str(path)).validate()
+    return parse_unital(text).validate()
 
 
 def appendix_text() -> str:
@@ -139,4 +135,4 @@ def builtin_appendix_unital() -> AbstractUnital:
     """The embedded 65-point, 208-block unital of order 4."""
     if appendix_digest() != APPENDIX_SHA256:
         raise RuntimeError("embedded appendix dataset has drifted from its pinned hash")
-    return parse_unital(appendix_text(), name="appendix-order4").validate()
+    return parse_unital(appendix_text()).validate()

@@ -245,6 +245,8 @@ ROWS = (
     _usage("bad-int", "hermitian", "--q", "abc"),
     _usage("missing-option", "fullpoints", "{appendix}"),
     _usage("missing-dir", "census", "missing", "--out", "x"),
+    # census-in, made by an earlier row, exists: the one error is the removed option
+    _usage("census-library", "census", "census-in", "--out", "x", "--library", "x"),
     _usage("unknown-command", "bogus"),
     _usage("unknown-group-option", "--bogus"),
 )

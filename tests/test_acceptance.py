@@ -221,7 +221,7 @@ def test_criterion_12_library_census(capsys):
             for name in sorted(os.listdir(subdir)):
                 path = os.path.join(subdir, name)
                 if os.path.isfile(path):
-                    reports.append(classify_unital(load_unital(path), name=name))
+                    reports.append(classify_unital(load_unital(path)))
             assert totals_row(label, reports)[1:] == expected
             ran += 1
         assert ran > 0, f"no library subdirectories (bbt/krc/knp) found under {root}"

@@ -111,20 +111,19 @@ def test_hermitian_pairs_strongly_regular(h3):
 
 
 def test_classify_hermitian_small(h2, h3):
-    for emb, name in ((h2, "H(2)"), (h3, "H(3)")):
-        rep = classify_unital(emb.unital, name)
-        assert rep.name == name
+    for emb in (h2, h3):
+        rep = classify_unital(emb.unital)
         assert rep.order == emb.unital.order
         assert rep.is_fpr and rep.is_sfpr
         assert sum(rep.pair_kinds.values()) == sum(1 for _ in emb.unital.disjoint_block_pairs())
-    rep2 = classify_unital(h2.unital, "H(2)")
+    rep2 = classify_unital(h2.unital)
     rows = {label: count for label, _, count in large_set_rows([rep2])}
     assert rows["Omega"] and rows["A"]
     assert rep2.cyclic_net_count == rep2.net_count > 0
 
 
 def test_classify_appendix(appendix):
-    rep = classify_unital(appendix, "appendix")
+    rep = classify_unital(appendix)
     assert rep.order == 4
     assert not rep.is_sfpr
     assert rep.net_count == 86
@@ -141,7 +140,7 @@ def test_classify_closes_each_group_once(request, monkeypatch, name, groups):
     named = []
     real = census.structure_name
     monkeypatch.setattr(census, "structure_name", lambda g: named.append(g.elements) or real(g))
-    pair_kinds = classify_unital(u, name).pair_kinds
+    pair_kinds = classify_unital(u).pair_kinds
     assert len(named) == len(set(named)) == groups
     assert pair_kinds == Counter(analyze_pair(u, b1, b2)[1] for b1, b2 in u.disjoint_block_pairs())
 
@@ -171,7 +170,7 @@ def test_group_cache_is_exact_on_census_sets(request, monkeypatch, name):
         return lookup
 
     monkeypatch.setattr(census, "group_triples", recording)
-    classify_unital(u, name)
+    classify_unital(u)
     assert met
     for key, triples in met.items():
         assert triples == {_fresh_triple(key)}, key
@@ -235,7 +234,7 @@ def test_group_cache_is_exact_on_random_subgroups(degree):
 
 
 def test_group_table_rows(h2, h3):
-    reports = [classify_unital(h2.unital, "H(2)"), classify_unital(h3.unital, "H(3)")]
+    reports = [classify_unital(h2.unital), classify_unital(h3.unital)]
     rows = group_table_rows(reports)
     assert (3, "C3", 1) in rows
     # each unital counted once per (count, group) key
@@ -243,12 +242,12 @@ def test_group_table_rows(h2, h3):
 
 
 def test_totals_row(h2, h3):
-    reports = [classify_unital(h2.unital, "H(2)"), classify_unital(h3.unital, "H(3)")]
+    reports = [classify_unital(h2.unital), classify_unital(h3.unital)]
     assert totals_row("hermitian", reports) == ("hermitian", 2, 2, 2)
 
 
 def test_large_set_rows(h2, appendix):
-    reports = [classify_unital(h2.unital, "H(2)"), classify_unital(appendix, "appendix")]
+    reports = [classify_unital(h2.unital), classify_unital(appendix)]
     rows = large_set_rows(reports)
     assert [(label, count) for label, _, count in rows] == [("Omega", 2), ("A", 1), ("B", 1), ("Bbar", 1), ("C", 0)]
     assert all(type(count) is int for _, _, count in rows)
@@ -289,7 +288,7 @@ def test_net_counts_match_latin_square_path(request, name):
     fixture = request.getfixturevalue(name)
     u = getattr(fixture, "unital", fixture)
     cyclic = {net: is_cyclic_3net(u, net) for net in find_dual_3nets(u)}
-    rep = classify_unital(u, name)
+    rep = classify_unital(u)
     assert (rep.net_count, rep.cyclic_net_count) == (len(cyclic), sum(cyclic.values()))
     for net, cyc in cyclic.items():
         for b1, b2, c in permutations(net):

@@ -52,7 +52,7 @@ def designs(appendix, h2, h3, h4):
 
 @pytest.fixture(scope="module")
 def reports(designs):
-    return {name: classify_unital(u, name) for name, u in designs.items()}
+    return {name: classify_unital(u) for name, u in designs.items()}
 
 
 def _census(rep):
@@ -85,7 +85,7 @@ def test_census_invariant_under_relabelling(designs, reports):
     rng = random.Random(2019)
     for name in ("appendix", "H(4)"):
         rep = reports[name]
-        copy = classify_unital(_relabelled(designs[name], rng), name)
+        copy = classify_unital(_relabelled(designs[name], rng))
         assert group_table_rows([copy]) == group_table_rows([rep]), name
         assert totals_row(name, [copy]) == totals_row(name, [rep]), name
         assert large_set_rows([copy]) == large_set_rows([rep]), name
@@ -93,7 +93,7 @@ def test_census_invariant_under_relabelling(designs, reports):
 
 
 def test_pinned_pair_census_of_h5():
-    rep = classify_unital(hermitian_unital(5).unital, "H(5)")
+    rep = classify_unital(hermitian_unital(5).unital)
     assert _census(rep) == {
         (0, None, None, "empty"): 36750,
         (2, 3, "C3", "in-block"): 31500,

@@ -232,12 +232,12 @@ def test_census_skips_and_counts_a_group_over_cap(runner, tmp_path, h2, small_gr
     (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
     (src / "appendix.txt").write_text(appendix_text())
     prefix = str(tmp_path / "census")
-    result = runner.invoke(main, ["census", str(src), "--out", prefix, "--library", "demo"])
+    result = runner.invoke(main, ["census", str(src), "--out", prefix])
     assert result.exit_code == 0
     assert "census of 1 unital(s)" in result.output and "1 file(s) skipped" in result.output
     assert f"skipped {src / 'appendix.txt'}: group order exceeds cap 100" in result.output
     with open(prefix + "_totals.csv") as fh:
-        assert list(csv.reader(fh))[1] == ["demo", "1", "1", "1"]
+        assert list(csv.reader(fh))[1] == ["lib", "1", "1", "1"]
 
 
 def test_census_writes_tables(runner, tmp_path, h2):
@@ -246,14 +246,14 @@ def test_census_writes_tables(runner, tmp_path, h2):
     (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
     (src / "broken.txt").write_text("1 2 3\n")
     prefix = str(tmp_path / "census")
-    result = runner.invoke(main, ["census", str(src), "--out", prefix, "--library", "demo"])
+    result = runner.invoke(main, ["census", str(src), "--out", prefix])
     assert result.exit_code == 0
     assert "1 file(s) skipped" in result.output
 
     with open(prefix + "_totals.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["library", "unitals", "fpr", "sfpr"]
-    assert rows[1] == ["demo", "1", "1", "1"]
+    assert rows[1] == ["lib", "1", "1", "1"]
 
     with open(prefix + "_groups.csv") as fh:
         rows = list(csv.reader(fh))
@@ -266,6 +266,20 @@ def test_census_writes_tables(runner, tmp_path, h2):
     assert rows[1][0] == "Omega"
 
 
+def test_census_labels_the_library_by_its_directory_name(runner, tmp_path, h2):
+    """The totals row's label is DIRECTORY's name, CSV-quoted where it must
+    be, with or without a trailing slash."""
+    src = tmp_path / 'lib, "q"'
+    src.mkdir()
+    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    for directory, prefix in ((str(src), "plain"), (str(src) + os.sep, "slash")):
+        result = runner.invoke(main, ["census", directory, "--out", str(tmp_path / prefix)])
+        assert result.exit_code == 0
+        text = (tmp_path / f"{prefix}_totals.csv").read_text()
+        assert text.splitlines()[1] == '"lib, ""q""",1,1,1'
+        assert list(csv.reader(text.splitlines()))[1] == ['lib, "q"', "1", "1", "1"]
+
+
 def test_census_skips_and_counts_malformed_files(runner, tmp_path, h2):
     src = tmp_path / "lib"
     src.mkdir()
@@ -273,27 +287,28 @@ def test_census_skips_and_counts_malformed_files(runner, tmp_path, h2):
     for name, content in MALFORMED.items():
         (src / name).write_bytes(content)
     prefix = str(tmp_path / "census")
-    result = runner.invoke(main, ["census", str(src), "--out", prefix, "--library", "demo"])
+    result = runner.invoke(main, ["census", str(src), "--out", prefix])
     assert result.exit_code == 0
     assert "census of 1 unital(s)" in result.output and "5 file(s) skipped" in result.output
     for name in MALFORMED:
         assert f"skipped {src / name}: " in result.output
     with open(prefix + "_totals.csv") as fh:
-        assert list(csv.reader(fh))[1] == ["demo", "1", "1", "1"]
+        assert list(csv.reader(fh))[1] == ["lib", "1", "1", "1"]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 def test_census_skips_and_counts_entries_that_are_not_regular_files(runner, tmp_path, h2):
     """A FIFO and a dangling symlink are inputs too: each is skipped with
-    `load_unital`'s reason, and the tables are those of the unital alone."""
-    alone, src = tmp_path / "alone", tmp_path / "lib"
+    `load_unital`'s reason, and the tables are those of the unital alone
+    in a directory of the same name."""
+    alone, src = tmp_path / "alone" / "lib", tmp_path / "lib"
     for d in (alone, src):
-        d.mkdir()
+        d.mkdir(parents=True)
         (d / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
     os.mkfifo(src / "fifo")
     os.symlink(tmp_path / "missing.txt", src / "dangling.txt")
-    expected = runner.invoke(main, ["census", str(alone), "--out", str(tmp_path / "alone"), "--library", "demo"])
-    result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "lib"), "--library", "demo"])
+    expected = runner.invoke(main, ["census", str(alone), "--out", str(tmp_path / "alone")])
+    result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "lib")])
     assert expected.exit_code == 0 and result.exit_code == 0
     assert result.stderr.splitlines() == [
         f"skipped {src / 'dangling.txt'}: cannot read file: No such file or directory",
@@ -441,7 +456,7 @@ def test_census_worker_returns_the_report_unchanged(tmp_path, h2):
     p.write_text(serialize_text(h2.unital, "h2"))
     path, report, error = cli._census_worker(str(p))
     assert (path, error) == (str(p), None)
-    assert report == census.classify_unital(h2.unital, "h2.txt")
+    assert report == census.classify_unital(h2.unital)
 
 
 def test_census_directory_that_cannot_be_listed_gives_one_error_line(runner, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from unitals.census import classify_unital
 from unitals.design import NotAUnital
 from unitals.formats import (
     APPENDIX_SHA256,
@@ -17,7 +18,7 @@ from unitals.formats import (
 
 def test_text_round_trip(h2):
     u = h2.unital
-    again = parse_unital(serialize_text(u, "h2"), name="h2").validate()
+    again = parse_unital(serialize_text(u, "h2")).validate()
     assert again.all_blocks == u.all_blocks
     assert again.num_points == u.num_points
 
@@ -26,9 +27,22 @@ def test_json_round_trip(h2):
     u = h2.unital
     text = serialize_json(u, "h2")
     uf = parse_unital(text)
-    assert uf.name == "h2"
-    assert uf.order == 2 and uf.points == 9
+    assert uf.points == 9
     assert uf.validate().all_blocks == u.all_blocks
+
+
+@pytest.mark.parametrize("name", [None, "h2", 5, [1]], ids=["absent", "string", "int", "list"])
+def test_json_name_is_ignored(h2, name):
+    """A JSON file's "name" may be absent or of any type: the unital and its
+    census report are the same."""
+    obj = json.loads(serialize_json(h2.unital))
+    if name is None:
+        del obj["name"]
+    else:
+        obj["name"] = name
+    u = parse_unital(json.dumps(obj)).validate()
+    assert u.all_blocks == h2.unital.all_blocks
+    assert classify_unital(u) == classify_unital(h2.unital)
 
 
 def test_text_parser_handles_commas_and_comments():
@@ -36,7 +50,6 @@ def test_text_parser_handles_commas_and_comments():
     uf = parse_unital(text)
     assert uf.blocks == ((1, 2, 3), (4, 5, 6), (1, 4, 7))
     assert uf.points == 7
-    assert uf.order == 2
 
 
 def test_json_missing_field():
@@ -96,7 +109,7 @@ def test_text_ids_are_ascii_decimal_digits(token):
 def test_text_separators_and_comments():
     text = "# a comment line\n1, 2 ,3\n4\t5\t6  # trailing comment\n\n7,8,,9\n"
     uf = parse_unital(text)
-    assert uf.blocks == ((1, 2, 3), (4, 5, 6), (7, 8, 9)) and (uf.points, uf.order) == (9, 2)
+    assert uf.blocks == ((1, 2, 3), (4, 5, 6), (7, 8, 9)) and uf.points == 9
 
 
 def test_json_bad_block_reports_block_index():

@@ -60,7 +60,7 @@ def test_records_keep_their_fields_and_refuse_assignment(h2):
 
     gamma1 = gamma1_analysis(h2, *next(h2.unital.disjoint_block_pairs()))
     records = [
-        (parse_unital(appendix_text()), ("name", "order", "points", "blocks")),
+        (parse_unital(appendix_text()), ("points", "blocks")),
         (LatinSquare(2, ((0, 1), (1, 0))), ("m", "rows")),
         (h2, ("plane", "unital", "point_coords", "line_coords", "line_to_block")),
         (gamma1, ("order", "is_cyclic", "group", "z", "v1", "nuclei", "nuclei_line", "nuclei_collinear", "z_on_nuclei_line")),
