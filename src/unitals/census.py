@@ -5,14 +5,14 @@ the full points lie in a single block disjoint from both; strongly FPR
 additionally requires a cyclic semi-regular perspectivity group.  Rows
 stream in from `full_point_rows`, one per block.  Each pair is analysed
 once, into a `PairAnalysis` (without its block indices) that carries its
-FPR and SFPR verdicts and counts the dual 3-nets through it, cyclic ones
-apart; pairs with at most one full point share one of two analyses.  The
-unital's one record is the `Counter` of those analyses; its `UnitalReport`
-adds only the FPR/SFPR verdicts and the net counts read off it, and each
-table function reads the Counters itself.  The aggregation mirrors the
-published census tables: pair rows keyed by (full point count, group
-name), FPR/SFPR totals, and the breakdown of unitals by the structure of
-their large (>= 3 point) full point sets.
+perspectivity group and its FPR and SFPR verdicts; pairs with at most one
+full point share one of two analyses.  The unital's one record is the
+`Counter` of those analyses; its `UnitalReport` adds only the FPR/SFPR
+verdicts read off it, and each table function reads the Counters itself.
+The aggregation mirrors the published census tables: pair rows keyed by
+(full point count, group name), FPR/SFPR totals, and the breakdown of
+unitals by the structure of their large (>= 3 point) full point sets.
+Dual 3-nets are not counted here: `nets.find_dual_3nets` lists them.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from bisect import insort
 from collections import Counter
 from typing import NamedTuple
 
-from .design import AbstractUnital, block_ids
-from .groups import closure, is_cyclic_regular, structure_name, subgroup_of
+from .design import AbstractUnital
+from .groups import closure, structure_name, subgroup_of
 from .persp import full_point_rows, full_points, persp_generators
 
 LARGE_SET_THRESHOLD = 3
@@ -46,8 +46,6 @@ class PairAnalysis(NamedTuple):
     fp_structure: str
     fpr: bool | None  # verdicts for disjoint pairs only
     sfpr: bool | None
-    nets: int  # blocks inside the full points: the dual 3-nets through a disjoint pair
-    cyclic_nets: int
 
 
 class UnitalReport(NamedTuple):
@@ -55,8 +53,6 @@ class UnitalReport(NamedTuple):
     pair_kinds: Counter  # PairAnalysis -> number of disjoint pairs analysed to it
     is_fpr: bool
     is_sfpr: bool
-    net_count: int
-    cyclic_net_count: int
 
 
 def _classify_structure(fp, secants: int) -> str:
@@ -95,27 +91,15 @@ def group_triples():
 
 
 def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups) -> PairAnalysis:
-    """The analysis of the disjoint pair (b1, b2) from its full points `fp`.
-    A block c inside fp makes a dual 3-net; the maps phi_P0^-1 phi_P, P on
-    c, are its square's row maps r0^-1 r, so the net is cyclic exactly when
-    they are the powers of one (n+1)-cycle (`is_cyclic_regular`)."""
+    """The analysis of the disjoint pair (b1, b2) from its full points `fp`."""
     secants, group = 0, (None, None, True)  # (order, name, cyclic and semiregular)
-    nets = cyclic_nets = 0
     if len(fp) >= 2:
         secants = u.secants(fp)
         group = groups(persp_generators(u, b1, b2, fp))
-    if len(fp) > u.order:  # only these can hold a block, and only a secant can lie inside fp
-        points = set(fp)
-        for c in block_ids(secants):
-            if points.issuperset(u.block(c)):
-                # With c = fp the n+1 maps are distinct, and a semiregular group of degree
-                # n+1 has order at most n+1: the pair's cached flag is the same test.
-                cyclic = group[2] if len(fp) == u.order + 1 else is_cyclic_regular(persp_generators(u, b1, b2, u.block(c)))
-                nets, cyclic_nets = nets + 1, cyclic_nets + cyclic
     fpr = len(fp) <= 1 or secants.bit_count() == 1 and not secants & (u.block_meets[b1 - 1] | u.block_meets[b2 - 1])
     sfpr = fpr and group[2]
     structure = _classify_structure(fp, secants)
-    return PairAnalysis(True, len(fp), group[0], group[1], structure, fpr, sfpr, nets, cyclic_nets)
+    return PairAnalysis(True, len(fp), group[0], group[1], structure, fpr, sfpr)
 
 
 def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> tuple[tuple[int, ...], PairAnalysis]:
@@ -124,13 +108,13 @@ def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> tuple[tuple[int, ...], 
     For a disjoint pair, FPR holds when the full points lie in one block
     disjoint from both (vacuously with at most one full point), and SFPR
     when moreover the group is cyclic and semi-regular.  An intersecting
-    pair gets no verdicts and no nets.
+    pair gets no verdicts.
     """
     fp = full_points(u, b1, b2)
     pa = _analyze(u, b1, b2, fp, group_triples())
     if u.blocks_disjoint(b1, b2):
         return fp, pa
-    return fp, pa._replace(disjoint=False, fpr=None, sfpr=None, nets=0, cyclic_nets=0)
+    return fp, pa._replace(disjoint=False, fpr=None, sfpr=None)
 
 
 def _disjoint_pair(u: AbstractUnital, b1: int, b2: int) -> PairAnalysis:
@@ -149,8 +133,7 @@ def is_sfpr_triple(u: AbstractUnital, b1: int, b2: int) -> bool:
 
 
 def classify_unital(u: AbstractUnital) -> UnitalReport:
-    """Analyse every disjoint pair once into the report's Counter.  Each dual
-    3-net {a, b, c} is counted from each of its three pairs, hence the / 3."""
+    """Analyse every disjoint pair once into the report's Counter."""
     groups, pair_kinds = group_triples(), Counter()
     small = [_analyze(u, None, None, fp, groups) for fp in ((), (None,))]  # reads no block and no point
     for b1, empty, single, sets in full_point_rows(u):
@@ -161,8 +144,6 @@ def classify_unital(u: AbstractUnital) -> UnitalReport:
         pair_kinds=pair_kinds,
         is_fpr=all(pa.fpr for pa in pair_kinds),
         is_sfpr=all(pa.sfpr for pa in pair_kinds),
-        net_count=sum(k * pa.nets for pa, k in pair_kinds.items()) // 3,
-        cyclic_net_count=sum(k * pa.cyclic_nets for pa, k in pair_kinds.items()) // 3,
     )
 
 

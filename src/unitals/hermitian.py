@@ -196,8 +196,6 @@ def nuclei(plane: ProjectivePlane, point_set) -> tuple:
 class Gamma1Record(NamedTuple):
     """Outcome of the nuclei-generated affinity group of a disjoint block pair."""
 
-    order: int
-    is_cyclic: bool
     group: PermGroup
     z: tuple
     v1: tuple | None  # common fixed point besides Z, when the group is nontrivial
@@ -242,8 +240,6 @@ def gamma1_analysis(emb: Embedding, b1: int, b2: int) -> Gamma1Record:
     z_on_m = nuclei_line is not None and plane.incident(z, nuclei_line)
 
     return Gamma1Record(
-        order=group.order(),
-        is_cyclic=group.is_cyclic(),
         group=group,
         z=z,
         v1=v1,

@@ -119,14 +119,15 @@ def test_classify_hermitian_small(h2, h3):
     rep2 = classify_unital(h2.unital)
     rows = {label: count for label, _, count in large_set_rows([rep2])}
     assert rows["Omega"] and rows["A"]
-    assert rep2.cyclic_net_count == rep2.net_count > 0
+    found = find_dual_3nets(h2.unital)
+    assert sum(is_cyclic_3net(h2.unital, net) for net in found) == len(found) > 0
 
 
 def test_classify_appendix(appendix):
     rep = classify_unital(appendix)
     assert rep.order == 4
     assert not rep.is_sfpr
-    assert rep.net_count == 86
+    assert len(find_dual_3nets(appendix)) == 86
     assert {label: count for label, _, count in large_set_rows([rep])}["Omega"] == 1
 
 
@@ -276,24 +277,17 @@ def test_structure_and_secants_match_blocks_on_random_point_sets(appendix):
 
 
 @pytest.mark.parametrize("name", ["appendix", "h2", "h3", "h4"])
-def test_net_counts_match_latin_square_path(request, name):
-    """The census counts nets and cyclic nets from its pair analyses; the
-    net listing and latin-square test of `unital dualnets` are the
-    reference.  The branch taken when a pair has more full points than the
-    net's third block c is checked directly on every ordered pair of every
-    net, since no pinned design has such a pair: the generators centered on
-    c are the to-and-back projections through c's first point, and they are
-    the powers of one (n+1)-cycle exactly when their closure has order n+1
-    and is cyclic and semiregular, and exactly when the net is cyclic."""
+def test_net_perspectivities_are_cyclic_regular_exactly_for_cyclic_nets(request, name):
+    """On every ordered pair (b1, b2) of every listed net, the generators
+    centered on the third block c are the to-and-back projections through
+    c's first point, and they are the powers of one (n+1)-cycle exactly when
+    their closure has order n+1 and is cyclic and semiregular, and exactly
+    when `is_cyclic_3net` calls the net cyclic."""
     fixture = request.getfixturevalue(name)
     u = getattr(fixture, "unital", fixture)
-    cyclic = {net: is_cyclic_3net(u, net) for net in find_dual_3nets(u)}
-    rep = classify_unital(u)
-    assert (rep.net_count, rep.cyclic_net_count) == (len(cyclic), sum(cyclic.values()))
-    for net, cyc in cyclic.items():
+    for net in find_dual_3nets(u):
+        cyc = is_cyclic_3net(u, net)
         for b1, b2, c in permutations(net):
-            _, pa = analyze_pair(u, b1, b2)
-            assert (pa.nets, pa.cyclic_nets) == (1, cyc)
             centers = u.block(c)
             gens = persp_generators(u, b1, b2, centers)
             back = perspectivity_map(u, b2, centers[0], b1)

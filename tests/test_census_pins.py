@@ -9,12 +9,14 @@ import pytest
 from unitals.census import classify_unital, group_table_rows, large_set_rows, totals_row
 from unitals.design import validate_unital
 from unitals.hermitian import hermitian_unital
+from unitals.nets import find_dual_3nets, is_cyclic_3net
 
 # Counter over (full points, group order, group name, fp structure) of the
 # disjoint pairs, then (FPR, SFPR, has large set, all large form a block,
 # all large in a block, some large not in a block, no large in a block,
 # nets, cyclic nets); the five large-set values are the Omega, A, B, Bbar
-# and C counts of `large_set_rows` of the one unital.
+# and C counts of `large_set_rows` of the one unital, and the net counts
+# of `find_dual_3nets` and `is_cyclic_3net`.
 PINNED = {
     "appendix": (
         {
@@ -62,15 +64,20 @@ def _census(rep):
     return got
 
 
-def _flags(rep):
-    return (rep.is_fpr, rep.is_sfpr, *(count for _, _, count in large_set_rows([rep])), rep.net_count, rep.cyclic_net_count)
+def _nets(u):
+    found = find_dual_3nets(u)
+    return len(found), sum(is_cyclic_3net(u, net) for net in found)
 
 
-def test_pinned_pair_census(reports):
+def _flags(u, rep):
+    return (rep.is_fpr, rep.is_sfpr, *(count for _, _, count in large_set_rows([rep])), *_nets(u))
+
+
+def test_pinned_pair_census(designs, reports):
     for name, (pairs, flags) in PINNED.items():
         rep = reports[name]
         assert _census(rep) == pairs, name
-        assert _flags(rep) == flags, name
+        assert _flags(designs[name], rep) == flags, name
 
 
 def _relabelled(u, rng):
@@ -85,18 +92,20 @@ def test_census_invariant_under_relabelling(designs, reports):
     rng = random.Random(2019)
     for name in ("appendix", "H(4)"):
         rep = reports[name]
-        copy = classify_unital(_relabelled(designs[name], rng))
+        relabelled = _relabelled(designs[name], rng)
+        copy = classify_unital(relabelled)
         assert group_table_rows([copy]) == group_table_rows([rep]), name
         assert totals_row(name, [copy]) == totals_row(name, [rep]), name
         assert large_set_rows([copy]) == large_set_rows([rep]), name
-        assert (copy.net_count, copy.cyclic_net_count) == (rep.net_count, rep.cyclic_net_count), name
+        assert _nets(relabelled) == _nets(designs[name]), name
 
 
 def test_pinned_pair_census_of_h5():
-    rep = classify_unital(hermitian_unital(5).unital)
+    u = hermitian_unital(5).unital
+    rep = classify_unital(u)
     assert _census(rep) == {
         (0, None, None, "empty"): 36750,
         (2, 3, "C3", "in-block"): 31500,
         (2, 6, "C6", "in-block"): 31500,
     }
-    assert _flags(rep) == (True, True, False, False, False, False, False, 0, 0)
+    assert _flags(u, rep) == (True, True, False, False, False, False, False, 0, 0)

@@ -270,7 +270,7 @@ def test_embedded_unital_keeps_the_planes_triples_for_points_given_as_lists(h2):
     emb = embedded_unital(plane, [list(p) for p in h2.point_coords])
     assert emb.unital.all_blocks == h2.unital.all_blocks
     assert (emb.point_coords, emb.line_coords, emb.line_to_block) == (h2.point_coords, h2.line_coords, h2.line_to_block)
-    assert gamma1_analysis(emb, *next(emb.unital.disjoint_block_pairs())).order >= 1
+    assert gamma1_analysis(emb, *next(emb.unital.disjoint_block_pairs())).group.order() >= 1
 
 
 def test_embedded_unital_rejects_non_unital():
@@ -575,9 +575,10 @@ def test_gamma1_on_h4_polar_pairs(h4, h4_triangles):
     p = 2  # characteristic for q = 4
     for tri in sorted(h4_triangles)[:10]:
         rec = gamma1_analysis(h4, tri[0], tri[1])
-        assert rec.order % p != 0
-        assert 15 % rec.order == 0  # divides q^2 - 1
-        assert rec.is_cyclic
+        order = rec.group.order()
+        assert order % p != 0
+        assert 15 % order == 0  # divides q^2 - 1
+        assert rec.group.is_cyclic()
         assert rec.nuclei_collinear
         assert not rec.z_on_nuclei_line
         assert rec.v1 is not None
@@ -590,10 +591,11 @@ def test_gamma1_on_nonconjugate_disjoint_pairs(h3):
     count = 0
     for b1, b2 in u.disjoint_block_pairs():
         rec = gamma1_analysis(h3, b1, b2)
-        assert rec.is_cyclic
-        assert (3 * 3 - 1) % max(rec.order, 1) == 0 or rec.order == 1
-        assert 8 % rec.order == 0
-        assert rec.order % 3 != 0
+        order = rec.group.order()
+        assert rec.group.is_cyclic()
+        assert (3 * 3 - 1) % max(order, 1) == 0 or order == 1
+        assert 8 % order == 0
+        assert order % 3 != 0
         assert rec.nuclei_collinear
         if len(rec.nuclei) >= 2:
             assert not rec.z_on_nuclei_line
