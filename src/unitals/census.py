@@ -22,7 +22,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .design import AbstractUnital
-from .groups import closure, structure_name, subgroup_of
+from .groups import closure, generated, structure_name
 from .persp import full_point_rows, full_points, persp_generators
 
 LARGE_SET_THRESHOLD = 3
@@ -32,10 +32,6 @@ FP_SINGLE = "single"
 FP_IN_BLOCK = "in-block"
 FP_NO_3_COLLINEAR = "no-3-collinear"
 FP_OTHER = "other"
-
-
-class NotDisjoint(ValueError):
-    pass
 
 
 class PairAnalysis(NamedTuple):
@@ -79,7 +75,7 @@ def group_triples():
         key = tuple(sorted(set(generators)))
         if key not in by_key:
             outer = next((entry for entry in known if entry[0].elements.issuperset(key)), None)
-            g = closure(key) if outer is None else subgroup_of(outer[0], key)
+            g = closure(key) if outer is None else generated(outer[0].degree, key, outer[0].order() // 2)
             if g is None:
                 by_key[key] = outer[1]
             else:
@@ -119,7 +115,7 @@ def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> tuple[tuple[int, ...], 
 
 def _disjoint_pair(u: AbstractUnital, b1: int, b2: int) -> PairAnalysis:
     if not u.blocks_disjoint(b1, b2):
-        raise NotDisjoint(f"blocks ({b1},{b2}) are not disjoint")
+        raise ValueError(f"blocks ({b1},{b2}) are not disjoint")
     return analyze_pair(u, b1, b2)[1]
 
 

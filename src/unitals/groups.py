@@ -116,39 +116,33 @@ def closure(generators) -> PermGroup:
     degree = len(generators[0]) if generators else 1
     if any(len(g) != degree for g in generators):
         raise ValueError("generators have mixed degrees")
-    return _group(degree, generators)
+    return generated(degree, generators)
 
 
-def subgroup_of(group: PermGroup, generators) -> PermGroup | None:
-    """The group of permutation tuples that `group` holds, or None when it
-    is all of `group`: a subgroup holding more than half of `group` is
-    `group` itself (Lagrange), so the listing stops there."""
-    return _group(group.degree, generators, group.order() // 2) if group.order() > 1 else None
-
-
-def _group(degree, generators, limit=None) -> PermGroup | None:
-    """Enumerate the group of permutation tuples of one degree, breadth
-    first from the identity; None as soon as it has more than `limit`
-    elements, when `limit` is given."""
+def generated(degree, generators, limit=None) -> PermGroup | None:
+    """The group of permutation tuples of one degree, listed breadth first
+    from the identity; None once it has more than `limit` elements, when
+    `limit` is given, and GroupTooLarge past MAX_GROUP_ORDER otherwise.
+    With `limit` half of a known group G that holds the generators, None
+    says they generate all of G (Lagrange)."""
     identity = tuple(range(degree))
     gens = list(dict.fromkeys(g for g in generators if g != identity))
     stop = MAX_GROUP_ORDER if limit is None else limit
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = compose(a, g)
-                if c not in elements:
-                    elements.add(c)
-                    new.append(c)
-                    if len(elements) > stop:
-                        if limit is not None:
-                            return None
-                        raise GroupTooLarge(f"group order exceeds cap {MAX_GROUP_ORDER}")
-        frontier = new
-    return PermGroup(degree, gens, elements)
+    listed = [identity]
+    elements = set(listed)
+    for a in listed:  # grows while it is read
+        if len(listed) > stop:
+            break
+        for g in gens:
+            c = compose(a, g)
+            if c not in elements:
+                elements.add(c)
+                listed.append(c)
+    if len(listed) <= stop:
+        return PermGroup(degree, gens, elements)
+    if limit is None:
+        raise GroupTooLarge(f"group order exceeds cap {MAX_GROUP_ORDER}")
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +150,7 @@ def _group(degree, generators, limit=None) -> PermGroup | None:
 #
 # A catalog model is (order, name, build), build() giving (degree,
 # generators).  The catalog of one order builds only its own models and
-# lists each by `_group` up to that order, whatever MAX_GROUP_ORDER is: it
+# lists each by `generated` up to that order, whatever MAX_GROUP_ORDER is: it
 # is keyed by the same `_key` as the groups it names, and a trace of
 # `closure` sees only the groups the analysis builds.
 
@@ -273,7 +267,7 @@ def _catalog(order: int) -> dict:
     catalog: dict[tuple, str | None] = {}
     for n, name, build in _models():
         if n == order:
-            key = _key(_group(*build(), n))
+            key = _key(generated(*build(), n))
             # a key shared by two names is ambiguous; None forces the fallback label
             catalog[key] = name if catalog.get(key, name) == name else None
     return catalog

@@ -22,14 +22,6 @@ from .plane import ProjectivePlane
 MAX_Q = 5
 
 
-class NotConjugate(ValueError):
-    pass
-
-
-class NotCollinear(ValueError):
-    pass
-
-
 def base_prime_power(q: int) -> tuple[int, int]:
     """Factor a prime power q as (p, e) with q = p^e."""
     p = next((d for d in range(2, q + 1) if q % d == 0), None)  # the least factor above 1 is a prime
@@ -79,9 +71,9 @@ def are_conjugate_lines(plane: ProjectivePlane, l1, l2) -> bool:
 def polar_triangle_completion(plane: ProjectivePlane, l1, l2):
     """Third line of the polar triangle spanned by two conjugate lines."""
     if is_self_conjugate(plane, l1) or is_self_conjugate(plane, l2):
-        raise NotConjugate("polar triangle lines must not be self-conjugate")
+        raise ValueError("polar triangle lines must not be self-conjugate")
     if not are_conjugate_lines(plane, l1, l2):
-        raise NotConjugate("lines are not conjugate")
+        raise ValueError("lines are not conjugate")
     return polarity_image(plane, plane.meet(l1, l2))
 
 
@@ -165,7 +157,7 @@ def is_baer_subline(plane: ProjectivePlane, points) -> bool:
         raise ValueError("points must be distinct")
     line = plane.line_through(pts[0], pts[1])
     if not all(plane.incident(p, line) for p in pts):
-        raise NotCollinear("points do not lie on one line")
+        raise ValueError("points do not lie on one line")
     f = plane.field
     p0, p1, p2 = pts[:3]
     a, b = next((a, b) for a, b in ((0, 1), (0, 2), (1, 2)) if f.mul(p0[a], p1[b]) != f.mul(p0[b], p1[a]))

@@ -16,16 +16,8 @@ from collections import Counter, namedtuple
 from itertools import combinations, compress
 
 from .design import AbstractUnital
-from .groups import PermGroup, compose, is_cyclic_regular, relative_to_first, structure_name
+from .groups import generated, is_cyclic_regular, relative_to_first, structure_name
 from .persp import projections
-
-
-class TooFewBlocks(ValueError):
-    pass
-
-
-class NotA3Net(ValueError):
-    pass
 
 
 class LatinSquare(namedtuple("LatinSquare", "m rows")):
@@ -64,7 +56,7 @@ def is_dual_knet(u: AbstractUnital, blocks) -> bool:
     B_l meet B_j in n+1 distinct points, so one of them is the join."""
     blocks = list(blocks)
     if len(blocks) < 3:
-        raise TooFewBlocks("a dual k-net needs k >= 3 blocks")
+        raise ValueError("a dual k-net needs k >= 3 blocks")
     ids = [u.block_pos(b) for b in blocks]
     if len(set(ids)) != len(ids):
         return False
@@ -104,7 +96,7 @@ def find_dual_3nets(u: AbstractUnital) -> tuple:
 
 def _square_rows(u: AbstractUnital, net) -> list[tuple[int, ...]]:
     """Rows of the coordinate square of (b1, b2, b3), sorted: row p projects
-    b2 onto b3 from the p-th point of b1; `NotA3Net` unless they are latin,
+    b2 onto b3 from the p-th point of b1; ValueError unless they are latin,
     that is (and then the blocks are a dual 3-net) unless a projection is
     missing or b2 meets b3.  A row is injective, as its center is off b2 and
     b3; a column repeats only if some q of b2 lies on b3, as two centers on
@@ -112,14 +104,14 @@ def _square_rows(u: AbstractUnital, net) -> list[tuple[int, ...]]:
     z's column is constant."""
     net = tuple(sorted(net))
     if len(net) != 3:
-        raise NotA3Net(f"need exactly 3 blocks, got {len(net)}")
+        raise ValueError(f"need exactly 3 blocks, got {len(net)}")
     b1, b2, b3 = net
     try:
         rows = projections(u, b2, b3, u.block(b1))
-    except ValueError as e:  # SameBlock or NotAFullPoint
-        raise NotA3Net(f"blocks {net} do not form a dual 3-net") from e
+    except ValueError as e:  # two equal blocks, or a center that is not a full point
+        raise ValueError(f"blocks {net} do not form a dual 3-net") from e
     if u.block_meets[b2 - 1] >> b3 - 1 & 1:
-        raise NotA3Net(f"blocks {net} do not form a dual 3-net: {b2} meets {b3}")
+        raise ValueError(f"blocks {net} do not form a dual 3-net: {b2} meets {b3}")
     return rows
 
 
@@ -133,16 +125,15 @@ def is_group_based(sq: LatinSquare) -> str | None:
     """Name of the group the square is based on, or None.
 
     The row maps r0^-1 r (`relative_to_first`) are m distinct maps, the
-    identity among them, that send column 0 everywhere.  Closed under
-    composition, they are a regular group and the square is an isotope of
-    its table; conversely an isotope c(a(x) b(y)) of a group G gives the
-    group of maps b^-1 L_g b.  Isotopy and parastrophy keep group-basedness:
+    identity among them, that send column 0 everywhere.  When the group
+    they generate has no more than m elements, it is the maps themselves,
+    a regular group, and the square is an isotope of its table;
+    conversely an isotope c(a(x) b(y)) of a group G gives the group of
+    maps b^-1 L_g b.  Isotopy and parastrophy keep group-basedness:
     one test decides the main class.
     """
-    maps = set(relative_to_first(sq.rows))
-    if any(compose(a, b) not in maps for a in maps for b in maps):
-        return None
-    return structure_name(PermGroup(sq.m, maps, maps))
+    group = generated(sq.m, relative_to_first(sq.rows), sq.m)
+    return None if group is None else structure_name(group)
 
 
 def is_cyclic_3net(u: AbstractUnital, net) -> bool:

@@ -10,14 +10,6 @@ class SameBlock(ValueError):
     pass
 
 
-class NotAFullPoint(ValueError):
-    pass
-
-
-class NoFullPoints(ValueError):
-    pass
-
-
 def full_points(u: AbstractUnital, b1: int, b2: int) -> tuple[int, ...]:
     """All points P off both blocks whose joins to b1 each meet b2, in
     increasing order.
@@ -81,12 +73,12 @@ def projections(u: AbstractUnital, b1: int, b2: int, centers) -> list[tuple[int,
     for center in centers:
         join = u.join_row(center)
         if center in pts1 or center in pts2:
-            raise NotAFullPoint(f"point {center} lies on block {b1} or {b2}")
+            raise ValueError(f"point {center} lies on block {b1} or {b2}")
         joins2 = [join[q - 1] for q in pts2]  # distinct, as the center is off b2
         try:
             maps.append(tuple([joins2.index(join[p - 1]) for p in pts1]))
         except ValueError:
-            raise NotAFullPoint(f"point {center} is not a full point of ({b1},{b2})") from None
+            raise ValueError(f"point {center} is not a full point of ({b1},{b2})") from None
     return maps
 
 
@@ -100,7 +92,7 @@ def persp_generators(u: AbstractUnital, b1: int, b2: int, fp=None) -> list[tuple
     if fp is None:
         fp = full_points(u, b1, b2)
     if not fp:
-        raise NoFullPoints(f"blocks ({b1},{b2}) have no full points")
+        raise ValueError(f"blocks ({b1},{b2}) have no full points")
     return relative_to_first(projections(u, b1, b2, fp))
 
 

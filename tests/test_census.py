@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import permutations
 
@@ -11,7 +12,6 @@ from unitals.census import (
     FP_NO_3_COLLINEAR,
     FP_OTHER,
     FP_SINGLE,
-    NotDisjoint,
     analyze_pair,
     classify_unital,
     group_table_rows,
@@ -81,14 +81,14 @@ def test_one_pair_questions_share_one_analysis(request, name):
             assert (is_fpr_triple(u, b1, b2), is_sfpr_triple(u, b1, b2)) == (pa.fpr, pa.sfpr)
         else:
             for triple in (is_fpr_triple, is_sfpr_triple):
-                with pytest.raises(NotDisjoint):
+                with pytest.raises(ValueError, match=re.escape(f"blocks ({b1},{b2}) are not disjoint")):
                     triple(u, b1, b2)
 
 
 def test_fpr_triple_requires_disjoint_blocks(appendix):
-    with pytest.raises(NotDisjoint):
+    with pytest.raises(ValueError, match=r"blocks \(1,2\) are not disjoint"):
         is_fpr_triple(appendix, 1, 2)
-    with pytest.raises(NotDisjoint):
+    with pytest.raises(ValueError, match=r"blocks \(1,2\) are not disjoint"):
         is_sfpr_triple(appendix, 1, 2)
 
 

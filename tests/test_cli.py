@@ -478,6 +478,15 @@ def test_census_directory_that_cannot_be_listed_gives_one_error_line(runner, tmp
     assert result.stderr.splitlines() == [f"ERROR CENSUS: cannot read {locked}: Permission denied"]
 
 
+def test_appendix_check_drifted_hash_gives_one_error_line(runner, monkeypatch):
+    monkeypatch.setattr(formats, "APPENDIX_SHA256", "0" * 64)
+    result = runner.invoke(main, ["appendix-check"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["ERROR GOLDEN: embedded dataset hash drifted"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device that is always full")
 @pytest.mark.parametrize(
     "args",

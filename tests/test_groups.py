@@ -66,17 +66,16 @@ def test_closure_size_cap(monkeypatch):
         closure([cyc((1, 0, 2, 3, 4, 5, 6, 7)), cyc((1, 2, 3, 4, 5, 6, 7, 0))])
 
 
-def test_subgroup_of_is_none_for_the_whole_group():
-    """Past half of the known group the listing stops: the generators make
-    all of it.  At index 2 exactly half is listed, a proper subgroup."""
-    s5 = closure([cyc((1, 0, 2, 3, 4)), cyc((1, 2, 3, 4, 0))])
-    assert groups.subgroup_of(s5, [cyc((0, 2, 1, 3, 4)), cyc((1, 2, 3, 4, 0))]) is None
-    a5 = groups.subgroup_of(s5, [cyc((1, 2, 0, 3, 4)), cyc((1, 2, 3, 4, 0))])
+def test_generated_is_none_past_its_limit():
+    """Past half of S5 the listing stops: the generators make all of it.
+    At index 2 exactly half is listed, a proper subgroup.  The trivial group
+    passes a limit of 0 with its identity."""
+    assert groups.generated(5, [cyc((0, 2, 1, 3, 4)), cyc((1, 2, 3, 4, 0))], 60) is None
+    a5 = groups.generated(5, [cyc((1, 2, 0, 3, 4)), cyc((1, 2, 3, 4, 0))], 60)
     assert a5.elements == closure([cyc((1, 2, 0, 3, 4)), cyc((1, 2, 3, 4, 0))]).elements
     assert a5.order() == 60 and structure_name(a5) == "A5"
-    trivial = closure([tuple(range(5))])
-    assert groups.subgroup_of(trivial, [tuple(range(5))]) is None
-    assert groups.subgroup_of(trivial, []) is None
+    assert groups.generated(5, [tuple(range(5))], 0) is None
+    assert groups.generated(5, [], 0) is None
 
 
 def test_s3_not_semiregular():

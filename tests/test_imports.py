@@ -150,10 +150,26 @@ def test_a_wrapper_on_the_module_is_not_kept_in_the_package():
 
 def test_no_module_imports_a_private_name_of_another_unitals_module():
     """A `_` name is its module's own: another module that needs it needs a
-    public name instead."""
+    public name instead.  That holds for `from .m import _x` and for
+    `m._x` on a sibling module bound by `from . import m`; a named tuple's
+    own `_` methods and fields are public."""
+    namedtuple_api = {"_replace", "_make", "_fields", "_asdict"}
     private = []
     for path in sorted(Path(SRC, "unitals").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = set()
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "unitals"):
                 private += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+                if node.module in (None, "unitals"):  # `from . import m`: the names are modules
+                    siblings.update(alias.asname or alias.name for alias in node.names)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+                and node.attr.startswith("_")
+                and node.attr not in namedtuple_api
+            ):
+                private.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert private == []

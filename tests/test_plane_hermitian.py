@@ -10,8 +10,6 @@ from unitals.formats import serialize_json
 from unitals.gf import GaloisField
 from unitals.groups import closure
 from unitals.hermitian import (
-    NotCollinear,
-    NotConjugate,
     all_polar_triangles,
     are_conjugate_lines,
     base_prime_power,
@@ -386,7 +384,7 @@ def test_polar_triangle_completion_rejects_nonconjugate():
         for l in plane.lines
         if l != l1 and not is_self_conjugate(plane, l) and not are_conjugate_lines(plane, l1, l)
     )
-    with pytest.raises(NotConjugate):
+    with pytest.raises(ValueError, match="lines are not conjugate"):
         polar_triangle_completion(plane, l1, other)
 
 
@@ -516,7 +514,7 @@ def test_baer_subline_and_nuclei_take_plane_points_as_lists_and_reject_other_tri
 
 def test_baer_subline_noncollinear_rejected():
     plane = hermitian_plane(2)
-    with pytest.raises(NotCollinear):
+    with pytest.raises(ValueError, match="points do not lie on one line"):
         is_baer_subline(plane, [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)])
 
 
