@@ -112,10 +112,14 @@ class PermGroup:
 
 
 def closure(generators) -> PermGroup:
-    """Enumerate the group generated by the given permutation tuples."""
+    """Enumerate the group generated by the given permutation tuples, each
+    a permutation of range(degree), one degree for all."""
     degree = len(generators[0]) if generators else 1
     if any(len(g) != degree for g in generators):
         raise ValueError("generators have mixed degrees")
+    points = set(range(degree))
+    if any(set(g) != points for g in generators):
+        raise ValueError(f"a generator is not a permutation of range({degree})")
     return generated(degree, generators)
 
 

@@ -21,12 +21,14 @@ from .persp import projections
 
 
 class LatinSquare(namedtuple("LatinSquare", "m rows")):
-    """A latin square of order m, its rows a tuple of m symbol tuples; every
-    row and column must be a permutation of range(m), else ValueError."""
+    """A latin square of order m >= 1, its rows a tuple of m symbol tuples;
+    every row and column must be a permutation of range(m), else ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, m: int, rows: tuple[tuple[int, ...], ...]):
+        if m < 1:
+            raise ValueError(f"a latin square has order at least 1, got {m}")
         if len(rows) != m:
             raise ValueError(f"need {m} rows, got {len(rows)}")
         sym = set(range(m))

@@ -2,7 +2,8 @@ import pytest
 
 from unitals.persp import full_points
 from unitals.formats import builtin_appendix_unital
-from unitals.hermitian import all_polar_triangles, hermitian_unital
+from unitals.hermitian import hermitian_unital
+from hermitian_geometry import all_polar_triangles
 
 
 @pytest.fixture(scope="session")
@@ -39,4 +40,4 @@ def appendix_pair_fp(appendix):
 
 @pytest.fixture(scope="session")
 def h4_triangles(h4):
-    return set(all_polar_triangles(h4))
+    return all_polar_triangles(h4)

@@ -1,0 +1,91 @@
+"""The geometry of H(q) in PG(2, q^2), by its definitions.
+
+The paper's statements about the Hermitian unital (conjugate pairs, polar
+triangles, Baer sublines, nuclei and the group Γ₁ of a disjoint block
+pair) are checked against these.  Each is written the way it is defined,
+through the plane's own queries, not for speed.
+"""
+
+from unitals.groups import closure
+
+
+def polarity(plane, v):
+    """The Hermitian polarity x -> x^q coordinatewise: the pole of a line,
+    the polar of a point.  Normalized triples stay normalized."""
+    return tuple(map(plane.field.conjugate, v))
+
+
+def conjugate(plane, a, b) -> bool:
+    """Whether the polarity image of a is incident with b; a line or point
+    is self-conjugate when it is conjugate to itself."""
+    return plane.incident(polarity(plane, a), b)
+
+
+def third_side(plane, l1, l2):
+    """The third line of the polar triangle on two conjugate lines: the
+    polar of their meet."""
+    return polarity(plane, plane.meet(l1, l2))
+
+
+def polar_triangles_through_block(emb, b) -> tuple:
+    """The polar triangles on block b's line, as sorted block triples: its
+    second side is any line through the line's pole (a line conjugate to
+    it) that is not self-conjugate."""
+    plane, l1 = emb.plane, emb.block_line(b)
+    triangles = {
+        tuple(sorted((b, emb.line_to_block[l2], emb.line_to_block[third_side(plane, l1, l2)])))
+        for l2 in plane.lines_through_point(polarity(plane, l1))
+        if not conjugate(plane, l2, l2)
+    }
+    return tuple(sorted(triangles))
+
+
+def all_polar_triangles(emb) -> set:
+    return {t for b in emb.unital.block_indices() for t in polar_triangles_through_block(emb, b)}
+
+
+def baer_subline(plane, p0, p1, p2) -> set:
+    """The Baer subline through three points of a line: the q+1 points
+    a*P0' + b*P1' over (a : b) in PG(1, q), with P0 and P1 scaled by
+    search so that P2 = P0' + P1'."""
+    f = plane.field
+    q = f.subfield_order
+    subfield = [x for x in f.elements() if f.pow(x, q) == x]
+    scale = next(s for s in f.elements() if plane.normalize([f.add(f.mul(s, x), y) for x, y in zip(p0, p1)]) == p2)
+    p0 = [f.mul(scale, x) for x in p0]
+    return {tuple(p1)} | {plane.normalize([f.add(x, f.mul(t, y)) for x, y in zip(p0, p1)]) for t in subfield}
+
+
+def nuclei(plane, point_set) -> tuple:
+    """The points off the set through which every line meets it exactly
+    once, in `plane.points` order, by counting each line's points in it."""
+    s = set(point_set)
+    count = {l: sum(p in s for p in plane.points_on_line(l)) for l in plane.lines}
+    return tuple(p for p in plane.points if p not in s and all(count[l] == 1 for l in plane.lines_through_point(p)))
+
+
+def pair_nuclei(emb, b1, b2) -> tuple:
+    """The nuclei of b1 ∪ (l2 \\ b2), l2 the line of block b2."""
+    u, plane = emb.unital, emb.plane
+    b2_pts = {emb.point(p) for p in u.block(b2)}
+    on_l2 = set(plane.points_on_line(emb.block_line(b2)))
+    return nuclei(plane, {emb.point(p) for p in u.block(b1)} | (on_l2 - b2_pts))
+
+
+def gamma1(emb, b1, b2, nuc):
+    """Γ₁ of a disjoint block pair, acting on the points of l1 in
+    `points_on_line` order: the closure of every to-and-back projection
+    l1 -> l2 -> l1, from one nucleus forward and from another (or the
+    same) one back."""
+    plane = emb.plane
+    l1, l2 = emb.block_line(b1), emb.block_line(b2)
+    l1_pts, l2_pts = plane.points_on_line(l1), plane.points_on_line(l2)
+
+    def project(center, points, line):
+        return {t: plane.meet(plane.line_through(t, center), line) for t in points}
+
+    fwd = {n: project(n, l1_pts, l2) for n in nuc}
+    back = {n: project(n, l2_pts, l1) for n in nuc}
+    index = {t: i for i, t in enumerate(l1_pts)}
+    gens = [tuple(index[back[m][fwd[n][t]]] for t in l1_pts) for n in nuc for m in nuc]
+    return closure(gens or [tuple(range(len(l1_pts)))])

@@ -16,14 +16,7 @@ import pytest
 from unitals.census import is_sfpr_triple, totals_row, classify_unital
 from unitals.design import validate_unital
 from unitals.formats import builtin_appendix_unital, load_unital
-from unitals.hermitian import (
-    all_polar_triangles,
-    are_conjugate_lines,
-    hermitian_unital,
-    is_baer_subline,
-    polar_triangle_completion,
-    polar_triangles_through_block,
-)
+from unitals.hermitian import hermitian_unital
 from unitals.nets import (
     LatinSquare,
     find_dual_3nets,
@@ -32,6 +25,7 @@ from unitals.nets import (
     latin_square_from_3net,
 )
 from unitals.persp import full_points, persp_group
+from hermitian_geometry import baer_subline, conjugate, polar_triangles_through_block, third_side
 from test_nets import blocks_inside, satisfies_quadrangle_criterion
 
 
@@ -78,9 +72,9 @@ def test_criterion_02_conjugate_pairs_even_q(capsys, h2, h4, h4_pair_fp):
             checked = 0
             for (b1, b2), fp in pair_fp.items():
                 l1, l2 = emb.block_line(b1), emb.block_line(b2)
-                if not are_conjugate_lines(emb.plane, l1, l2):
+                if not conjugate(emb.plane, l1, l2):
                     continue
-                l3 = polar_triangle_completion(emb.plane, l1, l2)
+                l3 = third_side(emb.plane, l1, l2)
                 b3 = emb.line_to_block[l3]
                 assert sorted(fp) == sorted(emb.unital.block(b3))
                 assert len(fp) == q + 1
@@ -99,7 +93,7 @@ def test_criterion_04_nonconjugate_pairs_h4(capsys, h4, h4_pair_fp):
     with _Check(capsys, 4, "non-conjugate disjoint pairs of H(4) have at most 1 full point"):
         for (b1, b2), fp in h4_pair_fp.items():
             l1, l2 = h4.block_line(b1), h4.block_line(b2)
-            if not are_conjugate_lines(h4.plane, l1, l2):
+            if not conjugate(h4.plane, l1, l2):
                 assert len(fp) <= 1
 
 
@@ -177,7 +171,7 @@ def test_criterion_10_baer_sublines(capsys, h2, h3, h4):
         for emb in (h2, h3, h4):
             for b in emb.unital.block_indices():
                 coords = [emb.point(p) for p in emb.unital.block(b)]
-                assert is_baer_subline(emb.plane, coords)
+                assert set(coords) <= baer_subline(emb.plane, *coords[:3])
 
 
 def test_criterion_11_latin_square_oracles(capsys):

@@ -51,6 +51,16 @@ def test_closure_empty_generators():
     assert structure_name(g) == "1"
 
 
+def test_closure_refuses_a_generator_that_is_not_a_permutation():
+    """A repeated image, an image out of range and a negative image each
+    leave the tuple short of a permutation of range(degree)."""
+    for bad in [(0, 0, 1), (0, 1, 3), (0, 1, -1)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            closure([bad])
+        with pytest.raises(ValueError, match="not a permutation"):
+            closure([cyc((1, 2, 0)), bad])
+
+
 def test_closure_is_closed():
     g = closure([cyc((1, 2, 0, 4, 3)), cyc((0, 2, 1, 3, 4))])
     rng = random.Random(3)

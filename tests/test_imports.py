@@ -56,16 +56,13 @@ def test_no_module_imports_dataclasses():
 def test_records_keep_their_fields_and_refuse_assignment(h2):
     from unitals.census import analyze_pair, classify_unital
     from unitals.formats import appendix_text, parse_unital
-    from unitals.hermitian import gamma1_analysis
     from unitals.nets import LatinSquare
 
     pair = next(h2.unital.disjoint_block_pairs())
-    gamma1 = gamma1_analysis(h2, *pair)
     records = [
         (parse_unital(appendix_text()), ("points", "blocks")),
         (LatinSquare(2, ((0, 1), (1, 0))), ("m", "rows")),
         (h2, ("plane", "unital", "point_coords", "line_coords", "line_to_block")),
-        (gamma1, ("group", "z", "v1", "nuclei", "nuclei_line", "nuclei_collinear", "z_on_nuclei_line")),
         (analyze_pair(h2.unital, *pair)[1], ("disjoint", "full_point_count", "group_order", "group_name", "fp_structure", "fpr", "sfpr")),
         (classify_unital(h2.unital), ("order", "pair_kinds", "is_fpr", "is_sfpr")),
     ]

@@ -385,6 +385,12 @@ def test_latin_square_needs_m_rows_of_m_symbols():
         z5_table()._replace(rows=rows[:4])
 
 
+def test_latin_square_refuses_an_order_below_1():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="order at least 1"):
+            LatinSquare(m, ())
+
+
 def _parastrophes(rows):
     """The six squares obtained by permuting the (row, column, symbol) roles."""
     m = len(rows)

