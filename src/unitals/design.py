@@ -107,11 +107,18 @@ class AbstractUnital:
 def validate_unital(num_points: int, raw_blocks) -> AbstractUnital:
     """Validate a block list as a 2-(n^3+1, n+1, 1) design and index it.
 
+    Point ids and the point count must be ints (not bools or floats).
     Infers the order n from the block size, checks the point count, the
     block count, and that every unordered point pair is covered exactly
     once.  Raises NotAUnital with a specific reason otherwise.
     """
-    blocks = [tuple(sorted(b)) for b in raw_blocks]
+    if type(num_points) is not int:
+        raise NotAUnital(f"point count {num_points!r} is not an int")
+    blocks = [tuple(b) for b in raw_blocks]
+    for idx, blk in enumerate(blocks, start=1):
+        if not all(type(p) is int for p in blk):
+            raise NotAUnital(f"block {idx} has a point id that is not an int: {list(blk)!r}")
+    blocks = [tuple(sorted(b)) for b in blocks]
     if not blocks:
         raise NotAUnital("empty block list")
     size = len(blocks[0])

@@ -4,7 +4,7 @@ The Hermitian form is fixed as the identity form sum(x_i^(q+1)); all
 Hermitian polarities are projectively equivalent to it, so nothing is
 lost.  The curve (set of self-conjugate points) has q^3+1 points.  Like
 any embedded unital (`embedded_unital`), its blocks are its secant lines,
-read off the plane's incidence table, and its `Embedding` maps each point
+read off the rows of its own points, and its `Embedding` maps each point
 to its plane point and each block to its line.  The geometry of H(q) in
 the plane (polar triangles, Baer sublines, nuclei, the group Γ₁ of a
 disjoint block pair) is stated in the tests, by its definitions.
@@ -69,24 +69,27 @@ class Embedding(NamedTuple):
 def embedded_unital(plane: ProjectivePlane, points) -> Embedding:
     """The unital a plane point set carries, as its `Embedding`.
 
-    Point i is the i-th given point (1-based).  The blocks are the secant
-    lines, read off `plane.incidence` in `plane.lines` order: each line
-    whose row holds two or more of the points.  Raises NotAUnital when the
-    points are not distinct members of `plane.points` or their secant
-    sections do not form a unital.
+    Point i is the i-th given point (1-based).  Each point's `plane.row`
+    holds the lines through it, so only the points' own rows are computed;
+    the blocks are the lines that hold two or more of the points, in
+    `plane.lines` order.  Raises NotAUnital when the points are not distinct
+    members of `plane.points` or their secant sections do not form a unital.
     """
     pts = tuple(points)
     try:
-        ids = {plane.index(p): pid for pid, p in enumerate(pts, start=1)}  # plane position -> point id
+        where = [plane.index(p) for p in pts]  # point id - 1 -> plane position
     except ValueError as e:
         raise NotAUnital(f"the points must be points of the plane, in its normalised coordinates: {e}") from None
-    if len(ids) != len(pts):
+    if len(set(where)) != len(pts):
         raise NotAUnital("a point is given twice")
-    mask = sum(1 << i for i in ids)
-    secants = [(l, on) for l, row in zip(plane.lines, plane.incidence) if (on := row & mask).bit_count() > 1]
-    unital = validate_unital(len(pts), [[ids[i - 1] for i in block_ids(on)] for _, on in secants])
-    block_lines = tuple(l for l, _ in secants)
-    point_coords = tuple(plane.points[i] for i in ids)  # the plane's own triples, also for a point given as a list
+    on_line: dict[int, list[int]] = {}
+    for pid, i in enumerate(where, start=1):
+        for l in block_ids(plane.row(i)):
+            on_line.setdefault(l - 1, []).append(pid)
+    secants = sorted(l for l, on in on_line.items() if len(on) > 1)
+    unital = validate_unital(len(pts), [on_line[l] for l in secants])
+    block_lines = tuple(plane.lines[l] for l in secants)
+    point_coords = tuple(plane.points[i] for i in where)  # the plane's own triples, also for a point given as a list
     return Embedding(plane, unital, point_coords, block_lines, {l: i for i, l in enumerate(block_lines, start=1)})
 
 

@@ -5,10 +5,10 @@ Points and lines are homogeneous coordinate triples of field elements
 coordinate is 1.  That normalization gives a unique, hashable
 representative per projective point, so dictionaries of points work
 directly.  Lines use the same representation for their dual coordinates.
-Every query reads the table `incidence` at `index` positions, so a triple
-not of the plane raises ValueError.  Planes beyond PG(2, q^2), q <=
-`hermitian.MAX_Q`, are out of scope; PG(2, 64) takes 0.1 s (2 vCPUs) and
-2.3 MB to build its table.
+The plane's one incidence primitive is `row(i)`, a bitset computed from
+the equation of `lines[i]`; the queries read the table `incidence` of all
+rows at `index` positions, so a triple not of the plane raises ValueError.
+Planes beyond PG(2, q^2), q <= `hermitian.MAX_Q`, are out of scope.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ class ProjectivePlane:
         pts = [(x, y, 1) for x in els for y in els] + [(x, 1, 0) for x in els] + [(1, 0, 0)]
         self.points: tuple[tuple[int, int, int], ...] = tuple(pts)
         self.lines = self.points  # duality: same normalized triples
+        # q x q tables, since `GaloisField.add` loops over digits when p is odd
+        self._mul = [[field.mul(a, b) for b in els] for a in els]
+        self._add = [[field.add(a, b) for b in els] for a in els]
 
     def index(self, v) -> int:
         """Position of a normalized triple in `points`, and so in `lines`;
@@ -39,53 +42,32 @@ class ProjectivePlane:
                 return i
         raise ValueError(f"{v!r} is not a point of the plane in normalized coordinates")
 
+    def row(self, i: int) -> int:
+        """The bitset of the points on `lines[i]` (bit j for `points[j]`).
+        Incidence is symmetric in the triples, so it is also the bitset of
+        the lines through `points[i]`.  From the line's equation
+        l0*x + l1*y + l2*z = 0: the affine points (x, a*x + b, 1) when
+        l1 != 0, (c, y, 1) when only l0 != 0, or every (x, 1, 0) on the line
+        at infinity, and one more point at infinity, each placed at its
+        `index` position, so no point is normalized.  IndexError outside
+        0..len(lines)-1."""
+        if not 0 <= i < len(self.lines):
+            raise IndexError(f"line {i} is not in 0..{len(self.lines) - 1}")
+        f, n = self.field, self.order
+        l0, l1, l2 = self.lines[i]
+        if l1:  # y = a*x + b
+            times_a, plus_b = self._mul[f.div(f.sub(0, l0), l1)], self._add[f.div(f.sub(0, l2), l1)]
+            row = sum(1 << x * n + plus_b[times_a[x]] for x in range(n))
+        elif l0:  # x = c
+            row = ((1 << n) - 1) << f.div(f.sub(0, l2), l0) * n
+        else:  # the line at infinity: every (x, 1, 0)
+            row = ((1 << n) - 1) << n * n
+        return row | 1 << n * n + (f.div(f.sub(0, l1), l0) if l0 else n)  # (-l1/l0, 1, 0), or (1, 0, 0)
+
     @cached_property
     def incidence(self) -> tuple[int, ...]:
-        """Entry i is the bitset of the points on `lines[i]` (bit j for
-        `points[j]`).  Incidence is symmetric in the triples, so entry i is
-        also the bitset of the lines through `points[i]`.  Built on first
-        use from each line's equation l0*x + l1*y + l2*z = 0: the affine
-        points (x, a*x + b, 1) when l1 != 0, (c, y, 1) when only l0 != 0, or
-        every (x, 1, 0) on the line at infinity, and one more point at
-        infinity, each placed at its `index` position, so no point is
-        normalized.  Sums and products come from q x q tables built here,
-        since `GaloisField.add` loops over digits when p is odd."""
-        f, n = self.field, self.order
-        els = f.elements()
-        mul = [[f.mul(a, b) for b in els] for a in els]
-        add = [[f.add(a, b) for b in els] for a in els]
-        neg = [f.sub(0, a) for a in els]
-        rows = []
-        for l0, l1, l2 in self.lines:
-            if l1:  # y = a*x + b
-                times_a, plus_b = mul[f.div(neg[l0], l1)], add[f.div(neg[l2], l1)]
-                row = sum(1 << x * n + plus_b[times_a[x]] for x in els)
-            elif l0:  # x = c
-                row = ((1 << n) - 1) << f.div(neg[l2], l0) * n
-            else:  # the line at infinity: every (x, 1, 0)
-                row = ((1 << n) - 1) << n * n
-            rows.append(row | 1 << n * n + (f.div(neg[l1], l0) if l0 else n))  # (-l1/l0, 1, 0), or (1, 0, 0)
-        return tuple(rows)
-
-    def normalize(self, v):
-        f = self.field
-        for i in (2, 1, 0):
-            if v[i]:
-                s = f.inv(v[i])
-                return tuple(f.mul(c, s) for c in v)
-        raise ValueError("zero vector has no projective representative")
-
-    def incident(self, point, line) -> bool:
-        return self.incidence[self.index(line)] >> self.index(point) & 1 == 1
-
-    def line_through(self, p, q):  # the one bit the rows of two distinct points share
-        i, j = self.index(p), self.index(q)
-        if i == j:
-            raise ValueError("need two distinct points (or lines)")
-        return self.lines[(self.incidence[i] & self.incidence[j]).bit_length() - 1]
-
-    # by duality, two lines meet in the point whose rows share their bit
-    meet = line_through
+        """Every `row`, built on first use."""
+        return tuple(map(self.row, range(len(self.lines))))
 
     def points_on_line(self, line) -> tuple:
         return tuple(self.points[i - 1] for i in block_ids(self.incidence[self.index(line)]))
@@ -96,4 +78,3 @@ class ProjectivePlane:
 
     def __repr__(self) -> str:
         return f"ProjectivePlane(order={self.order})"
-

@@ -3,10 +3,38 @@
 The paper's statements about the Hermitian unital (conjugate pairs, polar
 triangles, Baer sublines, nuclei and the group Γ₁ of a disjoint block
 pair) are checked against these.  Each is written the way it is defined,
-through the plane's own queries, not for speed.
+not for speed: incidence is the bilinear form, the line of two points and
+the meet of two lines are the cross product, and only nuclei and Γ₁ list
+the points of a line from the plane's incidence table.
 """
 
+from functools import reduce
+
 from unitals.groups import closure
+
+
+def normalize(plane, v):
+    """The representative of v whose last nonzero coordinate is 1."""
+    f = plane.field
+    for i in (2, 1, 0):
+        if v[i]:
+            s = f.inv(v[i])
+            return tuple(f.mul(c, s) for c in v)
+    raise ValueError("zero vector has no projective representative")
+
+
+def on(plane, point, line) -> bool:
+    """Whether the bilinear form sum(P_i * l_i) vanishes."""
+    f = plane.field
+    return reduce(f.add, map(f.mul, point, line)) == 0
+
+
+def cross(plane, a, b):
+    """The normalized cross product: the line of two distinct points, or
+    the meet of two distinct lines.  Entry i is a[i+1]*b[i+2] - a[i+2]*b[i+1],
+    indices mod 3."""
+    f = plane.field
+    return normalize(plane, [f.sub(f.mul(a[i - 2], b[i - 1]), f.mul(a[i - 1], b[i - 2])) for i in range(3)])
 
 
 def polarity(plane, v):
@@ -18,13 +46,13 @@ def polarity(plane, v):
 def conjugate(plane, a, b) -> bool:
     """Whether the polarity image of a is incident with b; a line or point
     is self-conjugate when it is conjugate to itself."""
-    return plane.incident(polarity(plane, a), b)
+    return on(plane, polarity(plane, a), b)
 
 
 def third_side(plane, l1, l2):
     """The third line of the polar triangle on two conjugate lines: the
     polar of their meet."""
-    return polarity(plane, plane.meet(l1, l2))
+    return polarity(plane, cross(plane, l1, l2))
 
 
 def polar_triangles_through_block(emb, b) -> tuple:
@@ -34,8 +62,8 @@ def polar_triangles_through_block(emb, b) -> tuple:
     plane, l1 = emb.plane, emb.block_line(b)
     triangles = {
         tuple(sorted((b, emb.line_to_block[l2], emb.line_to_block[third_side(plane, l1, l2)])))
-        for l2 in plane.lines_through_point(polarity(plane, l1))
-        if not conjugate(plane, l2, l2)
+        for l2 in plane.lines
+        if conjugate(plane, l1, l2) and not conjugate(plane, l2, l2)
     }
     return tuple(sorted(triangles))
 
@@ -51,9 +79,9 @@ def baer_subline(plane, p0, p1, p2) -> set:
     f = plane.field
     q = f.subfield_order
     subfield = [x for x in f.elements() if f.pow(x, q) == x]
-    scale = next(s for s in f.elements() if plane.normalize([f.add(f.mul(s, x), y) for x, y in zip(p0, p1)]) == p2)
+    scale = next(s for s in f.elements() if normalize(plane, [f.add(f.mul(s, x), y) for x, y in zip(p0, p1)]) == p2)
     p0 = [f.mul(scale, x) for x in p0]
-    return {tuple(p1)} | {plane.normalize([f.add(x, f.mul(t, y)) for x, y in zip(p0, p1)]) for t in subfield}
+    return {tuple(p1)} | {normalize(plane, [f.add(x, f.mul(t, y)) for x, y in zip(p0, p1)]) for t in subfield}
 
 
 def nuclei(plane, point_set) -> tuple:
@@ -82,7 +110,7 @@ def gamma1(emb, b1, b2, nuc):
     l1_pts, l2_pts = plane.points_on_line(l1), plane.points_on_line(l2)
 
     def project(center, points, line):
-        return {t: plane.meet(plane.line_through(t, center), line) for t in points}
+        return {t: cross(plane, cross(plane, t, center), line) for t in points}
 
     fwd = {n: project(n, l1_pts, l2) for n in nuc}
     back = {n: project(n, l2_pts, l1) for n in nuc}

@@ -55,6 +55,19 @@ def test_out_of_range_point_rejected():
         validate_unital(9, lines)
 
 
+@pytest.mark.parametrize("point", [True, 1.0, "1"])
+def test_point_id_not_an_int_rejected(h2, point):
+    blocks = [[point if p == 1 else p for p in b] for b in h2.unital.all_blocks]
+    with pytest.raises(NotAUnital, match="has a point id that is not an int"):
+        validate_unital(9, blocks)
+
+
+@pytest.mark.parametrize("count", [9.0, "9", True])
+def test_point_count_not_an_int_rejected(h2, count):
+    with pytest.raises(NotAUnital, match="is not an int"):
+        validate_unital(count, h2.unital.all_blocks)
+
+
 def test_appendix_validates(appendix):
     assert appendix.order == 4
     assert appendix.num_points == 65

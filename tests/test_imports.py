@@ -2,6 +2,8 @@
 and the named-tuple records that keep `dataclasses` out of it."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -71,6 +73,22 @@ def test_records_keep_their_fields_and_refuse_assignment(h2):
         for name in (fields[0], "new_field"):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+
+
+def test_every_benchmark_trace_target_exists():
+    """Each `TARGETS` entry of `perfbench/tracing.py`, read without installing
+    the tracer, names a callable `module` attribute or `Class.attr` in it."""
+    spec = importlib.util.spec_from_file_location("tracing", os.path.join(SRC, os.pardir, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, module, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(name)
+    assert len(tracing.TARGETS) > 20 and missing == []
 
 
 def test_census_classifies_every_file_in_its_own_process(tmp_path):

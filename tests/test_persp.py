@@ -12,6 +12,7 @@ from unitals.persp import (
     persp_group,
     perspectivity_map,
 )
+from hermitian_geometry import normalize
 
 
 def test_same_block_rejected(appendix):
@@ -91,9 +92,9 @@ def test_hermitian_projection_index_pattern(h4):
     q = h4.unital.order
     eps = [e for e in f.elements() if e and f.pow(e, q + 1) == 1]
     gen = next(e for e in eps if all(f.pow(e, d) != 1 for d in range(1, q + 1)))
-    a_pts = [plane.normalize((0, 1, f.pow(gen, i))) for i in range(q + 1)]
-    b_pts = [plane.normalize((f.pow(gen, j), 0, 1)) for j in range(q + 1)]
-    c_pts = [plane.normalize((1, f.pow(gen, k), 0)) for k in range(q + 1)]
+    a_pts = [normalize(plane, (0, 1, f.pow(gen, i))) for i in range(q + 1)]
+    b_pts = [normalize(plane, (f.pow(gen, j), 0, 1)) for j in range(q + 1)]
+    c_pts = [normalize(plane, (1, f.pow(gen, k), 0)) for k in range(q + 1)]
     u = h4.unital
     point_id = {p: i for i, p in enumerate(h4.point_coords, start=1)}
     b_a = u.join_row(point_id[a_pts[0]])[point_id[a_pts[1]] - 1]

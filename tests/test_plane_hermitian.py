@@ -1,13 +1,13 @@
 import hashlib
 import random
-from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import combinations
 
 import pytest
 
 from unitals.design import NotAUnital, validate_unital
 from unitals.formats import serialize_json
 from unitals.gf import GaloisField
+from unitals import hermitian
 from unitals.hermitian import base_prime_power, embedded_unital, hermitian_plane, hermitian_unital, self_conjugate_points
 from unitals.persp import full_points
 from unitals.plane import ProjectivePlane
@@ -15,36 +15,16 @@ from hermitian_geometry import (
     all_polar_triangles,
     baer_subline,
     conjugate,
+    cross,
     gamma1,
+    normalize,
     nuclei,
+    on,
     pair_nuclei,
     polar_triangles_through_block,
     polarity,
     third_side,
 )
-
-
-# The plane answers every query from its incidence table; these are the
-# first algorithms, kept here as oracles that do not read the table.
-
-
-def _on(plane, point, line):
-    """Whether the bilinear form sum(P_i * l_i) vanishes."""
-    f = plane.field
-    return reduce(f.add, map(f.mul, point, line)) == 0
-
-
-def _cross(plane, a, b):
-    """The normalized cross product: the line of two distinct points, or
-    the meet of two distinct lines."""
-    f = plane.field
-    return plane.normalize(
-        (
-            f.sub(f.mul(a[1], b[2]), f.mul(a[2], b[1])),
-            f.sub(f.mul(a[2], b[0]), f.mul(a[0], b[2])),
-            f.sub(f.mul(a[0], b[1]), f.mul(a[1], b[0])),
-        )
-    )
 
 
 def test_base_prime_power():
@@ -65,57 +45,6 @@ def test_each_line_has_order_plus_one_points():
         assert len(plane.points_on_line(line)) == plane.order + 1
 
 
-def test_incidence_via_line_through():
-    plane = ProjectivePlane(GaloisField(3))
-    p, q = plane.points[0], plane.points[5]
-    line = plane.line_through(p, q)
-    assert _on(plane, p, line) and _on(plane, q, line)
-
-
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_plane_queries_match_the_form_and_cross_product(q):
-    """On PG(2, q^2): `incident` on every point-line pair, and `line_through`
-    and `meet` on every ordered pair of distinct triples (points for the
-    one, lines for the other)."""
-    plane = hermitian_plane(q)
-    for p, l in product(plane.points, plane.lines):
-        assert plane.incident(p, l) == _on(plane, p, l)
-    for a, b in permutations(plane.points, 2):
-        assert plane.line_through(a, b) == plane.meet(a, b) == _cross(plane, a, b)
-
-
-def test_meet_is_line_through_by_duality():
-    assert ProjectivePlane.meet is ProjectivePlane.line_through
-
-
-def test_plane_queries_match_the_form_and_cross_product_on_pg_2_25():
-    plane = hermitian_plane(5)  # PG(2, 25)
-    rng = random.Random(25)
-    for _ in range(20_000):
-        a, b = rng.sample(plane.points, 2)
-        assert plane.incident(a, b) == _on(plane, a, b)
-        assert plane.line_through(a, b) == plane.meet(a, b) == _cross(plane, a, b)
-
-
-@pytest.mark.parametrize("bad", [(0, 0, 0), (0, 0, 2), (5, 1, 1), (1.0, 0, 1)])
-def test_plane_queries_reject_a_triple_not_of_the_plane(bad):
-    """The zero vector, a scaled copy of (0, 0, 1), an entry outside GF(4)
-    and a non-int entry, as either argument of each query."""
-    plane = hermitian_plane(2)  # PG(2, 4)
-    good = (0, 1, 1)
-    calls = [
-        lambda: plane.incident(bad, good),
-        lambda: plane.incident(good, bad),
-        lambda: plane.line_through(bad, good),
-        lambda: plane.line_through(good, bad),
-        lambda: plane.meet(bad, good),
-        lambda: plane.meet(good, bad),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError):
-            call()
-
-
 def test_polarity_involution_and_fixed_coords():
     plane = hermitian_plane(3)
     for v in plane.points[:40]:
@@ -129,7 +58,7 @@ def test_polarity_reverses_incidence():
         plane = hermitian_plane(q)
         for p in plane.points[::5]:
             for l in plane.lines[::7]:
-                assert plane.incident(p, l) == plane.incident(polarity(plane, l), polarity(plane, p))
+                assert on(plane, p, l) == on(plane, polarity(plane, l), polarity(plane, p))
 
 
 @pytest.mark.parametrize("q,expected", [(2, 9), (3, 28), (4, 65), (5, 126)])
@@ -155,16 +84,30 @@ def test_hermitian_unital_is_the_embedded_unital_of_the_curve(q):
     assert (emb.point_coords, emb.line_coords, emb.line_to_block) == (built.point_coords, built.line_coords, built.line_to_block)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_hermitian_unital_computes_only_the_rows_of_its_points(q, monkeypatch):
+    """On a fresh plane, H(q) computes the q^3+1 rows of its own points,
+    each once, and never the whole table `incidence`."""
+    expected, plane = hermitian_unital(q), ProjectivePlane(hermitian_plane(q).field)
+    rows, row = [], ProjectivePlane.row
+    monkeypatch.setattr(ProjectivePlane, "row", lambda self, i: rows.append(i) or row(self, i))
+    monkeypatch.setattr(hermitian, "hermitian_plane", lambda q: plane)
+    emb = hermitian_unital.__wrapped__(q)
+    assert sorted(rows) == sorted(map(plane.index, emb.point_coords)) and len(rows) == q**3 + 1
+    assert "incidence" not in vars(plane)
+    assert (emb.unital.all_blocks, emb.line_coords) == (expected.unital.all_blocks, expected.line_coords)
+
+
 def _reference_hermitian(q):
     """H(q) as first built, from incidence alone: the curve points on each
     line that is not self-conjugate, lines in plane order."""
     plane = hermitian_plane(q)
-    curve = [p for p in plane.points if _on(plane, p, polarity(plane, p))]
+    curve = [p for p in plane.points if on(plane, p, polarity(plane, p))]
     ids = {p: i for i, p in enumerate(curve, start=1)}
     blocks, lines = [], []
     for l in plane.lines:
-        if not _on(plane, polarity(plane, l), l):
-            blocks.append(tuple(ids[p] for p in curve if _on(plane, p, l)))
+        if not on(plane, polarity(plane, l), l):
+            blocks.append(tuple(ids[p] for p in curve if on(plane, p, l)))
             lines.append(l)
     return tuple(blocks), tuple(lines)
 
@@ -183,7 +126,7 @@ def _pairwise_embedded_unital(plane, points):
         raise NotAUnital("a point is given twice")
     on_line: dict = {}
     for (i, p), (j, q) in combinations(enumerate(pts, start=1), 2):
-        on_line.setdefault(_cross(plane, p, q), set()).update((i, j))
+        on_line.setdefault(cross(plane, p, q), set()).update((i, j))
     block_lines = tuple(l for l in plane.lines if l in on_line)
     return validate_unital(len(pts), [on_line[l] for l in block_lines]), block_lines
 
@@ -270,7 +213,7 @@ def test_embedded_unital_rejects_non_unital():
 
 
 def _incidence_by_tests(plane):
-    return tuple(sum(1 << j for j, l in enumerate(plane.lines) if _on(plane, p, l)) for p in plane.points)
+    return tuple(sum(1 << j for j, l in enumerate(plane.lines) if on(plane, p, l)) for p in plane.points)
 
 
 @pytest.mark.parametrize(
@@ -281,7 +224,10 @@ def _incidence_by_tests(plane):
 def test_incidence_table_matches_incidence_tests(plane):
     n = plane.order
     assert len(plane.incidence) == n * n + n + 1
-    assert plane.incidence == _incidence_by_tests(plane)
+    assert plane.incidence == tuple(map(plane.row, range(n * n + n + 1))) == _incidence_by_tests(plane)
+    for i in (-1, n * n + n + 1):
+        with pytest.raises(IndexError):
+            plane.row(i)
     assert all(row.bit_count() == n + 1 for row in plane.incidence)
 
 
@@ -297,7 +243,7 @@ def _incidence_by_spans(plane):
         a[i], a[k] = 1, f.sub(0, l[i])
         b[j], b[k] = 1, f.sub(0, l[j])
         on_l = [b] + [[f.add(x, f.mul(t, y)) for x, y in zip(a, b)] for t in f.elements()]
-        rows.append(sum(1 << plane.index(plane.normalize(v)) for v in on_l))
+        rows.append(sum(1 << plane.index(normalize(plane, v)) for v in on_l))
     return tuple(rows)
 
 
@@ -329,7 +275,7 @@ def test_index_and_points_on_line_reject_a_triple_not_normalized(v):
 def test_lines_through_point_by_incidence():
     plane = hermitian_plane(2)  # PG(2,4)
     for p in plane.points:
-        assert plane.lines_through_point(p) == tuple(l for l in plane.lines if _on(plane, p, l))
+        assert plane.lines_through_point(p) == tuple(l for l in plane.lines if on(plane, p, l))
 
 
 def test_embedding_rejects_out_of_range_indices(h2):
@@ -391,7 +337,7 @@ def test_conjugate_line_meets_are_off_curve():
     plane = emb.plane
     for tri in all_polar_triangles(emb):
         l1, l2 = emb.block_line(tri[0]), emb.block_line(tri[1])
-        m = plane.meet(l1, l2)
+        m = cross(plane, l1, l2)
         assert not conjugate(plane, m, m)
 
 
@@ -442,9 +388,9 @@ def test_nuclei_of_a_line_plus_point():
     plane = hermitian_plane(2)
     line = plane.lines[0]
     pts = list(plane.points_on_line(line))
-    off = next(p for p in plane.points if not _on(plane, p, line))
+    off = next(p for p in plane.points if not on(plane, p, line))
     s = frozenset(pts[:-1] + [off])
-    expected = set(plane.points_on_line(plane.line_through(pts[-1], off))) - {pts[-1], off}
+    expected = set(plane.points_on_line(cross(plane, pts[-1], off))) - {pts[-1], off}
     assert len(expected) == plane.order - 1
     assert set(nuclei(plane, s)) == expected
 
@@ -467,10 +413,10 @@ def test_gamma1_on_h4_polar_pairs(h4, h4_triangles):
         assert 15 % order == 0  # divides q^2 - 1
         assert group.is_cyclic()
         l1 = h4.block_line(b1)
-        z = plane.meet(l1, h4.block_line(b2))
-        line = plane.line_through(*nuc[:2]) if len(nuc) >= 2 else None
-        assert line is None or all(plane.incident(n, line) for n in nuc)  # the nuclei are collinear
-        assert line is None or not plane.incident(z, line)
+        z = cross(plane, l1, h4.block_line(b2))
+        line = cross(plane, *nuc[:2]) if len(nuc) >= 2 else None
+        assert line is None or all(on(plane, n, line) for n in nuc)  # the nuclei are collinear
+        assert line is None or not on(plane, z, line)
         fixed = {t for i, t in enumerate(plane.points_on_line(l1)) if all(g[i] == i for g in group.generators)}
         assert order > 1 and z in fixed and len(fixed) == 2  # Z and one more common fixed point, V1
         (v1,) = fixed - {z}
@@ -489,10 +435,10 @@ def test_gamma1_on_nonconjugate_disjoint_pairs(h3):
         assert (3 * 3 - 1) % max(order, 1) == 0 or order == 1
         assert 8 % order == 0
         assert order % 3 != 0
-        z = plane.meet(h3.block_line(b1), h3.block_line(b2))
-        line = plane.line_through(*nuc[:2]) if len(nuc) >= 2 else None
-        assert line is None or all(plane.incident(n, line) for n in nuc)  # the nuclei are collinear
-        assert line is None or not plane.incident(z, line)
+        z = cross(plane, h3.block_line(b1), h3.block_line(b2))
+        line = cross(plane, *nuc[:2]) if len(nuc) >= 2 else None
+        assert line is None or all(on(plane, n, line) for n in nuc)  # the nuclei are collinear
+        assert line is None or not on(plane, z, line)
         count += 1
         if count >= 20:
             break
