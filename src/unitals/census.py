@@ -35,12 +35,11 @@ FP_OTHER = "other"
 
 
 class PairAnalysis(NamedTuple):
-    disjoint: bool
     full_point_count: int
     group_order: int | None  # present only with >= 2 full points
     group_name: str | None
     fp_structure: str
-    fpr: bool | None  # verdicts for disjoint pairs only
+    fpr: bool | None  # verdicts for disjoint pairs only: None for an intersecting pair
     sfpr: bool | None
 
 
@@ -95,7 +94,7 @@ def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups) -> PairAnalysis:
     fpr = len(fp) <= 1 or secants.bit_count() == 1 and not secants & (u.block_meets[b1 - 1] | u.block_meets[b2 - 1])
     sfpr = fpr and group[2]
     structure = _classify_structure(fp, secants)
-    return PairAnalysis(True, len(fp), group[0], group[1], structure, fpr, sfpr)
+    return PairAnalysis(len(fp), group[0], group[1], structure, fpr, sfpr)
 
 
 def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> tuple[tuple[int, ...], PairAnalysis]:
@@ -104,13 +103,13 @@ def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> tuple[tuple[int, ...], 
     For a disjoint pair, FPR holds when the full points lie in one block
     disjoint from both (vacuously with at most one full point), and SFPR
     when moreover the group is cyclic and semi-regular.  An intersecting
-    pair gets no verdicts.
+    pair gets no verdicts: its `fpr` and `sfpr` are None.
     """
     fp = full_points(u, b1, b2)
     pa = _analyze(u, b1, b2, fp, group_triples())
     if u.blocks_disjoint(b1, b2):
         return fp, pa
-    return fp, pa._replace(disjoint=False, fpr=None, sfpr=None)
+    return fp, pa._replace(fpr=None, sfpr=None)
 
 
 def _disjoint_pair(u: AbstractUnital, b1: int, b2: int) -> PairAnalysis:

@@ -153,7 +153,7 @@ def fullpoints(file: str, pair: str) -> None:
     _echo(f"full points of ({b1},{b2}): {list(fp)}")
     _echo(f"group order {pa.group_order}, structure {pa.group_name}" if pa.group_order is not None
           else "group trivial (fewer than 2 full points)")
-    _echo(f"SFPR triple: {pa.sfpr}" if pa.disjoint else "blocks intersect; regularity flags apply to disjoint pairs only")
+    _echo(f"SFPR triple: {pa.sfpr}" if u.blocks_disjoint(b1, b2) else "blocks intersect; regularity flags apply to disjoint pairs only")
 
 
 @main.command()

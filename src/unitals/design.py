@@ -17,15 +17,6 @@ class NotAUnital(ValueError):
     """The given point/block data violates the unital design axioms."""
 
 
-def fold(masks) -> tuple[int, int]:
-    """(once, twice): the bits set in at least one and in at least two of the masks."""
-    once = twice = 0
-    for mask in masks:
-        twice |= once & mask
-        once |= mask
-    return once, twice
-
-
 def block_ids(mask: int):
     """The blocks of a bitset over blocks (bit i-1 for block i), in increasing order."""
     while mask:
@@ -61,8 +52,9 @@ class AbstractUnital:
         return self._blocks
 
     def block_pos(self, i: int) -> int:
-        """Position i-1 of block i; IndexError outside 1..num_blocks, where Python would wrap."""
-        if not 1 <= i <= len(self._blocks):
+        """Position i-1 of block i; IndexError for an id that is not an int (a
+        bool or a float included) or lies outside 1..num_blocks, where Python would wrap."""
+        if type(i) is not int or not 1 <= i <= len(self._blocks):
             raise IndexError(f"block index {i} outside 1..{len(self._blocks)}")
         return i - 1
 
@@ -71,8 +63,8 @@ class AbstractUnital:
         return self._blocks[self.block_pos(i)]
 
     def point_pos(self, p: int) -> int:
-        """Position p-1 of point p; IndexError outside 1..num_points."""
-        if not 1 <= p <= self.num_points:
+        """Position p-1 of point p; IndexError as in `block_pos`, outside 1..num_points."""
+        if type(p) is not int or not 1 <= p <= self.num_points:
             raise IndexError(f"point id {p} outside 1..{self.num_points}")
         return p - 1
 
@@ -82,8 +74,19 @@ class AbstractUnital:
 
     def secants(self, points) -> int:
         """The bitset of the blocks holding at least two of the given points;
-        each pair of the points lies on exactly one of them."""
-        return fold(self.point_blocks[self.point_pos(p)] for p in points)[1]
+        each pair of the points lies on exactly one of them.  Folds the
+        points' `point_blocks` into `once` (the blocks holding one or more of
+        them) and `twice`.  ValueError for a point given twice."""
+        once = twice = seen = 0
+        for p in points:
+            i = self.point_pos(p)
+            if seen >> i & 1:
+                raise ValueError(f"point {p} is given twice")
+            seen |= 1 << i
+            mask = self.point_blocks[i]
+            twice |= once & mask
+            once |= mask
+        return twice
 
     def blocks_disjoint(self, i: int, j: int) -> bool:
         return not self.block_meets[self.block_pos(i)] >> self.block_pos(j) & 1

@@ -57,7 +57,6 @@ class Embedding(NamedTuple):
     unital: AbstractUnital
     point_coords: tuple  # point id (1-based) -> plane point
     line_coords: tuple  # block index (1-based) -> plane line
-    line_to_block: dict  # plane line -> block index
 
     def block_line(self, i: int):
         return self.line_coords[self.unital.block_pos(i)]
@@ -88,9 +87,8 @@ def embedded_unital(plane: ProjectivePlane, points) -> Embedding:
             on_line.setdefault(l - 1, []).append(pid)
     secants = sorted(l for l, on in on_line.items() if len(on) > 1)
     unital = validate_unital(len(pts), [on_line[l] for l in secants])
-    block_lines = tuple(plane.lines[l] for l in secants)
     point_coords = tuple(plane.points[i] for i in where)  # the plane's own triples, also for a point given as a list
-    return Embedding(plane, unital, point_coords, block_lines, {l: i for i, l in enumerate(block_lines, start=1)})
+    return Embedding(plane, unital, point_coords, tuple(plane.lines[l] for l in secants))
 
 
 @lru_cache(maxsize=None)

@@ -31,8 +31,8 @@ def full_point_rows(u: AbstractUnital):
     `empty` pairs have no full point, `single` pairs one, and `sets` maps each
     other b2 to its full points, all in increasing order.  A point p off b1 is
     a full point of (b1, b2) exactly when p is off b2 and b2 meets each join
-    of p to b1: AND their meet masks, and fold the results as `design.fold`
-    does, inline, as a call per point slows the sweep."""
+    of p to b1: AND their meet masks, and fold the results into `once` and
+    `twice` masks as `AbstractUnital.secants` folds its points' blocks."""
     meets, joins = u.block_meets, [u.join_row(p) for p in u.points()]
     full = (1 << u.num_blocks) - 1
     for b1, blk in enumerate(u.all_blocks, start=1):

@@ -6,14 +6,12 @@ coordinate is 1.  That normalization gives a unique, hashable
 representative per projective point, so dictionaries of points work
 directly.  Lines use the same representation for their dual coordinates.
 The plane's one incidence primitive is `row(i)`, a bitset computed from
-the equation of `lines[i]`; the queries read the table `incidence` of all
-rows at `index` positions, so a triple not of the plane raises ValueError.
+the equation of `lines[i]`: a line's points are the bits of its row, read
+at its `index` position, so a triple not of the plane raises ValueError.
 Planes beyond PG(2, q^2), q <= `hermitian.MAX_Q`, are out of scope.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .design import block_ids
 from .gf import GaloisField
@@ -35,7 +33,7 @@ class ProjectivePlane:
         """Position of a normalized triple in `points`, and so in `lines`;
         ValueError for any other triple."""
         n = self.order
-        if len(v) == 3 and all(isinstance(c, int) for c in v):
+        if len(v) == 3 and all(type(c) is int for c in v):
             x, y, z = v
             i = x * n + y if z else n * n + (x if y else n)
             if 0 <= i < len(self.points) and self.points[i] == tuple(v):
@@ -64,13 +62,8 @@ class ProjectivePlane:
             row = ((1 << n) - 1) << n * n
         return row | 1 << n * n + (f.div(f.sub(0, l1), l0) if l0 else n)  # (-l1/l0, 1, 0), or (1, 0, 0)
 
-    @cached_property
-    def incidence(self) -> tuple[int, ...]:
-        """Every `row`, built on first use."""
-        return tuple(map(self.row, range(len(self.lines))))
-
     def points_on_line(self, line) -> tuple:
-        return tuple(self.points[i - 1] for i in block_ids(self.incidence[self.index(line)]))
+        return tuple(self.points[i - 1] for i in block_ids(self.row(self.index(line))))
 
     # incidence is symmetric and lines are the same triples as points, so
     # the lines through a point are the points on the line of that triple

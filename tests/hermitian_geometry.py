@@ -4,8 +4,9 @@ The paper's statements about the Hermitian unital (conjugate pairs, polar
 triangles, Baer sublines, nuclei and the group Γ₁ of a disjoint block
 pair) are checked against these.  Each is written the way it is defined,
 not for speed: incidence is the bilinear form, the line of two points and
-the meet of two lines are the cross product, and only nuclei and Γ₁ list
-the points of a line from the plane's incidence table.
+the meet of two lines are the cross product, the block of a line is read
+off the embedding's `line_coords`, and only nuclei and Γ₁ list the points
+of a line, the bits of its `row`, through `points_on_line`.
 """
 
 from functools import reduce
@@ -60,8 +61,9 @@ def polar_triangles_through_block(emb, b) -> tuple:
     second side is any line through the line's pole (a line conjugate to
     it) that is not self-conjugate."""
     plane, l1 = emb.plane, emb.block_line(b)
+    block_of = {l: i for i, l in enumerate(emb.line_coords, start=1)}
     triangles = {
-        tuple(sorted((b, emb.line_to_block[l2], emb.line_to_block[third_side(plane, l1, l2)])))
+        tuple(sorted((b, block_of[l2], block_of[third_side(plane, l1, l2)])))
         for l2 in plane.lines
         if conjugate(plane, l1, l2) and not conjugate(plane, l2, l2)
     }

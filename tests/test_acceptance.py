@@ -68,6 +68,7 @@ def test_criterion_02_conjugate_pairs_even_q(capsys, h2, h4, h4_pair_fp):
         for emb in (h2, h4):
             q = emb.unital.order
             u = emb.unital
+            block_of = {l: i for i, l in enumerate(emb.line_coords, start=1)}
             pair_fp = h4_pair_fp if q == 4 else {(b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()}
             checked = 0
             for (b1, b2), fp in pair_fp.items():
@@ -75,7 +76,7 @@ def test_criterion_02_conjugate_pairs_even_q(capsys, h2, h4, h4_pair_fp):
                 if not conjugate(emb.plane, l1, l2):
                     continue
                 l3 = third_side(emb.plane, l1, l2)
-                b3 = emb.line_to_block[l3]
+                b3 = block_of[l3]
                 assert sorted(fp) == sorted(emb.unital.block(b3))
                 assert len(fp) == q + 1
                 checked += 1

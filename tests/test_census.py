@@ -28,7 +28,7 @@ from unitals.persp import SameBlock, full_points, persp_generators, perspectivit
 
 def test_analyze_pair_appendix_golden(appendix):
     _, pa = analyze_pair(appendix, 1, 33)
-    assert pa.disjoint
+    assert pa.fpr is not None  # a disjoint pair gets its verdicts
     assert pa.full_point_count == 5
     assert pa.group_order == 120
     assert pa.group_name == "S5"
@@ -66,8 +66,8 @@ def test_appendix_full_point_count_distribution(appendix_pair_fp):
 def test_one_pair_questions_share_one_analysis(request, name):
     """`analyze_pair` returns the kernel's full points with its analysis,
     and the triple predicates give that analysis's verdicts or reject an
-    intersecting pair: on every ordered pair of H(2) and on 2,000 seeded
-    ordered pairs of the appendix unital."""
+    intersecting pair, whose analysis has none: on every ordered pair of
+    H(2) and on 2,000 seeded ordered pairs of the appendix unital."""
     fixture = request.getfixturevalue(name)
     u = getattr(fixture, "unital", fixture)
     pairs = list(permutations(u.block_indices(), 2))
@@ -76,10 +76,11 @@ def test_one_pair_questions_share_one_analysis(request, name):
     for b1, b2 in pairs:
         fp, pa = analyze_pair(u, b1, b2)
         assert fp == full_points(u, b1, b2)
-        assert pa.disjoint == u.blocks_disjoint(b1, b2)
-        if pa.disjoint:
+        if u.blocks_disjoint(b1, b2):
+            assert None not in (pa.fpr, pa.sfpr)
             assert (is_fpr_triple(u, b1, b2), is_sfpr_triple(u, b1, b2)) == (pa.fpr, pa.sfpr)
         else:
+            assert pa.fpr is pa.sfpr is None
             for triple in (is_fpr_triple, is_sfpr_triple):
                 with pytest.raises(ValueError, match=re.escape(f"blocks ({b1},{b2}) are not disjoint")):
                     triple(u, b1, b2)

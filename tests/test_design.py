@@ -122,11 +122,12 @@ def test_indices_below_one_rejected(appendix):
     # negative indexing used to wrap 0 to the last block or point row
     from unitals.persp import full_points
 
-    for i in (0, -1):
+    for i in (0, -1, True, 1.0):  # a bool or float is no id, though it equals one
         with pytest.raises(IndexError):
             appendix.block(i)
-    with pytest.raises(IndexError):
-        full_points(appendix, 0, 1)
+    for b1 in (0, True):
+        with pytest.raises(IndexError):
+            full_points(appendix, b1, 33)
 
 
 def test_join_row_holds_both_points(h2):
@@ -141,7 +142,7 @@ def test_join_row_holds_both_points(h2):
 
 
 def test_join_row_rejects_ids_outside_range(h2):
-    for p in (0, -1, -9, h2.unital.num_points + 1):
+    for p in (0, -1, -9, h2.unital.num_points + 1, 1.0, True):
         with pytest.raises(IndexError):
             h2.unital.join_row(p)
 
@@ -150,3 +151,10 @@ def test_join_row_rejects_ids_outside_range(h2):
 def test_secants_rejects_point_ids_outside_range(appendix, ids):
     with pytest.raises(IndexError):
         appendix.secants(ids)
+
+
+def test_secants_rejects_a_repeated_point(appendix):
+    """A point given twice would count every block through it as a secant."""
+    for ids in ([1, 1], [2, 7, 30, 7]):
+        with pytest.raises(ValueError, match=f"point {ids[-1]} is given twice"):
+            appendix.secants(ids)

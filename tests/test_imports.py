@@ -64,8 +64,8 @@ def test_records_keep_their_fields_and_refuse_assignment(h2):
     records = [
         (parse_unital(appendix_text()), ("points", "blocks")),
         (LatinSquare(2, ((0, 1), (1, 0))), ("m", "rows")),
-        (h2, ("plane", "unital", "point_coords", "line_coords", "line_to_block")),
-        (analyze_pair(h2.unital, *pair)[1], ("disjoint", "full_point_count", "group_order", "group_name", "fp_structure", "fpr", "sfpr")),
+        (h2, ("plane", "unital", "point_coords", "line_coords")),
+        (analyze_pair(h2.unital, *pair)[1], ("full_point_count", "group_order", "group_name", "fp_structure", "fpr", "sfpr")),
         (classify_unital(h2.unital), ("order", "pair_kinds", "is_fpr", "is_sfpr")),
     ]
     for record, fields in records:

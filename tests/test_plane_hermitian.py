@@ -81,20 +81,19 @@ def test_hermitian_unital_is_the_embedded_unital_of_the_curve(q):
     built = embedded_unital(plane, self_conjugate_points(plane))
     assert emb.plane is built.plane is plane
     assert emb.unital.all_blocks == built.unital.all_blocks
-    assert (emb.point_coords, emb.line_coords, emb.line_to_block) == (built.point_coords, built.line_coords, built.line_to_block)
+    assert (emb.point_coords, emb.line_coords) == (built.point_coords, built.line_coords)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_hermitian_unital_computes_only_the_rows_of_its_points(q, monkeypatch):
     """On a fresh plane, H(q) computes the q^3+1 rows of its own points,
-    each once, and never the whole table `incidence`."""
+    each once."""
     expected, plane = hermitian_unital(q), ProjectivePlane(hermitian_plane(q).field)
     rows, row = [], ProjectivePlane.row
     monkeypatch.setattr(ProjectivePlane, "row", lambda self, i: rows.append(i) or row(self, i))
     monkeypatch.setattr(hermitian, "hermitian_plane", lambda q: plane)
     emb = hermitian_unital.__wrapped__(q)
     assert sorted(rows) == sorted(map(plane.index, emb.point_coords)) and len(rows) == q**3 + 1
-    assert "incidence" not in vars(plane)
     assert (emb.unital.all_blocks, emb.line_coords) == (expected.unital.all_blocks, expected.line_coords)
 
 
@@ -203,7 +202,7 @@ def test_embedded_unital_keeps_the_planes_triples_for_points_given_as_lists(h2):
     plane = h2.plane
     emb = embedded_unital(plane, [list(p) for p in h2.point_coords])
     assert emb.unital.all_blocks == h2.unital.all_blocks
-    assert (emb.point_coords, emb.line_coords, emb.line_to_block) == (h2.point_coords, h2.line_coords, h2.line_to_block)
+    assert (emb.point_coords, emb.line_coords) == (h2.point_coords, h2.line_coords)
 
 
 def test_embedded_unital_rejects_non_unital():
@@ -223,12 +222,13 @@ def _incidence_by_tests(plane):
 )
 def test_incidence_table_matches_incidence_tests(plane):
     n = plane.order
-    assert len(plane.incidence) == n * n + n + 1
-    assert plane.incidence == tuple(map(plane.row, range(n * n + n + 1))) == _incidence_by_tests(plane)
+    rows = tuple(map(plane.row, range(len(plane.lines))))
+    assert len(rows) == n * n + n + 1
+    assert rows == _incidence_by_tests(plane)
     for i in (-1, n * n + n + 1):
         with pytest.raises(IndexError):
             plane.row(i)
-    assert all(row.bit_count() == n + 1 for row in plane.incidence)
+    assert all(row.bit_count() == n + 1 for row in rows)
 
 
 def _incidence_by_spans(plane):
@@ -252,7 +252,7 @@ def _incidence_by_spans(plane):
 )
 def test_incidence_table_matches_the_spans_of_each_line(p, k):
     plane = ProjectivePlane(GaloisField(p, k))
-    assert plane.incidence == _incidence_by_spans(plane)
+    assert tuple(map(plane.row, range(len(plane.lines)))) == _incidence_by_spans(plane)
 
 
 def test_index_is_the_position_in_points_and_lines():
@@ -262,7 +262,8 @@ def test_index_is_the_position_in_points_and_lines():
 
 
 @pytest.mark.parametrize(
-    "v", [(0, 0, 2), (0, 0, 0), (4, 1, 1), (1, 2, 0), (2, 0, 0), (0, 16, 1), (-1, 0, 1), (1.0, 0, 1), ("a", 0, 1)]
+    "v",
+    [(0, 0, 2), (0, 0, 0), (4, 1, 1), (1, 2, 0), (2, 0, 0), (0, 16, 1), (-1, 0, 1), (1.0, 0, 1), ("a", 0, 1), (True, 0, 1)],
 )
 def test_index_and_points_on_line_reject_a_triple_not_normalized(v):
     plane = hermitian_plane(2)  # PG(2, 4)
@@ -270,6 +271,25 @@ def test_index_and_points_on_line_reject_a_triple_not_normalized(v):
         plane.index(v)
     with pytest.raises(ValueError):
         plane.points_on_line(v)
+
+
+def test_one_line_query_computes_one_row(monkeypatch):
+    """On a fresh PG(2, 16), listing one line's points, or one point's
+    lines, computes that one row and no other."""
+    plane = ProjectivePlane(GaloisField(2, 4))
+    rows, row = [], ProjectivePlane.row
+    monkeypatch.setattr(ProjectivePlane, "row", lambda self, i: rows.append(i) or row(self, i))
+    line, point = plane.lines[100], plane.points[200]
+    assert plane.points_on_line(line) == tuple(p for p in plane.points if on(plane, p, line))
+    assert plane.lines_through_point(point) == tuple(l for l in plane.lines if on(plane, point, l))
+    assert rows == [100, 200]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_embedding_holds_only_tuples_besides_plane_and_unital(q):
+    """The `lru_cache`d H(q) shares its maps with every caller, so none may be mutable."""
+    emb = hermitian_unital(q)
+    assert all(type(getattr(emb, name)) is tuple for name in emb._fields if name not in ("plane", "unital"))
 
 
 def test_lines_through_point_by_incidence():
