@@ -2,16 +2,16 @@
 
 A unital is full point regular (FPR) when, for every disjoint block pair,
 the full points lie in a single block disjoint from both; strongly FPR
-additionally requires a cyclic semi-regular perspectivity group.  Rows
-stream in from `full_point_rows`, one per block.  Each pair is analysed
-once, into a `PairAnalysis` (without its block indices) that carries its
-perspectivity group and its FPR and SFPR verdicts; pairs with at most one
-full point share one of two analyses.  The unital's one record is the
-`Counter` of those analyses; its `UnitalReport` adds only the FPR/SFPR
-verdicts read off it, and each table function reads the Counters itself.
-The aggregation mirrors the published census tables: pair rows keyed by
-(full point count, group name), FPR/SFPR totals, and the breakdown of
-unitals by the structure of their large (>= 3 point) full point sets.
+additionally requires a cyclic semi-regular perspectivity group.  A block's
+pairs come from its `full_point_row` over the later disjoint blocks.  Each
+pair is analysed once, into a `PairAnalysis` (without its block indices)
+that carries its perspectivity group and its FPR and SFPR verdicts; pairs
+with at most one full point share one of two analyses.  The unital's one
+record is the `Counter` of those analyses; its `UnitalReport` adds only the
+FPR/SFPR verdicts read off it, and each table function reads the Counters
+itself.  The aggregation mirrors the published census tables: pair rows
+keyed by (full point count, group name), FPR/SFPR totals, and the breakdown
+of unitals by the structure of their large (>= 3 point) full point sets.
 Dual 3-nets are not counted here: `nets.find_dual_3nets` lists them.
 """
 
@@ -21,9 +21,9 @@ from bisect import insort
 from collections import Counter
 from typing import NamedTuple
 
-from .design import AbstractUnital
+from .design import AbstractUnital, block_ids
 from .groups import closure, generated, structure_name
-from .persp import full_point_rows, full_points, persp_generators
+from .persp import full_point_row, full_points, persp_generators
 
 LARGE_SET_THRESHOLD = 3
 
@@ -131,8 +131,19 @@ def classify_unital(u: AbstractUnital) -> UnitalReport:
     """Analyse every disjoint pair once into the report's Counter."""
     groups, pair_kinds = group_triples(), Counter()
     small = [_analyze(u, None, None, fp, groups) for fp in ((), (None,))]  # reads no block and no point
-    for b1, empty, single, sets in full_point_rows(u):
-        pair_kinds.update(_analyze(u, b1, b2, fp, groups) for b2, fp in sets.items())
+    full = (1 << u.num_blocks) - 1
+    for b1, meets in enumerate(u.block_meets, start=1):
+        later = ~meets >> b1 << b1 & full  # blocks b2 > b1 disjoint from b1
+        hits, once, twice = full_point_row(u, b1, later), 0, 0
+        for _, h in hits:  # as `AbstractUnital.secants` folds its points' blocks
+            twice |= once & h
+            once |= h
+        sets = {b2: [] for b2 in block_ids(twice)}  # the pairs with two or more full points
+        for p, h in hits:
+            for b2 in block_ids(h & twice):
+                sets[b2].append(p)
+        pair_kinds.update(_analyze(u, b1, b2, tuple(fp), groups) for b2, fp in sets.items())
+        empty, single = later.bit_count() - once.bit_count(), once.bit_count() - twice.bit_count()
         pair_kinds.update({pa: k for pa, k in zip(small, (empty, single)) if k})  # no key counts 0
     return UnitalReport(
         order=u.order,

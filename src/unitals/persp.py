@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .design import AbstractUnital, block_ids
+from .design import AbstractUnital
 from .groups import PermGroup, closure, relative_to_first
 
 
@@ -10,50 +10,38 @@ class SameBlock(ValueError):
     pass
 
 
+def full_point_row(u: AbstractUnital, b1: int, partners: int) -> list[tuple[int, int]]:
+    """The (p, h) for each point p off b1 that is a full point of some pair
+    (b1, b2) with b2 in the bitset `partners`, in increasing order, with h
+    the bitset of those b2.  p is full for (b1, b2) when it is off b2 and
+    each join of p to b1 meets b2, so h is the partners off p ANDed with the
+    meet masks of those joins.  Partners may meet b1; b1's own bit, which
+    every join meets, is dropped."""
+    i = u.block_pos(b1)
+    meets, partners = u.block_meets, partners & ~(1 << i)
+    rows = [u.join_row(q) for q in u.all_blocks[i]]  # entry p-1 of row q: the join of p and q
+    hits = []
+    for p, on_p in enumerate(u.point_blocks, start=1):
+        if on_p >> i & 1:
+            continue
+        h = partners & ~on_p
+        for row in rows:
+            h &= meets[row[p - 1] - 1]
+            if not h:
+                break
+        else:
+            hits.append((p, h))
+    return hits
+
+
 def full_points(u: AbstractUnital, b1: int, b2: int) -> tuple[int, ...]:
     """All points P off both blocks whose joins to b1 each meet b2, in
-    increasing order.
-
-    Every such P defines the central projection b1 -> b2, so these are
-    exactly the centers of well-defined perspectivities between the pair.
-    A join of P to b1 that misses b2 is a block meeting b1 but not b2, so
-    the full points are the points off b1 and b2 on no such block.
-    """
-    if b1 == b2:
+    increasing order: the centers of the well-defined perspectivities
+    b1 -> b2.  It is b1's `full_point_row` over b2 alone, after both ids
+    are checked."""
+    if u.block_pos(b1) == u.block_pos(b2):
         raise SameBlock("full points need two distinct blocks")
-    i, j = u.block_pos(b1), u.block_pos(b2)
-    off = u.block_meets[i] & ~u.block_meets[j] | 1 << i | 1 << j
-    return tuple(p for p, on_p in enumerate(u.point_blocks, start=1) if not on_p & off)
-
-
-def full_point_rows(u: AbstractUnital):
-    """Yield (b1, empty, single, sets) per block b1, over the disjoint b2 > b1:
-    `empty` pairs have no full point, `single` pairs one, and `sets` maps each
-    other b2 to its full points, all in increasing order.  A point p off b1 is
-    a full point of (b1, b2) exactly when p is off b2 and b2 meets each join
-    of p to b1: AND their meet masks, and fold the results into `once` and
-    `twice` masks as `AbstractUnital.secants` folds its points' blocks."""
-    meets, joins = u.block_meets, [u.join_row(p) for p in u.points()]
-    full = (1 << u.num_blocks) - 1
-    for b1, blk in enumerate(u.all_blocks, start=1):
-        later = ~meets[b1 - 1] >> b1 << b1 & full  # blocks b2 > b1 disjoint from b1
-        once, twice, hits = 0, 0, []
-        for p, on_p in enumerate(u.point_blocks, start=1):
-            if on_p >> b1 - 1 & 1:
-                continue
-            h, join = later & ~on_p, joins[p - 1]
-            for q in blk:
-                h &= meets[join[q - 1] - 1]
-            if h:
-                twice |= once & h
-                once |= h
-                hits.append((p, h))
-        sets = {c: [] for c in block_ids(twice)}
-        for p, h in hits:
-            for c in block_ids(h & twice):
-                sets[c].append(p)
-        single = once.bit_count() - twice.bit_count()
-        yield b1, later.bit_count() - once.bit_count(), single, {c: tuple(fp) for c, fp in sets.items()}
+    return tuple(p for p, _ in full_point_row(u, b1, 1 << b2 - 1))
 
 
 def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> tuple[int, ...]:
@@ -66,9 +54,9 @@ def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> tuple
 
 def projections(u: AbstractUnital, b1: int, b2: int, centers) -> list[tuple[int, ...]]:
     """`perspectivity_map` from each center in turn; the blocks are checked once."""
+    pts1, pts2 = u.block(b1), u.block(b2)
     if b1 == b2:
         raise SameBlock("a perspectivity needs two distinct blocks")
-    pts1, pts2 = u.block(b1), u.block(b2)
     maps = []
     for center in centers:
         join = u.join_row(center)

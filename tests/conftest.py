@@ -1,9 +1,25 @@
 import pytest
 
-from unitals.persp import full_points
+from unitals.design import block_ids
+from unitals.persp import full_point_row
 from unitals.formats import builtin_appendix_unital
 from unitals.hermitian import hermitian_unital
 from hermitian_geometry import all_polar_triangles
+
+
+def pair_full_points(u, disjoint=True) -> dict:
+    """{(b1, b2): full points} over the block pairs b1 < b2, the disjoint
+    ones only or every pair, from one `full_point_row` per b1."""
+    full = (1 << u.num_blocks) - 1
+    out = {}
+    for b1, meets in enumerate(u.block_meets, start=1):
+        later = (~meets if disjoint else full) >> b1 << b1 & full
+        fps = {b2: [] for b2 in block_ids(later)}
+        for p, h in full_point_row(u, b1, later):
+            for b2 in block_ids(h):
+                fps[b2].append(p)
+        out.update(((b1, b2), tuple(fp)) for b2, fp in fps.items())
+    return out
 
 
 @pytest.fixture(scope="session")
@@ -29,13 +45,12 @@ def h4():
 @pytest.fixture(scope="session")
 def h4_pair_fp(h4):
     """Full points of every disjoint block pair of H(4)."""
-    u = h4.unital
-    return {(b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()}
+    return pair_full_points(h4.unital)
 
 
 @pytest.fixture(scope="session")
 def appendix_pair_fp(appendix):
-    return {(b1, b2): full_points(appendix, b1, b2) for b1, b2 in appendix.disjoint_block_pairs()}
+    return pair_full_points(appendix)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ runs when UNITAL_LIBRARY_DIR is set.
 import os
 import random
 import time
-from itertools import combinations
 
 import pytest
 
@@ -24,7 +23,8 @@ from unitals.nets import (
     is_group_based,
     latin_square_from_3net,
 )
-from unitals.persp import full_points, persp_group
+from unitals.persp import persp_group
+from conftest import pair_full_points
 from hermitian_geometry import baer_subline, conjugate, polar_triangles_through_block, third_side
 from test_nets import blocks_inside, satisfies_quadrangle_criterion
 
@@ -69,7 +69,7 @@ def test_criterion_02_conjugate_pairs_even_q(capsys, h2, h4, h4_pair_fp):
             q = emb.unital.order
             u = emb.unital
             block_of = {l: i for i, l in enumerate(emb.line_coords, start=1)}
-            pair_fp = h4_pair_fp if q == 4 else {(b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()}
+            pair_fp = h4_pair_fp if q == 4 else pair_full_points(u)
             checked = 0
             for (b1, b2), fp in pair_fp.items():
                 l1, l2 = emb.block_line(b1), emb.block_line(b2)
@@ -103,7 +103,7 @@ def test_criterion_05_hermitian_strong_regularity(capsys, h3, h4, h4_pair_fp):
         for emb in (h3, h4):
             q = emb.unital.order
             u = emb.unital
-            pair_fp = h4_pair_fp if q == 4 else {(b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()}
+            pair_fp = h4_pair_fp if q == 4 else pair_full_points(u)
             for (b1, b2), fp in pair_fp.items():
                 assert is_sfpr_triple(u, b1, b2)
                 if len(fp) >= 2:
@@ -116,9 +116,9 @@ def test_criterion_06_full_point_bounds(capsys, appendix, h2, h3, h4):
     with _Check(capsys, 6, "full point counts within the n^2-n / n^2-1 bounds"):
         for u in (appendix, h2.unital, h3.unital, h4.unital):
             n = u.order
-            for b1, b2 in combinations(u.block_indices(), 2):
+            for (b1, b2), fp in pair_full_points(u, disjoint=False).items():
                 bound = n * n - 1 if u.blocks_disjoint(b1, b2) else n * n - n
-                assert len(full_points(u, b1, b2)) <= bound
+                assert len(fp) <= bound
 
 
 def test_criterion_07_appendix_goldens(capsys, appendix):

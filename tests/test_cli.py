@@ -149,6 +149,8 @@ def test_fullpoints_bad_args(runner, appendix_file):
         ("1,3_3", "--blocks: non-integer token: '3_3'"),
         ("0,33", "--blocks: block index 0 outside 1..208"),
         ("1,1", "--blocks: full points need two distinct blocks"),
+        ("0,0", "--blocks: block index 0 outside 1..208"),
+        ("300,300", "--blocks: block index 300 outside 1..208"),
         ("1,209", "--blocks: block index 209 outside 1..208"),
         ("+1,33", "--blocks: non-integer token: '+1'"),
         ("1,33,200", "--blocks expects two block ids, got '1,33,200'"),

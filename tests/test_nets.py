@@ -16,7 +16,8 @@ from unitals.nets import (
 from unitals.design import AbstractUnital, block_ids, validate_unital
 from unitals.groups import closure, compose, is_cyclic_regular, relative_to_first
 from unitals.hermitian import hermitian_unital
-from unitals.persp import full_point_rows, full_points, persp_group
+from unitals.persp import full_points, persp_group
+from conftest import pair_full_points
 
 APPENDIX_NET = (1, 33, 200)
 
@@ -178,14 +179,13 @@ def test_order_3_unitals_have_no_3nets(h3):
 
 
 def _dual_3nets_from_full_points(u):
-    """The reference search: every pair of `full_point_rows` with more than
-    n full points, completed by each block inside its full points that
-    comes after both blocks of the pair."""
+    """The reference search: every disjoint pair with more than n full
+    points, completed by each block inside its full points that comes after
+    both blocks of the pair."""
     nets = []
-    for b1, _, _, sets in full_point_rows(u):
-        for b2, fp in sets.items():
-            if len(fp) > u.order:  # only these can hold a block
-                nets.extend((b1, b2, c) for c in blocks_inside(u, fp) if c > b2)
+    for (b1, b2), fp in pair_full_points(u).items():
+        if len(fp) > u.order:  # only these can hold a block
+            nets.extend((b1, b2, c) for c in blocks_inside(u, fp) if c > b2)
     return tuple(sorted(nets))
 
 
@@ -239,9 +239,9 @@ def test_meet_key_identity(appendix, appendix_pair_fp, h2, h3):
     cases[appendix] = sample + splits
     inside = Counter()
     for u, triples in cases.items():
-        meets = u.block_meets
+        meets, pair_fp = u.block_meets, appendix_pair_fp if u is appendix else pair_full_points(u)
         for a, b, c in triples:
-            fp = appendix_pair_fp[a, b] if u is appendix else full_points(u, a, b)
+            fp = pair_fp[a, b]
             expected = set(u.block(c)) <= set(fp)
             assert (meets[a - 1] & meets[c - 1] == meets[b - 1] & meets[c - 1]) == expected, (a, b, c)
             inside[u] += expected

@@ -1,17 +1,21 @@
 import random
+from collections import Counter, defaultdict
+from functools import cache
 
 import pytest
 
 from unitals import persp
-from unitals.design import validate_unital
+from unitals.census import classify_unital
+from unitals.design import block_ids, validate_unital
 from unitals.groups import closure, structure_name
 from unitals.persp import (
     SameBlock,
-    full_point_rows,
+    full_point_row,
     full_points,
     persp_group,
     perspectivity_map,
 )
+from conftest import pair_full_points
 from hermitian_geometry import normalize
 
 
@@ -21,7 +25,7 @@ def test_same_block_rejected(appendix):
 
 
 def test_block_index_out_of_range_rejected(appendix):
-    for b1, b2 in [(1, 0), (1, -1), (1, 209), (0, 1), (209, 1)]:
+    for b1, b2 in [(1, 0), (1, -1), (1, 209), (0, 1), (209, 1), (0, 0), (300, 300), (True, 1)]:
         with pytest.raises(IndexError):
             full_points(appendix, b1, b2)
 
@@ -133,8 +137,7 @@ def test_perspectivity_map_center_out_of_range(appendix):
 def test_perspectivity_layer_reads_join_rows(appendix):
     fp = full_points(appendix, 1, 33)
     assert persp_group(appendix, 1, 33, fp=fp).order() == 120
-    b1, _, _, sets = next(full_point_rows(appendix))
-    assert (b1, sets[33]) == (1, fp)
+    assert full_point_row(appendix, 1, 1 << 32) == [(p, 1 << 32) for p in fp]
 
 
 def test_single_full_point_gives_trivial_group(h4, h4_pair_fp):
@@ -193,10 +196,12 @@ def test_h3_disjoint_pair_groups_cyclic_dividing_8(h3):
             assert 8 % g.order() == 0
 
 
+@cache
 def _full_points_by_definition(u) -> dict:
     """Full points of every ordered block pair, from the definition alone: a
     point P off both blocks is full exactly when every block through P that
-    meets b1 also meets b2.  Uses only the block list."""
+    meets b1 also meets b2.  Uses only the block list.  Computed once per
+    unital, for the two tests that read it."""
     blocks = [frozenset(b) for b in u.all_blocks]
     meets = [frozenset(j for j, c in enumerate(blocks) if b & c) for b in blocks]
     through = {p: [j for j, c in enumerate(blocks) if p in c] for p in u.points()}
@@ -209,6 +214,7 @@ def _full_points_by_definition(u) -> dict:
     return out
 
 
+@cache
 def _relabelled_appendix(appendix):
     rng = random.Random(2026)
     labels = list(appendix.points())
@@ -220,26 +226,50 @@ def _relabelled_appendix(appendix):
 
 @pytest.mark.parametrize("name", ["appendix", "H(2)", "H(3)", "relabelled appendix"])
 def test_full_points_match_definition_on_all_ordered_pairs(name, appendix, h2, h3):
+    """Each block's row over every other block, and `full_points` on 300
+    seeded ordered pairs (all 132 of H(2))."""
     u = {"appendix": appendix, "H(2)": h2.unital, "H(3)": h3.unital}.get(name) or _relabelled_appendix(appendix)
     expected = _full_points_by_definition(u)
-    assert {pair: full_points(u, *pair) for pair in expected} == expected
+    got = defaultdict(tuple)
+    for b1 in u.block_indices():
+        for p, h in full_point_row(u, b1, (1 << u.num_blocks) - 1 & ~(1 << b1 - 1)):
+            for b2 in block_ids(h):
+                got[b1, b2] += (p,)
+    assert got == {pair: fp for pair, fp in expected.items() if fp}
+    pairs = random.Random(36).sample(sorted(expected), min(300, len(expected)))
+    assert {pair: full_points(u, *pair) for pair in pairs} == {pair: expected[pair] for pair in pairs}
+
+
+def _row_by_definition(expected, b1, partners):
+    """`full_point_row(u, b1, partners)` from the definition's table: each
+    point that is full for some partner other than b1, with the bitset of
+    those partners, in increasing order of points."""
+    hits = defaultdict(int)
+    for b2 in block_ids(partners):
+        for p in expected.get((b1, b2), ()):
+            hits[p] |= 1 << b2 - 1
+    return sorted(hits.items())
 
 
 @pytest.mark.parametrize("name", ["appendix", "H(4)", "relabelled appendix"])
-def test_full_point_rows_match_definition(name, appendix, h4):
-    """Each row lists the pairs with >= 2 full points and counts the pairs
-    with none and with one, over exactly the disjoint b2 > b1."""
+def test_full_point_row_matches_definition(name, appendix, h4):
+    """Each block's row over every block (its own included), the later
+    disjoint blocks, a seeded random subset that holds blocks meeting it, a
+    single block, and none; and `classify_unital` counts the disjoint pairs
+    by their number of full points as the definition does."""
     u = {"appendix": appendix, "H(4)": h4.unital}.get(name) or _relabelled_appendix(appendix)
     expected = _full_points_by_definition(u)
-    rows = list(full_point_rows(u))
-    assert [b1 for b1, *_ in rows] == list(u.block_indices())
-    blocks = [set(b) for b in u.all_blocks]
-    for b1, empty, single, sets in rows:
-        row = {b2: expected[b1, b2] for b2 in range(b1 + 1, u.num_blocks + 1) if not blocks[b1 - 1] & blocks[b2 - 1]}
-        assert sets == {b2: fp for b2, fp in row.items() if len(fp) >= 2}
-        assert list(sets) == sorted(sets)
-        assert (empty, single) == (sum(not fp for fp in row.values()), sum(len(fp) == 1 for fp in row.values()))
-        assert empty + single + len(sets) == len(row)
+    rng = random.Random(36)
+    full = (1 << u.num_blocks) - 1
+    for b1, meets in enumerate(u.block_meets, start=1):
+        subset = rng.getrandbits(u.num_blocks)
+        assert subset & meets & ~(1 << b1 - 1)
+        for partners in (full, ~meets >> b1 << b1 & full, subset, 1 << rng.randrange(u.num_blocks), 0):
+            assert full_point_row(u, b1, partners) == _row_by_definition(expected, b1, partners)
+    counts = Counter()
+    for pa, k in classify_unital(u).pair_kinds.items():
+        counts[pa.full_point_count] += k
+    assert counts == Counter(len(expected[pair]) for pair in u.disjoint_block_pairs())
 
 
 def _persp_group_by_definition(u):
@@ -272,9 +302,7 @@ def _persp_group_by_definition(u):
 def test_persp_group_matches_definition(name, appendix, appendix_pair_fp, h3):
     """Every disjoint pair with >= 2 full points, both ways round."""
     u = appendix if name == "appendix" else h3.unital
-    pair_fp = appendix_pair_fp if name == "appendix" else {
-        (b1, b2): full_points(u, b1, b2) for b1, b2 in u.disjoint_block_pairs()
-    }
+    pair_fp = appendix_pair_fp if name == "appendix" else pair_full_points(u)
     reference = _persp_group_by_definition(u)
     pairs = [(b1, b2, fp) for (b1, b2), fp in pair_fp.items() if len(fp) >= 2]
     pairs += [(b2, b1, fp) for b1, b2, fp in pairs]
@@ -304,3 +332,8 @@ def test_perspectivity_between_a_block_and_itself_rejected(appendix):
         perspectivity_map(appendix, 1, 30, 1)
     with pytest.raises(SameBlock):
         persp_group(appendix, 1, 1, fp=(30, 31))
+    # the block ids are checked first, so a bad id given twice is out of range
+    with pytest.raises(IndexError, match="block index 300 outside 1..208"):
+        perspectivity_map(appendix, 300, 30, 300)
+    with pytest.raises(IndexError, match="block index 0 outside 1..208"):
+        persp_group(appendix, 0, 0, fp=(30, 31))
