@@ -91,12 +91,6 @@ class AbstractUnital:
     def blocks_disjoint(self, i: int, j: int) -> bool:
         return not self.block_meets[self.block_pos(i)] >> self.block_pos(j) & 1
 
-    def points(self) -> range:
-        return range(1, self.num_points + 1)
-
-    def block_indices(self) -> range:
-        return range(1, self.num_blocks + 1)
-
     def disjoint_block_pairs(self):
         """All unordered disjoint block pairs (i, j) with i < j."""
         full = (1 << self.num_blocks) - 1

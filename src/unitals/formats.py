@@ -6,7 +6,7 @@ Two interchange formats are supported, both with 1-based point ids:
   comma- or space-separated, ``#`` comments); the point count is the maximum id;
 * JSON: an object with "order", "points" and "blocks" fields; "order" is
   checked against block 1, and any other field, such as the "name" that
-  the serializers write, is ignored.
+  `serialize_json` writes, is ignored.
 """
 
 from __future__ import annotations
@@ -95,12 +95,6 @@ def _parse_text(text: str) -> UnitalFile:
     if not blocks:
         raise ParseError("no blocks found")
     return UnitalFile(max(map(max, blocks)), tuple(blocks))
-
-
-def serialize_text(u: AbstractUnital, name: str = "unital") -> str:
-    lines = [f"# {name}: order {u.order}, {u.num_points} points, {u.num_blocks} blocks"]
-    lines.extend(" ".join(str(p) for p in blk) for blk in u.all_blocks)
-    return "\n".join(lines) + "\n"
 
 
 def serialize_json(u: AbstractUnital, name: str = "unital") -> str:

@@ -179,21 +179,14 @@ def _cyclic(*factors):
     return _direct(*((m, [tuple(range(1, m)) + (0,)]) for m in factors))
 
 
-def _metacyclic(m, n, t):
-    """C_m : C_n as the maps x -> t^j x + c of Z_m, paired with y -> y + j on Z_n."""
-    assert pow(t, n, m) == 1
-    shift = tuple(range(1, m)) + (0,) + tuple(range(m, m + n))
-    twist = tuple(t * x % m for x in range(m)) + tuple(range(m + 1, m + n)) + (m,)
-    return m + n, [shift, twist]
-
-
-def _dicyclic(m):
-    """Dic_m = <a, b | a^(2m) = 1, b^2 = a^m, bab^-1 = a^-1> acting on itself
-    from the right; a^i b^j is point i + 2mj."""
-    r = 2 * m
-    a = tuple((i + 1) % r for i in range(r)) + tuple(r + (i - 1) % r for i in range(r))
-    b = tuple(range(r, 2 * r)) + tuple((i + m) % r for i in range(r))
-    return 2 * r, [a, b]
+def _metacyclic(m, n, t, s=0):
+    """<a, b | a^m = 1, b^n = a^s, bab^-1 = a^t> acting on itself from the
+    right; a^i b^j is point i + mj, a sends it to a^(i + t^j) b^j, and b to
+    a^i b^(j+1), or to a^(i+s) when j = n-1."""
+    assert pow(t, n, m) == 1 and s * t % m == s % m
+    a = tuple((i + pow(t, j, m)) % m + m * j for j in range(n) for i in range(m))
+    b = tuple(i + m * (j + 1) if j < n - 1 else (i + s) % m for j in range(n) for i in range(m))
+    return m * n, [a, b]
 
 
 def _sym(n, even_only=False):
@@ -235,11 +228,11 @@ def _models() -> tuple:
     # dihedral groups, named by their order
     models += [(2 * m, "S3" if m == 3 else f"D{2 * m}", partial(_metacyclic, m, 2, m - 1)) for m in range(3, 13)]
     models += [
-        (8, "Q8", lambda: _dicyclic(2)),
-        (12, "C3 : C4", lambda: _dicyclic(3)),
-        (16, "Q16", lambda: _dicyclic(4)),
-        (20, "Dic5", lambda: _dicyclic(5)),
-        (24, "Dic6", lambda: _dicyclic(6)),
+        (8, "Q8", lambda: _metacyclic(4, 2, 3, 2)),
+        (12, "C3 : C4", lambda: _metacyclic(3, 4, 2)),
+        (16, "Q16", lambda: _metacyclic(8, 2, 7, 4)),
+        (20, "Dic5", lambda: _metacyclic(5, 4, 4)),
+        (24, "Dic6", lambda: _metacyclic(12, 2, 11, 6)),
         (16, "SD16", lambda: _metacyclic(8, 2, 3)),
         (16, "M16", lambda: _metacyclic(8, 2, 5)),
         (16, "C4 : C4", lambda: _metacyclic(4, 4, 3)),
@@ -252,15 +245,15 @@ def _models() -> tuple:
         (120, "S5", lambda: _sym(5)),
         # the translations of Z3 x Z3 and x -> -x
         (18, "(C3 x C3) : C2", lambda: (6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3), (0, 2, 1, 3, 5, 4)])),
-        (18, "C3 x S3", lambda: _direct(_cyclic(3), _metacyclic(3, 2, 2))),
+        (18, "C3 x S3", lambda: _metacyclic(3, 6, 2)),
         (16, "C2 x D8", lambda: _direct(_cyclic(2), _metacyclic(4, 2, 3))),
-        (16, "C2 x Q8", lambda: _direct(_cyclic(2), _dicyclic(2))),
+        (16, "C2 x Q8", lambda: _direct(_cyclic(2), _metacyclic(4, 2, 3, 2))),
         (24, "C2 x A4", lambda: _direct(_cyclic(2), _sym(4, even_only=True))),
-        (24, "C4 x S3", lambda: _direct(_cyclic(4), _metacyclic(3, 2, 2))),
+        (24, "C4 x S3", lambda: _metacyclic(12, 2, 5)),
         (24, "C2 x C2 x S3", lambda: _direct(_cyclic(2, 2), _metacyclic(3, 2, 2))),
-        (24, "C2 x (C3 : C4)", lambda: _direct(_cyclic(2), _dicyclic(3))),
-        (24, "C3 x D8", lambda: _direct(_cyclic(3), _metacyclic(4, 2, 3))),
-        (24, "C3 x Q8", lambda: _direct(_cyclic(3), _dicyclic(2))),
+        (24, "C2 x (C3 : C4)", lambda: _metacyclic(6, 4, 5)),
+        (24, "C3 x D8", lambda: _metacyclic(12, 2, 7)),
+        (24, "C3 x Q8", lambda: _metacyclic(12, 2, 7, 6)),
         (24, "SL(2,3)", _sl23),
     ]
     return tuple(models)

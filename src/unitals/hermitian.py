@@ -58,12 +58,6 @@ class Embedding(NamedTuple):
     point_coords: tuple  # point id (1-based) -> plane point
     line_coords: tuple  # block index (1-based) -> plane line
 
-    def block_line(self, i: int):
-        return self.line_coords[self.unital.block_pos(i)]
-
-    def point(self, pid: int):
-        return self.point_coords[self.unital.point_pos(pid)]
-
 
 def embedded_unital(plane: ProjectivePlane, points) -> Embedding:
     """The unital a plane point set carries, as its `Embedding`.

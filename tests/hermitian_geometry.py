@@ -60,7 +60,7 @@ def polar_triangles_through_block(emb, b) -> tuple:
     """The polar triangles on block b's line, as sorted block triples: its
     second side is any line through the line's pole (a line conjugate to
     it) that is not self-conjugate."""
-    plane, l1 = emb.plane, emb.block_line(b)
+    plane, l1 = emb.plane, emb.line_coords[b - 1]
     block_of = {l: i for i, l in enumerate(emb.line_coords, start=1)}
     triangles = {
         tuple(sorted((b, block_of[l2], block_of[third_side(plane, l1, l2)])))
@@ -71,7 +71,7 @@ def polar_triangles_through_block(emb, b) -> tuple:
 
 
 def all_polar_triangles(emb) -> set:
-    return {t for b in emb.unital.block_indices() for t in polar_triangles_through_block(emb, b)}
+    return {t for b in range(1, emb.unital.num_blocks + 1) for t in polar_triangles_through_block(emb, b)}
 
 
 def baer_subline(plane, p0, p1, p2) -> set:
@@ -97,9 +97,9 @@ def nuclei(plane, point_set) -> tuple:
 def pair_nuclei(emb, b1, b2) -> tuple:
     """The nuclei of b1 ∪ (l2 \\ b2), l2 the line of block b2."""
     u, plane = emb.unital, emb.plane
-    b2_pts = {emb.point(p) for p in u.block(b2)}
-    on_l2 = set(plane.points_on_line(emb.block_line(b2)))
-    return nuclei(plane, {emb.point(p) for p in u.block(b1)} | (on_l2 - b2_pts))
+    b2_pts = {emb.point_coords[p - 1] for p in u.block(b2)}
+    on_l2 = set(plane.points_on_line(emb.line_coords[b2 - 1]))
+    return nuclei(plane, {emb.point_coords[p - 1] for p in u.block(b1)} | (on_l2 - b2_pts))
 
 
 def gamma1(emb, b1, b2, nuc):
@@ -108,7 +108,7 @@ def gamma1(emb, b1, b2, nuc):
     l1 -> l2 -> l1, from one nucleus forward and from another (or the
     same) one back."""
     plane = emb.plane
-    l1, l2 = emb.block_line(b1), emb.block_line(b2)
+    l1, l2 = emb.line_coords[b1 - 1], emb.line_coords[b2 - 1]
     l1_pts, l2_pts = plane.points_on_line(l1), plane.points_on_line(l2)
 
     def project(center, points, line):

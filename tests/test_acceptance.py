@@ -72,7 +72,7 @@ def test_criterion_02_conjugate_pairs_even_q(capsys, h2, h4, h4_pair_fp):
             pair_fp = h4_pair_fp if q == 4 else pair_full_points(u)
             checked = 0
             for (b1, b2), fp in pair_fp.items():
-                l1, l2 = emb.block_line(b1), emb.block_line(b2)
+                l1, l2 = emb.line_coords[b1 - 1], emb.line_coords[b2 - 1]
                 if not conjugate(emb.plane, l1, l2):
                     continue
                 l3 = third_side(emb.plane, l1, l2)
@@ -86,14 +86,14 @@ def test_criterion_02_conjugate_pairs_even_q(capsys, h2, h4, h4_pair_fp):
 def test_criterion_03_triangles_per_block(capsys, h2, h4):
     with _Check(capsys, 3, "polar triangles per block: 1 for H(2), 6 for H(4)"):
         for emb, expected in ((h2, 1), (h4, 6)):
-            for b in emb.unital.block_indices():
+            for b in range(1, emb.unital.num_blocks + 1):
                 assert len(polar_triangles_through_block(emb, b)) == expected
 
 
 def test_criterion_04_nonconjugate_pairs_h4(capsys, h4, h4_pair_fp):
     with _Check(capsys, 4, "non-conjugate disjoint pairs of H(4) have at most 1 full point"):
         for (b1, b2), fp in h4_pair_fp.items():
-            l1, l2 = h4.block_line(b1), h4.block_line(b2)
+            l1, l2 = h4.line_coords[b1 - 1], h4.line_coords[b2 - 1]
             if not conjugate(h4.plane, l1, l2):
                 assert len(fp) <= 1
 
@@ -140,7 +140,7 @@ def test_criterion_08_no_knets_beyond_3(capsys, appendix, h4, h4_pair_fp, append
             nets = find_dual_3nets(u)
             # no 3-net extends to a 4-net
             for net in nets:
-                for c in u.block_indices():
+                for c in range(1, u.num_blocks + 1):
                     if c in net:
                         continue
                     if all(u.blocks_disjoint(c, b) for b in net):
@@ -170,8 +170,8 @@ def test_criterion_09_cyclicity_cross_check(capsys, appendix, h2, h4):
 def test_criterion_10_baer_sublines(capsys, h2, h3, h4):
     with _Check(capsys, 10, "every block of H(q) is a Baer subline, q=2,3,4"):
         for emb in (h2, h3, h4):
-            for b in emb.unital.block_indices():
-                coords = [emb.point(p) for p in emb.unital.block(b)]
+            for b in range(1, emb.unital.num_blocks + 1):
+                coords = [emb.point_coords[p - 1] for p in emb.unital.block(b)]
                 assert set(coords) <= baer_subline(emb.plane, *coords[:3])
 
 

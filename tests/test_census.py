@@ -23,7 +23,8 @@ from unitals.census import (
 from unitals.groups import closure, compose, is_cyclic_regular, structure_name
 from unitals.hermitian import hermitian_unital
 from unitals.nets import find_dual_3nets, is_cyclic_3net
-from unitals.persp import SameBlock, full_points, persp_generators, perspectivity_map
+from unitals.persp import SameBlock, persp_generators, perspectivity_map
+from conftest import full_points_by_definition
 
 
 def test_analyze_pair_appendix_golden(appendix):
@@ -63,18 +64,19 @@ def test_appendix_full_point_count_distribution(appendix_pair_fp):
 
 @pytest.mark.parametrize("name", ["h2", "appendix"])
 def test_one_pair_questions_share_one_analysis(request, name):
-    """`analyze_pair` returns the kernel's full points with its analysis,
-    and the triple predicates give that analysis's verdicts or reject an
-    intersecting pair, whose analysis has none: on every ordered pair of
-    H(2) and on 2,000 seeded ordered pairs of the appendix unital."""
+    """`analyze_pair` returns the full points that the definition gives,
+    with its analysis, and the triple predicates give that analysis's
+    verdicts or reject an intersecting pair, whose analysis has none: on
+    every ordered pair of H(2) and on 2,000 seeded ordered pairs of the
+    appendix unital."""
     fixture = request.getfixturevalue(name)
     u = getattr(fixture, "unital", fixture)
-    pairs = list(permutations(u.block_indices(), 2))
+    pairs = list(permutations(range(1, u.num_blocks + 1), 2))
     if len(pairs) > 2000:
         pairs = random.Random(2019).sample(pairs, 2000)
     for b1, b2 in pairs:
         fp, pa = analyze_pair(u, b1, b2)
-        assert fp == full_points(u, b1, b2)
+        assert fp == full_points_by_definition(u)[b1, b2]
         if u.blocks_disjoint(b1, b2):
             assert None not in (pa.fpr, pa.sfpr)
             assert (is_fpr_triple(u, b1, b2), is_sfpr_triple(u, b1, b2)) == (pa.fpr, pa.sfpr)

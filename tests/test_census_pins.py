@@ -7,9 +7,9 @@ from collections import Counter
 import pytest
 
 from unitals.census import classify_unital, group_table_rows, large_set_rows, totals_row
-from unitals.design import validate_unital
 from unitals.hermitian import hermitian_unital
 from unitals.nets import find_dual_3nets, is_cyclic_3net
+from conftest import relabelled
 
 # Counter over (full points, group order, group name, fp structure) of the
 # disjoint pairs, then (FPR, SFPR, has large set, all large form a block,
@@ -80,24 +80,16 @@ def test_pinned_pair_census(designs, reports):
         assert _flags(designs[name], rep) == flags, name
 
 
-def _relabelled(u, rng):
-    labels = list(u.points())
-    rng.shuffle(labels)
-    blocks = [[labels[p - 1] for p in blk] for blk in u.all_blocks]
-    rng.shuffle(blocks)
-    return validate_unital(u.num_points, blocks)
-
-
 def test_census_invariant_under_relabelling(designs, reports):
     rng = random.Random(2019)
     for name in ("appendix", "H(4)"):
         rep = reports[name]
-        relabelled = _relabelled(designs[name], rng)
-        copy = classify_unital(relabelled)
+        u, _ = relabelled(designs[name], rng)
+        copy = classify_unital(u)
         assert group_table_rows([copy]) == group_table_rows([rep]), name
         assert totals_row(name, [copy]) == totals_row(name, [rep]), name
         assert large_set_rows([copy]) == large_set_rows([rep]), name
-        assert _nets(relabelled) == _nets(designs[name]), name
+        assert _nets(u) == _nets(designs[name]), name
 
 
 def test_pinned_pair_census_of_h5():

@@ -11,7 +11,8 @@ from click.testing import CliRunner
 
 from unitals import census, cli, formats, groups, nets
 from unitals.cli import main
-from unitals.formats import appendix_text, serialize_json, serialize_text
+from unitals.formats import appendix_text, serialize_json
+from conftest import block_list_text
 
 MALFORMED = {
     "points.json": b'{"order": 2, "points": "x", "blocks": [[1, 2, 3]]}',
@@ -231,7 +232,7 @@ def test_fullpoints_group_over_cap_gives_one_error_line(runner, appendix_file, s
 def test_census_skips_and_counts_a_group_over_cap(runner, tmp_path, h2, small_group_cap):
     src = tmp_path / "lib"
     src.mkdir()
-    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    (src / "h2.txt").write_text(block_list_text(h2.unital, "h2"))
     (src / "appendix.txt").write_text(appendix_text())
     prefix = str(tmp_path / "census")
     result = runner.invoke(main, ["census", str(src), "--out", prefix])
@@ -245,7 +246,7 @@ def test_census_skips_and_counts_a_group_over_cap(runner, tmp_path, h2, small_gr
 def test_census_writes_tables(runner, tmp_path, h2):
     src = tmp_path / "lib"
     src.mkdir()
-    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    (src / "h2.txt").write_text(block_list_text(h2.unital, "h2"))
     (src / "broken.txt").write_text("1 2 3\n")
     prefix = str(tmp_path / "census")
     result = runner.invoke(main, ["census", str(src), "--out", prefix])
@@ -273,7 +274,7 @@ def test_census_labels_the_library_by_its_directory_name(runner, tmp_path, h2):
     be, with or without a trailing slash."""
     src = tmp_path / 'lib, "q"'
     src.mkdir()
-    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    (src / "h2.txt").write_text(block_list_text(h2.unital, "h2"))
     for directory, prefix in ((str(src), "plain"), (str(src) + os.sep, "slash")):
         result = runner.invoke(main, ["census", directory, "--out", str(tmp_path / prefix)])
         assert result.exit_code == 0
@@ -285,7 +286,7 @@ def test_census_labels_the_library_by_its_directory_name(runner, tmp_path, h2):
 def test_census_skips_and_counts_malformed_files(runner, tmp_path, h2):
     src = tmp_path / "lib"
     src.mkdir()
-    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    (src / "h2.txt").write_text(block_list_text(h2.unital, "h2"))
     for name, content in MALFORMED.items():
         (src / name).write_bytes(content)
     prefix = str(tmp_path / "census")
@@ -306,7 +307,7 @@ def test_census_skips_and_counts_entries_that_are_not_regular_files(runner, tmp_
     alone, src = tmp_path / "alone" / "lib", tmp_path / "lib"
     for d in (alone, src):
         d.mkdir(parents=True)
-        (d / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+        (d / "h2.txt").write_text(block_list_text(h2.unital, "h2"))
     os.mkfifo(src / "fifo")
     os.symlink(tmp_path / "missing.txt", src / "dangling.txt")
     expected = runner.invoke(main, ["census", str(alone), "--out", str(tmp_path / "alone")])
@@ -353,8 +354,8 @@ def unreadable(monkeypatch):
 def test_census_skips_and_counts_unreadable_files(runner, tmp_path, h2, unreadable):
     src = tmp_path / "lib"
     src.mkdir()
-    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
-    (src / "locked.txt").write_text(serialize_text(h2.unital, "h2"))
+    (src / "h2.txt").write_text(block_list_text(h2.unital, "h2"))
+    (src / "locked.txt").write_text(block_list_text(h2.unital, "h2"))
     result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "census")])
     assert result.exit_code == 0
     assert "census of 1 unital(s)" in result.output and "1 file(s) skipped" in result.output
@@ -368,7 +369,7 @@ def test_census_skips_and_counts_unreadable_files(runner, tmp_path, h2, unreadab
 )
 def test_unreadable_file_gives_one_error_line(runner, tmp_path, h2, unreadable, args, code):
     locked = tmp_path / "locked.txt"
-    locked.write_text(serialize_text(h2.unital, "h2"))
+    locked.write_text(block_list_text(h2.unital, "h2"))
     result = runner.invoke(main, [args[0], str(locked), *args[1:]])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
@@ -396,7 +397,7 @@ def test_fifo_gives_one_error_line(tmp_path, args, code):
 def test_census_checks_out_dir_before_classifying(runner, tmp_path, h2, monkeypatch):
     src = tmp_path / "lib"
     src.mkdir()
-    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    (src / "h2.txt").write_text(block_list_text(h2.unital, "h2"))
     classified = []
     monkeypatch.setattr(cli, "_census_worker", classified.append)
     result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "missing" / "census")])
@@ -408,7 +409,7 @@ def test_census_checks_out_dir_before_classifying(runner, tmp_path, h2, monkeypa
 def test_census_table_that_cannot_be_written_gives_one_error_line(runner, tmp_path, h2):
     src = tmp_path / "lib"
     src.mkdir()
-    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    (src / "h2.txt").write_text(block_list_text(h2.unital, "h2"))
     prefix = tmp_path / "census"
     (tmp_path / "census_groups.csv").mkdir()
     result = runner.invoke(main, ["census", str(src), "--out", str(prefix)])
@@ -423,7 +424,7 @@ def test_census_opens_its_tables_before_classifying(runner, tmp_path, h2, monkey
     file is classified, so a file that would be skipped prints nothing."""
     src = tmp_path / "lib"
     src.mkdir()
-    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    (src / "h2.txt").write_text(block_list_text(h2.unital, "h2"))
     (src / "notes.txt").write_text("not a unital\n")
     prefix = tmp_path / "census"
     (tmp_path / "census_groups.csv").mkdir()
@@ -439,7 +440,7 @@ def test_census_opens_its_tables_before_classifying(runner, tmp_path, h2, monkey
 def test_second_census_into_its_directory_reads_none_of_its_tables(runner, tmp_path, h2, monkeypatch):
     src = tmp_path / "lib"
     src.mkdir()
-    (src / "h2.txt").write_text(serialize_text(h2.unital, "h2"))
+    (src / "h2.txt").write_text(block_list_text(h2.unital, "h2"))
     prefix = os.path.join(str(src), "run")
     first = runner.invoke(main, ["census", str(src), "--out", prefix])
     tables = {name: (src / name).read_text() for name in ("run_groups.csv", "run_totals.csv", "run_large.csv")}
@@ -455,7 +456,7 @@ def test_second_census_into_its_directory_reads_none_of_its_tables(runner, tmp_p
 
 def test_census_worker_returns_the_report_unchanged(tmp_path, h2):
     p = tmp_path / "h2.txt"
-    p.write_text(serialize_text(h2.unital, "h2"))
+    p.write_text(block_list_text(h2.unital, "h2"))
     path, report, error = cli._census_worker(str(p))
     assert (path, error) == (str(p), None)
     assert report == census.classify_unital(h2.unital)

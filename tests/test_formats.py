@@ -12,13 +12,13 @@ from unitals.formats import (
     load_unital,
     parse_unital,
     serialize_json,
-    serialize_text,
 )
+from conftest import block_list_text
 
 
 def test_text_round_trip(h2):
     u = h2.unital
-    again = parse_unital(serialize_text(u, "h2")).validate()
+    again = parse_unital(block_list_text(u, "h2")).validate()
     assert again.all_blocks == u.all_blocks
     assert again.num_points == u.num_points
 
@@ -140,7 +140,7 @@ def test_validate_catches_bad_designs():
 
 def test_load_unital(tmp_path, h3):
     p = tmp_path / "h3.txt"
-    p.write_text(serialize_text(h3.unital, "h3"))
+    p.write_text(block_list_text(h3.unital, "h3"))
     u = load_unital(p)
     assert u.order == 3 and u.num_points == 28
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import block_list_text
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
@@ -75,12 +77,18 @@ def test_records_keep_their_fields_and_refuse_assignment(h2):
                 setattr(record, name, None)
 
 
-def test_every_benchmark_trace_target_exists():
-    """Each `TARGETS` entry of `perfbench/tracing.py`, read without installing
-    the tracer, names a callable `module` attribute or `Class.attr` in it."""
+def _tracing():
+    """`perfbench/tracing.py`, loaded without installing the tracer."""
     spec = importlib.util.spec_from_file_location("tracing", os.path.join(SRC, os.pardir, "perfbench", "tracing.py"))
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_benchmark_trace_target_exists():
+    """Each `TARGETS` entry of `perfbench/tracing.py`, read without installing
+    the tracer, names a callable `module` attribute or `Class.attr` in it."""
+    tracing = _tracing()
     missing = []
     for name, module, attr, _ in tracing.TARGETS:
         owner = importlib.import_module(module)
@@ -91,16 +99,50 @@ def test_every_benchmark_trace_target_exists():
     assert len(tracing.TARGETS) > 20 and missing == []
 
 
+def test_every_public_function_in_src_has_a_caller_beyond_the_tests():
+    """Each public function or method that `src/unitals` defines is named in
+    `src/unitals` beyond its own `def`, exported in `unitals.__all__`, the
+    last part of a `TARGETS` entry of `perfbench/tracing.py`, or a
+    `@main.command`; a name that only the tests call does not belong in
+    the package.  `GaloisField.is_in_subfield` stays for the non-classical
+    embedded unitals that ROADMAP plans.  A use is matched by name alone,
+    so a method named like a common attribute (a `points()` method, beside
+    the many `.points` fields) would pass unseen."""
+    import unitals
+
+    tracing = _tracing()
+    kept = set(unitals.__all__) | {attr.split(".")[-1] for _, _, attr, _ in tracing.TARGETS}
+    defined, named = [], set()
+    for path in sorted(Path(SRC, "unitals").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unused = [
+        qualname
+        for qualname, f in defined
+        if not f.name.startswith("_")
+        and f.name not in named | kept
+        and not any(ast.unparse(d).startswith("main.command") for d in f.decorator_list)
+    ]
+    assert unused == ["GaloisField.is_in_subfield"]
+
+
 def test_census_classifies_every_file_in_its_own_process(tmp_path):
     """Whatever UNITAL_THREADS says, the census calls `_census_worker` once
     per file, in sorted order, and starts no worker process."""
-    from unitals.formats import serialize_json, serialize_text
+    from unitals.formats import serialize_json
     from unitals.hermitian import hermitian_unital
 
     h2 = hermitian_unital(2).unital
     lib = tmp_path / "lib"
     lib.mkdir()
-    (lib / "b.txt").write_text(serialize_text(h2, "h2"))
+    (lib / "b.txt").write_text(block_list_text(h2, "h2"))
     (lib / "a.json").write_text(serialize_json(h2, "h2"))
     (lib / "c.txt").write_text("1 2 3\n")
     out = _run(

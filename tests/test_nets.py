@@ -13,11 +13,11 @@ from unitals.nets import (
     is_group_based,
     latin_square_from_3net,
 )
-from unitals.design import AbstractUnital, block_ids, validate_unital
+from unitals.design import AbstractUnital, block_ids
 from unitals.groups import closure, compose, is_cyclic_regular, relative_to_first
 from unitals.hermitian import hermitian_unital
 from unitals.persp import full_points, persp_group
-from conftest import pair_full_points
+from conftest import pair_full_points, relabelled
 
 APPENDIX_NET = (1, 33, 200)
 
@@ -116,13 +116,13 @@ def test_dual_knet_matches_definition(appendix, h2, h4):
     H(4), that net with its first block disjoint from all three, and with
     the first two disjoint blocks disjoint from all three, where two exist."""
     rng = random.Random(3)
-    cases = [(h2.unital, t) for t in product(h2.unital.block_indices(), repeat=3)]
-    cases += [(appendix, rng.sample(appendix.block_indices(), k)) for k in (3, 4) for _ in range(2000)]
+    cases = [(h2.unital, t) for t in product(range(1, h2.unital.num_blocks + 1), repeat=3)]
+    cases += [(appendix, rng.sample(range(1, appendix.num_blocks + 1), k)) for k in (3, 4) for _ in range(2000)]
     extended = 0
     for u in (appendix, h4.unital):
         for net in find_dual_3nets(u):
             met = u.block_meets[net[0] - 1] | u.block_meets[net[1] - 1] | u.block_meets[net[2] - 1]
-            free = [c for c in u.block_indices() if not met >> c - 1 & 1]
+            free = [c for c in range(1, u.num_blocks + 1) if not met >> c - 1 & 1]
             cases += [(u, net), (u, net + (free[0],))]
             pair = next(((c, d) for c, d in combinations(free, 2) if u.blocks_disjoint(c, d)), None)
             if pair:
@@ -189,17 +189,6 @@ def _dual_3nets_from_full_points(u):
     return tuple(sorted(nets))
 
 
-def _relabelled_copy(u, rng):
-    """A copy with the points relabelled and the blocks shuffled, and the
-    map from each block's old index to its new one."""
-    labels = list(u.points())
-    rng.shuffle(labels)
-    order = list(u.block_indices())
-    rng.shuffle(order)  # new block i is old block order[i-1]
-    copy = validate_unital(u.num_points, [[labels[p - 1] for p in u.block(b)] for b in order])
-    return copy, {old: new for new, old in enumerate(order, start=1)}
-
-
 def test_find_dual_3nets_matches_full_point_search(appendix, h2, h3, h4):
     """The meet-key search equals the full-point search on the appendix
     unital and H(2)-H(5), and on two fixed-seed relabelled copies each of
@@ -212,7 +201,7 @@ def test_find_dual_3nets_matches_full_point_search(appendix, h2, h3, h4):
         base = find_dual_3nets(u)
         assert len(base) == count
         for _ in range(2):
-            copy, new = _relabelled_copy(u, rng)
+            copy, new = relabelled(u, rng)
             nets = find_dual_3nets(copy)
             assert nets == _dual_3nets_from_full_points(copy)
             assert nets == tuple(sorted(tuple(sorted(new[b] for b in net)) for net in base))
@@ -295,7 +284,7 @@ def _triple_cases(appendix, h2):
     rng = random.Random(11)
     cases = [(appendix, net) for net in nets]
     cases += [(appendix, (1, *rng.sample(range(2, appendix.num_blocks + 1), 2))) for _ in range(2000)]
-    return cases + [(h2.unital, t) for t in product(h2.unital.block_indices(), repeat=3)]
+    return cases + [(h2.unital, t) for t in product(range(1, h2.unital.num_blocks + 1), repeat=3)]
 
 
 def test_latin_square_raises_exactly_off_dual_3nets(appendix, h2):
@@ -317,7 +306,7 @@ def test_cyclic_3net_raises_exactly_off_dual_3nets(appendix, h2, h4, h4_triangle
     square's group, names C_{n+1}; everywhere else it is a ValueError."""
     cases = _triple_cases(appendix, h2)
     for net in sorted(h4_triangles)[:3]:
-        for i, b in product(range(3), h4.unital.block_indices()):
+        for i, b in product(range(3), range(1, h4.unital.num_blocks + 1)):
             cases.append((h4.unital, net[:i] + (b,) + net[i + 1 :]))
     found = 0
     for u, net in cases:

@@ -6,7 +6,7 @@ import pytest
 
 from unitals import persp
 from unitals.census import classify_unital
-from unitals.design import block_ids, validate_unital
+from unitals.design import block_ids
 from unitals.groups import closure, structure_name
 from unitals.persp import (
     SameBlock,
@@ -15,7 +15,7 @@ from unitals.persp import (
     persp_group,
     perspectivity_map,
 )
-from conftest import pair_full_points
+from conftest import full_points_by_definition, pair_full_points, relabelled
 from hermitian_geometry import normalize
 
 
@@ -118,7 +118,7 @@ def test_not_a_full_point_rejected(appendix):
     fp = set(full_points(appendix, 1, 33))
     non_full = next(
         p
-        for p in appendix.points()
+        for p in range(1, appendix.num_points + 1)
         if p not in fp and p not in appendix.block(1) + appendix.block(33)
     )
     with pytest.raises(ValueError, match=rf"point {non_full} is not a full point of \(1,33\)"):
@@ -197,31 +197,8 @@ def test_h3_disjoint_pair_groups_cyclic_dividing_8(h3):
 
 
 @cache
-def _full_points_by_definition(u) -> dict:
-    """Full points of every ordered block pair, from the definition alone: a
-    point P off both blocks is full exactly when every block through P that
-    meets b1 also meets b2.  Uses only the block list.  Computed once per
-    unital, for the two tests that read it."""
-    blocks = [frozenset(b) for b in u.all_blocks]
-    meets = [frozenset(j for j, c in enumerate(blocks) if b & c) for b in blocks]
-    through = {p: [j for j, c in enumerate(blocks) if p in c] for p in u.points()}
-    out = {}
-    for i, bi in enumerate(blocks):
-        joins = [(p, frozenset(c for c in through[p] if c in meets[i])) for p in u.points() if p not in bi]
-        for j, bj in enumerate(blocks):
-            if j != i:
-                out[i + 1, j + 1] = tuple(p for p, js in joins if p not in bj and js <= meets[j])
-    return out
-
-
-@cache
 def _relabelled_appendix(appendix):
-    rng = random.Random(2026)
-    labels = list(appendix.points())
-    rng.shuffle(labels)
-    blocks = [[labels[p - 1] for p in blk] for blk in appendix.all_blocks]
-    rng.shuffle(blocks)
-    return validate_unital(appendix.num_points, blocks)
+    return relabelled(appendix, random.Random(2026))[0]
 
 
 @pytest.mark.parametrize("name", ["appendix", "H(2)", "H(3)", "relabelled appendix"])
@@ -229,9 +206,9 @@ def test_full_points_match_definition_on_all_ordered_pairs(name, appendix, h2, h
     """Each block's row over every other block, and `full_points` on 300
     seeded ordered pairs (all 132 of H(2))."""
     u = {"appendix": appendix, "H(2)": h2.unital, "H(3)": h3.unital}.get(name) or _relabelled_appendix(appendix)
-    expected = _full_points_by_definition(u)
+    expected = full_points_by_definition(u)
     got = defaultdict(tuple)
-    for b1 in u.block_indices():
+    for b1 in range(1, u.num_blocks + 1):
         for p, h in full_point_row(u, b1, (1 << u.num_blocks) - 1 & ~(1 << b1 - 1)):
             for b2 in block_ids(h):
                 got[b1, b2] += (p,)
@@ -258,7 +235,7 @@ def test_full_point_row_matches_definition(name, appendix, h4):
     single block, and none; and `classify_unital` counts the disjoint pairs
     by their number of full points as the definition does."""
     u = {"appendix": appendix, "H(4)": h4.unital}.get(name) or _relabelled_appendix(appendix)
-    expected = _full_points_by_definition(u)
+    expected = full_points_by_definition(u)
     rng = random.Random(36)
     full = (1 << u.num_blocks) - 1
     for b1, meets in enumerate(u.block_meets, start=1):
@@ -287,7 +264,7 @@ def _persp_group_by_definition(u):
 
     def elements(b1, b2):
         s1, s2 = sets[b1 - 1], sets[b2 - 1]
-        fp = [p for p in u.points() if p not in s1 | s2 and all(join[p, q] & s2 for q in s1)]
+        fp = [p for p in range(1, u.num_points + 1) if p not in s1 | s2 and all(join[p, q] & s2 for q in s1)]
         if not fp:
             return None
         pos1 = {q: i for i, q in enumerate(sorted(s1))}
@@ -318,7 +295,7 @@ def test_persp_group_of_intersecting_pairs_matches_definition(appendix, h4):
     rng = random.Random(4)
     for u in (appendix, h4.unital):
         reference = _persp_group_by_definition(u)
-        ordered = (rng.sample(u.block_indices(), 2) for _ in range(800))
+        ordered = (rng.sample(range(1, u.num_blocks + 1), 2) for _ in range(800))
         pairs = [(b1, b2) for b1, b2 in ordered if not u.blocks_disjoint(b1, b2)]
         assert len(pairs) >= 250
         for b1, b2 in pairs:

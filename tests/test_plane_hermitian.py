@@ -298,16 +298,6 @@ def test_lines_through_point_by_incidence():
         assert plane.lines_through_point(p) == tuple(l for l in plane.lines if on(plane, p, l))
 
 
-def test_embedding_rejects_out_of_range_indices(h2):
-    # H(2) has 12 blocks and 9 points
-    for i in (0, -1, 13):
-        with pytest.raises(IndexError):
-            h2.block_line(i)
-    for pid in (0, -1, 10):
-        with pytest.raises(IndexError):
-            h2.point(pid)
-
-
 def test_line_secant_types():
     q = 3
     plane = hermitian_plane(q)
@@ -334,7 +324,7 @@ def test_polar_triangle_completion_coordinate_axes():
 @pytest.mark.parametrize("q,per_block", [(2, 1), (3, 3), (4, 6)])
 def test_polar_triangle_counts(q, per_block):
     emb = hermitian_unital(q)
-    for i in emb.unital.block_indices():
+    for i in range(1, emb.unital.num_blocks + 1):
         assert len(polar_triangles_through_block(emb, i)) == per_block
 
 
@@ -343,7 +333,7 @@ def test_polar_triangle_lines_mutually_conjugate_not_self_conjugate():
         emb = hermitian_unital(q)
         plane = emb.plane
         for tri in all_polar_triangles(emb):
-            lines = [emb.block_line(b) for b in tri]
+            lines = [emb.line_coords[b - 1] for b in tri]
             for l in lines:
                 assert not conjugate(plane, l, l)
             for i in range(3):
@@ -356,7 +346,7 @@ def test_conjugate_line_meets_are_off_curve():
     emb = hermitian_unital(3)
     plane = emb.plane
     for tri in all_polar_triangles(emb):
-        l1, l2 = emb.block_line(tri[0]), emb.block_line(tri[1])
+        l1, l2 = emb.line_coords[tri[0] - 1], emb.line_coords[tri[1] - 1]
         m = cross(plane, l1, l2)
         assert not conjugate(plane, m, m)
 
@@ -365,17 +355,17 @@ def test_embedding_maps_are_consistent(h3):
     plane = h3.plane
     curve = set(self_conjugate_points(plane))
     assert set(h3.point_coords) == curve
-    for i in h3.unital.block_indices():
-        line = h3.block_line(i)
+    for i in range(1, h3.unital.num_blocks + 1):
+        line = h3.line_coords[i - 1]
         on_line = {p for p in plane.points_on_line(line) if p in curve}
-        assert {h3.point(p) for p in h3.unital.block(i)} == on_line
+        assert {h3.point_coords[p - 1] for p in h3.unital.block(i)} == on_line
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_hermitian_blocks_are_baer_sublines(q):
     emb = hermitian_unital(q)
-    for i in emb.unital.block_indices():
-        pts = [emb.point(p) for p in emb.unital.block(i)]
+    for i in range(1, emb.unital.num_blocks + 1):
+        pts = [emb.point_coords[p - 1] for p in emb.unital.block(i)]
         assert set(pts) <= baer_subline(emb.plane, *pts[:3])
 
 
@@ -385,9 +375,9 @@ def test_perturbed_baer_subline_fails():
     are no Baer subline, in either order."""
     emb = hermitian_unital(3)
     plane = emb.plane
-    for i in emb.unital.block_indices():
-        pts = [emb.point(p) for p in emb.unital.block(i)]
-        off_block = [p for p in plane.points_on_line(emb.block_line(i)) if p not in pts]
+    for i in range(1, emb.unital.num_blocks + 1):
+        pts = [emb.point_coords[p - 1] for p in emb.unital.block(i)]
+        off_block = [p for p in plane.points_on_line(emb.line_coords[i - 1]) if p not in pts]
         assert len(off_block) == 10 - 4  # q^2+1 points on the line, q+1 on the block
         for repl in off_block:
             cand = pts[:3] + [repl]
@@ -397,7 +387,7 @@ def test_perturbed_baer_subline_fails():
 
 def test_three_points_vacuously_baer():
     emb = hermitian_unital(2)
-    pts = [emb.point(p) for p in emb.unital.block(1)[:3]]
+    pts = [emb.point_coords[p - 1] for p in emb.unital.block(1)[:3]]
     assert set(pts) <= baer_subline(emb.plane, *pts)
 
 
@@ -419,7 +409,7 @@ def test_full_points_subset_of_nuclei(h2):
     u = h2.unital
     for b1, b2 in u.disjoint_block_pairs():
         fp = full_points(u, b1, b2)
-        assert {h2.point(p) for p in fp} <= set(pair_nuclei(h2, b1, b2))
+        assert {h2.point_coords[p - 1] for p in fp} <= set(pair_nuclei(h2, b1, b2))
 
 
 def test_gamma1_on_h4_polar_pairs(h4, h4_triangles):
@@ -432,15 +422,15 @@ def test_gamma1_on_h4_polar_pairs(h4, h4_triangles):
         assert order % p != 0
         assert 15 % order == 0  # divides q^2 - 1
         assert group.is_cyclic()
-        l1 = h4.block_line(b1)
-        z = cross(plane, l1, h4.block_line(b2))
+        l1 = h4.line_coords[b1 - 1]
+        z = cross(plane, l1, h4.line_coords[b2 - 1])
         line = cross(plane, *nuc[:2]) if len(nuc) >= 2 else None
         assert line is None or all(on(plane, n, line) for n in nuc)  # the nuclei are collinear
         assert line is None or not on(plane, z, line)
         fixed = {t for i, t in enumerate(plane.points_on_line(l1)) if all(g[i] == i for g in group.generators)}
         assert order > 1 and z in fixed and len(fixed) == 2  # Z and one more common fixed point, V1
         (v1,) = fixed - {z}
-        assert v1 not in {h4.point(x) for x in h4.unital.block(b1)}
+        assert v1 not in {h4.point_coords[x - 1] for x in h4.unital.block(b1)}
 
 
 def test_gamma1_on_nonconjugate_disjoint_pairs(h3):
@@ -455,7 +445,7 @@ def test_gamma1_on_nonconjugate_disjoint_pairs(h3):
         assert (3 * 3 - 1) % max(order, 1) == 0 or order == 1
         assert 8 % order == 0
         assert order % 3 != 0
-        z = cross(plane, h3.block_line(b1), h3.block_line(b2))
+        z = cross(plane, h3.line_coords[b1 - 1], h3.line_coords[b2 - 1])
         line = cross(plane, *nuc[:2]) if len(nuc) >= 2 else None
         assert line is None or all(on(plane, n, line) for n in nuc)  # the nuclei are collinear
         assert line is None or not on(plane, z, line)
