@@ -12,7 +12,7 @@ _MODULE_OF = {
     "GaloisField": "gf",
     "structure_name": "groups",
     "Embedding": "hermitian", "hermitian_unital": "hermitian",
-    "full_points": "persp", "persp_group": "persp", "perspectivity_map": "persp",
+    "full_points": "persp", "persp_group": "persp",
     "find_dual_3nets": "nets", "is_cyclic_3net": "nets", "is_dual_knet": "nets", "is_group_based": "nets",
     "latin_square_from_3net": "nets",
 }

@@ -50,11 +50,11 @@ class UnitalReport(NamedTuple):
     is_sfpr: bool
 
 
+EMPTY = PairAnalysis(0, None, None, FP_EMPTY, True, True)
+SINGLE = PairAnalysis(1, None, None, FP_SINGLE, True, True)
+
+
 def _classify_structure(fp, secants: int) -> str:
-    if len(fp) == 0:
-        return FP_EMPTY
-    if len(fp) == 1:
-        return FP_SINGLE
     if secants.bit_count() == 1:
         return FP_IN_BLOCK
     if secants.bit_count() == len(fp) * (len(fp) - 1) // 2:  # one secant per pair of points
@@ -87,14 +87,12 @@ def group_triples():
 
 def _analyze(u: AbstractUnital, b1: int, b2: int, fp, groups) -> PairAnalysis:
     """The analysis of the disjoint pair (b1, b2) from its full points `fp`."""
-    secants, group = 0, (None, None, True)  # (order, name, cyclic and semiregular)
-    if len(fp) >= 2:
-        secants = u.secants(fp)
-        group = groups(persp_generators(u, b1, b2, fp))
-    fpr = len(fp) <= 1 or secants.bit_count() == 1 and not secants & (u.block_meets[b1 - 1] | u.block_meets[b2 - 1])
-    sfpr = fpr and group[2]
-    structure = _classify_structure(fp, secants)
-    return PairAnalysis(len(fp), group[0], group[1], structure, fpr, sfpr)
+    if len(fp) <= 1:
+        return SINGLE if fp else EMPTY
+    secants = u.secants(fp)
+    order, name, cyclic_semiregular = groups(persp_generators(u, b1, b2, fp))
+    fpr = secants.bit_count() == 1 and not secants & (u.block_meets[b1 - 1] | u.block_meets[b2 - 1])
+    return PairAnalysis(len(fp), order, name, _classify_structure(fp, secants), fpr, fpr and cyclic_semiregular)
 
 
 def analyze_pair(u: AbstractUnital, b1: int, b2: int) -> tuple[tuple[int, ...], PairAnalysis]:
@@ -130,7 +128,6 @@ def is_sfpr_triple(u: AbstractUnital, b1: int, b2: int) -> bool:
 def classify_unital(u: AbstractUnital) -> UnitalReport:
     """Analyse every disjoint pair once into the report's Counter."""
     groups, pair_kinds = group_triples(), Counter()
-    small = [_analyze(u, None, None, fp, groups) for fp in ((), (None,))]  # reads no block and no point
     full = (1 << u.num_blocks) - 1
     for b1, meets in enumerate(u.block_meets, start=1):
         later = ~meets >> b1 << b1 & full  # blocks b2 > b1 disjoint from b1
@@ -144,7 +141,7 @@ def classify_unital(u: AbstractUnital) -> UnitalReport:
                 sets[b2].append(p)
         pair_kinds.update(_analyze(u, b1, b2, tuple(fp), groups) for b2, fp in sets.items())
         empty, single = later.bit_count() - once.bit_count(), once.bit_count() - twice.bit_count()
-        pair_kinds.update({pa: k for pa, k in zip(small, (empty, single)) if k})  # no key counts 0
+        pair_kinds.update({pa: k for pa, k in ((EMPTY, empty), (SINGLE, single)) if k})  # no key counts 0
     return UnitalReport(
         order=u.order,
         pair_kinds=pair_kinds,

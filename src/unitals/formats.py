@@ -36,9 +36,6 @@ class UnitalFile(NamedTuple):
     points: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def validate(self) -> AbstractUnital:
-        return validate_unital(self.points, self.blocks)
-
 
 def parse_unital(text: str) -> UnitalFile:
     return _parse_json(text) if text.lstrip().startswith("{") else _parse_text(text)
@@ -112,7 +109,7 @@ def load_unital(path) -> AbstractUnital:
         raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}") from None
     except OSError as e:
         raise ParseError(f"cannot read file: {e.strerror or e}") from None
-    return parse_unital(text).validate()
+    return validate_unital(*parse_unital(text))
 
 
 def appendix_text() -> str:
@@ -129,4 +126,4 @@ def builtin_appendix_unital() -> AbstractUnital:
     """The embedded 65-point, 208-block unital of order 4."""
     if appendix_digest() != APPENDIX_SHA256:
         raise RuntimeError("embedded appendix dataset has drifted from its pinned hash")
-    return parse_unital(appendix_text()).validate()
+    return validate_unital(*parse_unital(appendix_text()))

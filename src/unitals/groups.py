@@ -73,8 +73,8 @@ def _cycle_lengths(p: tuple) -> list[int]:
 class PermGroup:
     """All elements of a permutation group, each an image tuple.
 
-    Element orders come from cycle types, read once here; order, abelian
-    flag, spectrum, cyclicity and semiregularity all derive from them.
+    Element orders come from cycle types, read once here; order, spectrum,
+    cyclicity and semiregularity all derive from them.
     """
 
     def __init__(self, degree, generators, elements):
@@ -89,13 +89,9 @@ class PermGroup:
             self._spectrum[o] += 1
             if o > 1 and 1 in lengths:
                 self._semiregular = False
-        self._abelian = all(compose(a, b) == compose(b, a) for a, b in combinations(self.generators, 2))
 
     def order(self) -> int:
         return len(self.elements)
-
-    def is_abelian(self) -> bool:
-        return self._abelian
 
     def is_cyclic(self) -> bool:
         return self.order() in self._spectrum
@@ -160,7 +156,8 @@ def generated(degree, generators, limit=None) -> PermGroup | None:
 
 
 def _key(group: PermGroup) -> tuple:
-    return (group.order(), group.is_abelian(), frozenset(group.element_order_spectrum().items()))
+    abelian = all(compose(a, b) == compose(b, a) for a, b in combinations(group.generators, 2))
+    return (group.order(), abelian, frozenset(group.element_order_spectrum().items()))
 
 
 def _direct(*models):
@@ -273,8 +270,11 @@ def _catalog(order: int) -> dict:
 def structure_name(group: PermGroup) -> str:
     """Human-readable isomorphism-type label, e.g. "C5", "D10", "C5 : C4".
 
-    Falls back to a descriptive label when the (order, abelian, spectrum)
-    key does not identify a unique catalog entry.
+    The catalog key (order, abelian flag, spectrum) decides isomorphism only
+    below order 16.  A key that names no unique entry gets a descriptive
+    label: C4 : C4 and C2 x Q8 both do, and the Pauli group and C2^2 : C4,
+    which the catalog lacks, share one, so a census table counts them in
+    one row.
     """
     n = group.order()
     if n == 1:

@@ -44,16 +44,10 @@ def full_points(u: AbstractUnital, b1: int, b2: int) -> tuple[int, ...]:
     return tuple(p for p, _ in full_point_row(u, b1, 1 << b2 - 1))
 
 
-def perspectivity_map(u: AbstractUnital, b1: int, center: int, b2: int) -> tuple[int, ...]:
-    """The projection of b1 onto b2 with the given full point as center, as
-    an image tuple: entry i is the position in b2 of the image of the i-th
-    point of b1.  The center's join row names the join of each point, so
-    each point of b1 is mapped by looking up its join among b2's."""
-    return projections(u, b1, b2, (center,))[0]
-
-
 def projections(u: AbstractUnital, b1: int, b2: int, centers) -> list[tuple[int, ...]]:
-    """`perspectivity_map` from each center in turn; the blocks are checked once."""
+    """The projection of b1 onto b2 from each full point in `centers`: entry
+    i of its image tuple is the position in b2 of the join of the center and
+    the i-th point of b1.  The blocks are checked once, then each center."""
     pts1, pts2 = u.block(b1), u.block(b2)
     if b1 == b2:
         raise SameBlock("a perspectivity needs two distinct blocks")

@@ -3,7 +3,7 @@ from functools import cache
 import pytest
 
 from unitals.design import block_ids, validate_unital
-from unitals.persp import full_point_row
+from unitals.persp import full_point_row, projections
 from unitals.formats import builtin_appendix_unital
 from unitals.hermitian import hermitian_unital
 from hermitian_geometry import all_polar_triangles
@@ -22,6 +22,11 @@ def pair_full_points(u, disjoint=True) -> dict:
                 fps[b2].append(p)
         out.update(((b1, b2), tuple(fp)) for b2, fp in fps.items())
     return out
+
+
+def perspectivity_map(u, b1, center, b2) -> tuple[int, ...]:
+    """The projection of b1 onto b2 from one full point: `projections` with one center."""
+    return projections(u, b1, b2, (center,))[0]
 
 
 @cache

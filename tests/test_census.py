@@ -23,8 +23,8 @@ from unitals.census import (
 from unitals.groups import closure, compose, is_cyclic_regular, structure_name
 from unitals.hermitian import hermitian_unital
 from unitals.nets import find_dual_3nets, is_cyclic_3net
-from unitals.persp import SameBlock, persp_generators, perspectivity_map
-from conftest import full_points_by_definition
+from unitals.persp import SameBlock, persp_generators
+from conftest import full_points_by_definition, perspectivity_map
 
 
 def test_analyze_pair_appendix_golden(appendix):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from unitals.census import classify_unital
-from unitals.design import NotAUnital
+from unitals.design import NotAUnital, validate_unital
 from unitals.formats import (
     APPENDIX_SHA256,
     ParseError,
@@ -18,7 +18,7 @@ from conftest import block_list_text
 
 def test_text_round_trip(h2):
     u = h2.unital
-    again = parse_unital(block_list_text(u, "h2")).validate()
+    again = validate_unital(*parse_unital(block_list_text(u, "h2")))
     assert again.all_blocks == u.all_blocks
     assert again.num_points == u.num_points
 
@@ -28,7 +28,7 @@ def test_json_round_trip(h2):
     text = serialize_json(u, "h2")
     uf = parse_unital(text)
     assert uf.points == 9
-    assert uf.validate().all_blocks == u.all_blocks
+    assert validate_unital(*uf).all_blocks == u.all_blocks
 
 
 @pytest.mark.parametrize("name", [None, "h2", 5, [1]], ids=["absent", "string", "int", "list"])
@@ -40,7 +40,7 @@ def test_json_name_is_ignored(h2, name):
         del obj["name"]
     else:
         obj["name"] = name
-    u = parse_unital(json.dumps(obj)).validate()
+    u = validate_unital(*parse_unital(json.dumps(obj)))
     assert u.all_blocks == h2.unital.all_blocks
     assert classify_unital(u) == classify_unital(h2.unital)
 
@@ -135,7 +135,7 @@ def test_empty_input():
 def test_validate_catches_bad_designs():
     # 3 blocks on 9 points is not a 2-(9,3,1) design
     with pytest.raises(NotAUnital):
-        parse_unital("1 2 3\n4 5 6\n7 8 9\n").validate()
+        validate_unital(*parse_unital("1 2 3\n4 5 6\n7 8 9\n"))
 
 
 def test_load_unital(tmp_path, h3):

@@ -230,6 +230,38 @@ def test_structure_name_fallback_is_descriptive():
     assert structure_name(g).startswith("G(order=16")
 
 
+def _right_regular(elements, mul, generators):
+    """The group of the right translations x -> x g by the generators, on the positions of `elements`."""
+    index = {x: i for i, x in enumerate(elements)}
+    return closure([tuple(index[mul(x, g)] for x in elements) for g in generators])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+def test_structure_name_tells_the_pauli_group_from_c2_squared_by_c4():
+    """C2^2 : C4, where k in Z4 swaps the coordinates of v in F2^2 when k is
+    odd, and the Pauli group <X, Y, Z> have centres C2 x C2 and C4, so they
+    are not isomorphic; both have order 16 and element orders {1:1, 2:7, 4:8}."""
+
+    def semidirect(a, b):
+        (v, k), (w, m) = a, b
+        w = w[::-1] if k % 2 else w
+        return (v[0] ^ w[0], v[1] ^ w[1]), (k + m) % 4
+
+    def matmul(a, b):
+        return a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3], a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]
+
+    pairs = [((x, y), k) for x in range(2) for y in range(2) for k in range(4)]
+    c2_squared_by_c4 = _right_regular(pairs, semidirect, [((0, 0), 1), ((1, 0), 0)])
+    paulis = [(0, 1, 1, 0), (0, -1j, 1j, 0), (1, 0, 0, -1)]
+    pauli_group = [(1, 0, 0, 1)]
+    for a in pauli_group:  # grows while it is read
+        for c in (matmul(a, g) for g in paulis):
+            if c not in pauli_group:
+                pauli_group.append(c)
+    pauli = _right_regular(pauli_group, matmul, paulis)
+    assert structure_name(c2_squared_by_c4) != structure_name(pauli)
+
+
 def _q8_table():
     # quaternion units 1,-1,i,-i,j,-j,k,-k encoded 0..7
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]

@@ -101,17 +101,19 @@ def test_every_benchmark_trace_target_exists():
 
 def test_every_public_function_in_src_has_a_caller_beyond_the_tests():
     """Each public function or method that `src/unitals` defines is named in
-    `src/unitals` beyond its own `def`, exported in `unitals.__all__`, the
-    last part of a `TARGETS` entry of `perfbench/tracing.py`, or a
-    `@main.command`; a name that only the tests call does not belong in
-    the package.  `GaloisField.is_in_subfield` stays for the non-classical
-    embedded unitals that ROADMAP plans.  A use is matched by name alone,
-    so a method named like a common attribute (a `points()` method, beside
-    the many `.points` fields) would pass unseen."""
-    import unitals
+    `src/unitals` beyond its own `def`, in the README's library tour, or as
+    the last part of a `TARGETS` entry of `perfbench/tracing.py`, or it is a
+    `@main.command`; a name that only the tests call does not belong in the
+    package, and an export in `unitals.__all__` is not a use.
+    `GaloisField.is_in_subfield` stays for the non-classical embedded
+    unitals that ROADMAP plans.  A use is matched by name alone, so a method
+    named like a common attribute (a `points()` method, beside the many
+    `.points` fields) would pass unseen."""
+    from test_readme import library_tour
 
     tracing = _tracing()
-    kept = set(unitals.__all__) | {attr.split(".")[-1] for _, _, attr, _ in tracing.TARGETS}
+    kept = {attr.split(".")[-1] for _, _, attr, _ in tracing.TARGETS}
+    kept |= {node.id for node in ast.walk(ast.parse(library_tour())) if isinstance(node, ast.Name)}
     defined, named = [], set()
     for path in sorted(Path(SRC, "unitals").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -175,7 +177,7 @@ def test_star_import_binds_each_public_name_to_its_definition():
         "    assert vars(unitals)[name] is obj, name\n"
         "print(len(unitals.__all__))\n"
     )
-    assert int(out) == 19
+    assert int(out) == 18
 
 
 def test_unknown_name_raises_attribute_error():

@@ -13,9 +13,8 @@ from unitals.persp import (
     full_point_row,
     full_points,
     persp_group,
-    perspectivity_map,
 )
-from conftest import full_points_by_definition, pair_full_points, relabelled
+from conftest import full_points_by_definition, pair_full_points, perspectivity_map, relabelled
 from hermitian_geometry import normalize
 
 
