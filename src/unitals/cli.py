@@ -60,11 +60,15 @@ def _write(fh, fill) -> None:
         _fail("OUT", f"cannot write {fh.name}: {e.strerror or e}")
 
 
+# the code of each way a unital file fails, in every command that reads one
+_CODES = {formats.ParseError: "PARSE", NotAUnital: "NOT_A_UNITAL", GroupTooLarge: "GROUP"}
+
+
 def _load(file: str):
     try:
         return formats.load_unital(file)
-    except (formats.ParseError, NotAUnital) as e:
-        _fail("LOAD", str(e))
+    except tuple(_CODES) as e:
+        _fail(_CODES[type(e)], str(e))
 
 
 class _Group(click.Group):
@@ -95,12 +99,7 @@ def main() -> None:
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def validate(file: str) -> None:
     """Validate FILE as a 2-(n^3+1, n+1, 1) design."""
-    try:
-        u = formats.load_unital(file)
-    except formats.ParseError as e:
-        _fail("PARSE", str(e))
-    except NotAUnital as e:
-        _fail("NOT_A_UNITAL", str(e))
+    u = _load(file)
     _echo(f"OK: unital of order {u.order} with {u.num_points} points and {u.num_blocks} blocks")
 
 
@@ -149,7 +148,7 @@ def fullpoints(file: str, pair: str) -> None:
     except (IndexError, SameBlock) as e:  # from full_points, which checks both ids before any analysis
         _fail("ARGS", f"--blocks: {e}")
     except GroupTooLarge as e:
-        _fail("GROUP", str(e))
+        _fail(_CODES[type(e)], str(e))
     _echo(f"full points of ({b1},{b2}): {list(fp)}")
     _echo(f"group order {pa.group_order}, structure {pa.group_name}" if pa.group_order is not None
           else "group trivial (fewer than 2 full points)")
@@ -172,14 +171,14 @@ def dualnets(file: str, latin: bool) -> None:
 
 
 def _census_worker(path):
-    """Classify one file as (path, report, error); error says why the file
-    is skipped.  `census` looks this name up for each file, so a wrapper
-    bound to it sees every file."""
+    """Classify one file as (path, report, error); error is ``CODE: reason``
+    for a file that is skipped.  `census` looks this name up for each file,
+    so a wrapper bound to it sees every file."""
     try:
         u = formats.load_unital(path)
         return (path, census_mod.classify_unital(u), None)
-    except (formats.ParseError, NotAUnital, GroupTooLarge) as e:
-        return (path, None, str(e))
+    except tuple(_CODES) as e:
+        return (path, None, f"{_CODES[type(e)]}: {e}")
 
 
 @main.command("census")

@@ -19,6 +19,8 @@ class NotAUnital(ValueError):
 
 def block_ids(mask: int):
     """The blocks of a bitset over blocks (bit i-1 for block i), in increasing order."""
+    if mask < 0:  # infinitely many set bits
+        raise ValueError(f"negative block mask {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length()

@@ -35,8 +35,6 @@ def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    while out and out[-1] == 0:
-        out.pop()
     return out
 
 
@@ -57,8 +55,6 @@ def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
 def _is_irreducible(m: list[int], p: int) -> bool:
     """Trial division by all monic polynomials of degree up to deg(m)/2."""
     deg = len(m) - 1
-    if deg == 1:
-        return True
     for d in range(1, deg // 2 + 1):
         for fint in range(p**d, 2 * p**d):
             f = _digits(fint, p)

@@ -6,7 +6,7 @@ no stabilizer-chain machinery is needed.  Structure names come from a
 catalog keyed by (order, abelian flag, element-order spectrum), built per
 order from permutation models of the small groups it covers, enumerated
 and keyed by the same code as the groups it names; ambiguous keys fall back
-to a descriptive label.
+to a label of invariants.
 """
 
 from __future__ import annotations
@@ -271,16 +271,19 @@ def structure_name(group: PermGroup) -> str:
     """Human-readable isomorphism-type label, e.g. "C5", "D10", "C5 : C4".
 
     The catalog key (order, abelian flag, spectrum) decides isomorphism only
-    below order 16.  A key that names no unique entry gets a descriptive
-    label: C4 : C4 and C2 x Q8 both do, and the Pauli group and C2^2 : C4,
-    which the catalog lacks, share one, so a census table counts them in
-    one row.
+    below order 16.  A key that names no unique entry gets a label of
+    invariants: the key, the element-order spectrum of the centre and the
+    number of squares.  They tell C4 : C4 from C2 x Q8 and the Pauli group
+    from C2^2 : C4, but equal labels do not prove two groups isomorphic.
     """
     n = group.order()
     if n == 1:
         return "1"
-    name = _catalog(n).get(_key(group))
+    key = _key(group)
+    name = _catalog(n).get(key)
     if name:
         return name
-    spec_str = ", ".join(f"{o}:{c}" for o, c in sorted(group.element_order_spectrum().items()))
-    return f"G(order={n}, spectrum={{{spec_str}}})"
+    centre = Counter(lcm(*_cycle_lengths(z)) for z in group.elements if all(compose(z, g) == compose(g, z) for g in group.generators))
+    squares = len({compose(g, g) for g in group.elements})
+    spectra = [", ".join(f"{o}:{c}" for o, c in sorted(s.items())) for s in (group.element_order_spectrum(), centre)]
+    return f"G(order={n}, abelian={key[1]}, spectrum={{{spectra[0]}}}, centre={{{spectra[1]}}}, squares={squares})"

@@ -194,6 +194,16 @@ ROWS = (
             ),
         ),
     ),
+    # a file that is not a unital is skipped with one line, coded as `validate` would name its failure
+    Row(
+        "census-one-skipped",
+        ("census", "skip-in", "--out", "skip"),
+        mkdir=("skip-in",),
+        copy=(("h2.json", "skip-in"), ("h4.coords", "skip-in")),
+        stdout="census of 1 unital(s) written to skip_groups.csv, skip_totals.csv, skip_large.csv (1 file(s) skipped)\n",
+        stderr="skipped skip-in/h4.coords: PARSE: non-integer token: '[0' (line 2)\n",
+        files=(("skip_totals.csv", "library,unitals,fpr,sfpr\nskip-in,1,1,1\n"),),
+    ),
     # a census table that cannot be written (a directory is in its way) is one ERROR OUT line and exit 1
     Row(
         "census-unwritable-table",

@@ -238,7 +238,7 @@ def test_census_skips_and_counts_a_group_over_cap(runner, tmp_path, h2, small_gr
     result = runner.invoke(main, ["census", str(src), "--out", prefix])
     assert result.exit_code == 0
     assert "census of 1 unital(s)" in result.output and "1 file(s) skipped" in result.output
-    assert f"skipped {src / 'appendix.txt'}: group order exceeds cap 100" in result.output
+    assert f"skipped {src / 'appendix.txt'}: GROUP: group order exceeds cap 100" in result.output
     with open(prefix + "_totals.csv") as fh:
         assert list(csv.reader(fh))[1] == ["lib", "1", "1", "1"]
 
@@ -314,8 +314,8 @@ def test_census_skips_and_counts_entries_that_are_not_regular_files(runner, tmp_
     result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "lib")])
     assert expected.exit_code == 0 and result.exit_code == 0
     assert result.stderr.splitlines() == [
-        f"skipped {src / 'dangling.txt'}: cannot read file: No such file or directory",
-        f"skipped {src / 'fifo'}: not a regular file",
+        f"skipped {src / 'dangling.txt'}: PARSE: cannot read file: No such file or directory",
+        f"skipped {src / 'fifo'}: PARSE: not a regular file",
     ]
     assert result.stdout.startswith("census of 1 unital(s)") and result.stdout.endswith(" (2 file(s) skipped)\n")
     for table in ("groups", "totals", "large"):
@@ -359,30 +359,26 @@ def test_census_skips_and_counts_unreadable_files(runner, tmp_path, h2, unreadab
     result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "census")])
     assert result.exit_code == 0
     assert "census of 1 unital(s)" in result.output and "1 file(s) skipped" in result.output
-    assert f"skipped {src / 'locked.txt'}: cannot read file: Permission denied" in result.output
+    assert f"skipped {src / 'locked.txt'}: PARSE: cannot read file: Permission denied" in result.output
 
 
-@pytest.mark.parametrize(
-    "args, code",
-    [(["validate"], "PARSE"), (["fullpoints", "--blocks", "1,2"], "LOAD"), (["dualnets"], "LOAD")],
-    ids=["validate", "fullpoints", "dualnets"],
-)
-def test_unreadable_file_gives_one_error_line(runner, tmp_path, h2, unreadable, args, code):
+# each command that reads one unital FILE, with the options it needs
+READERS = [["validate"], ["fullpoints", "--blocks", "1,2"], ["dualnets"]]
+
+
+@pytest.mark.parametrize("args", READERS, ids=[args[0] for args in READERS])
+def test_unreadable_file_gives_one_error_line(runner, tmp_path, h2, unreadable, args):
     locked = tmp_path / "locked.txt"
     locked.write_text(block_list_text(h2.unital, "h2"))
     result = runner.invoke(main, [args[0], str(locked), *args[1:]])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.output.startswith(f"ERROR {code}: cannot read file") and result.output.count("ERROR") == 1
+    assert result.output.startswith("ERROR PARSE: cannot read file") and result.output.count("ERROR") == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
-@pytest.mark.parametrize(
-    "args, code",
-    [(["validate"], "PARSE"), (["fullpoints", "--blocks", "1,2"], "LOAD"), (["dualnets"], "LOAD")],
-    ids=["validate", "fullpoints", "dualnets"],
-)
-def test_fifo_gives_one_error_line(tmp_path, args, code):
+@pytest.mark.parametrize("args", READERS, ids=[args[0] for args in READERS])
+def test_fifo_gives_one_error_line(tmp_path, args):
     """A FIFO passes click's exists check; reading it would wait for a writer forever."""
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
@@ -391,7 +387,31 @@ def test_fifo_gives_one_error_line(tmp_path, args, code):
     command = [sys.executable, "-m", "unitals.cli", args[0], str(fifo), *args[1:]]
     run = subprocess.run(command, capture_output=True, text=True, env=env, timeout=20)
     assert run.returncode == 1
-    assert run.stdout == "" and run.stderr.splitlines() == [f"ERROR {code}: not a regular file"]
+    assert run.stdout == "" and run.stderr.splitlines() == ["ERROR PARSE: not a regular file"]
+
+
+@pytest.mark.parametrize("name", [*sorted(MALFORMED), "not-a-unital.txt"])
+def test_every_command_names_a_bad_file_alike(runner, tmp_path, name):
+    """`validate`, `fullpoints` and `dualnets` fail on a file with one
+    ``ERROR CODE: reason`` line, and `census` skips it with the same
+    ``CODE: reason``: a file that does not parse is PARSE, one that parses
+    but is no unital NOT_A_UNITAL."""
+    src = tmp_path / "lib"
+    src.mkdir()
+    bad = src / name
+    bad.write_bytes(MALFORMED.get(name, b"1 2 3\n4 5 6\n"))
+    failures = []
+    for args in READERS:
+        result = runner.invoke(main, [args[0], str(bad), *args[1:]])
+        assert result.exit_code == 1 and result.stdout == ""
+        [line] = result.stderr.splitlines()
+        failures.append(line.removeprefix("ERROR "))
+    result = runner.invoke(main, ["census", str(src), "--out", str(tmp_path / "census")])
+    assert result.exit_code == 0 and result.stdout.endswith(" (1 file(s) skipped)\n")
+    [line] = result.stderr.splitlines()
+    failures.append(line.removeprefix(f"skipped {bad}: "))
+    code = "PARSE" if name in MALFORMED else "NOT_A_UNITAL"
+    assert failures == [failures[0]] * 4 and failures[0].startswith(f"{code}: ")
 
 
 def test_census_checks_out_dir_before_classifying(runner, tmp_path, h2, monkeypatch):

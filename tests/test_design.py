@@ -1,6 +1,6 @@
 import pytest
 
-from unitals.design import NotAUnital, validate_unital
+from unitals.design import NotAUnital, block_ids, validate_unital
 
 
 def ag23_lines():
@@ -29,6 +29,13 @@ def test_ag23_is_order2_unital():
     u = validate_unital(9, lines)
     assert u.order == 2
     assert u.num_blocks == 12
+
+
+def test_block_ids_lists_set_bits_and_refuses_a_negative_mask():
+    """A negative int has infinitely many set bits, so it would list ids forever."""
+    assert list(block_ids(0)) == [] and list(block_ids(0b100101)) == [1, 3, 6]
+    with pytest.raises(ValueError, match="negative block mask -1"):
+        next(block_ids(-1))
 
 
 def test_duplicate_block_rejected():

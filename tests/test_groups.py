@@ -218,7 +218,7 @@ def test_structure_name_of_every_subgroup_of_s5():
 
 def test_structure_name_fallback_is_descriptive():
     # Q8 x C2 and C4 : C4 share (order, abelian, spectrum): the catalog
-    # must refuse to guess
+    # must refuse to guess, and the label tells them apart by their 2 and 3 squares
     table = _q8_table()
     rows = [
         tuple(table[a1][a2] * 2 + (s1 + s2) % 2 for a2 in range(8) for s2 in range(2))
@@ -228,6 +228,8 @@ def test_structure_name_fallback_is_descriptive():
     g = PermGroup(16, rows, rows)  # the left translations of Q8 x C2
     assert g.order() == 16
     assert structure_name(g).startswith("G(order=16")
+    (c4_by_c4,) = (closure(build()[1]) for _, name, build in groups._models() if name == "C4 : C4")
+    assert structure_name(g).endswith("squares=2)") and structure_name(c4_by_c4).endswith("squares=3)")
 
 
 def _right_regular(elements, mul, generators):
@@ -236,7 +238,6 @@ def _right_regular(elements, mul, generators):
     return closure([tuple(index[mul(x, g)] for x in elements) for g in generators])
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
 def test_structure_name_tells_the_pauli_group_from_c2_squared_by_c4():
     """C2^2 : C4, where k in Z4 swaps the coordinates of v in F2^2 when k is
     odd, and the Pauli group <X, Y, Z> have centres C2 x C2 and C4, so they
@@ -260,6 +261,21 @@ def test_structure_name_tells_the_pauli_group_from_c2_squared_by_c4():
                 pauli_group.append(c)
     pauli = _right_regular(pauli_group, matmul, paulis)
     assert structure_name(c2_squared_by_c4) != structure_name(pauli)
+
+
+def test_structure_name_tells_c3_cubed_from_the_heisenberg_group():
+    """C3^3, from three disjoint 3-cycles, and the Heisenberg group, from the
+    two translations of F3^2 and the shear (x, y) -> (x + y, y), both act on
+    9 points with order 27 and element orders {1:1, 3:26}; only C3^3 is abelian."""
+    c3_cubed = closure([(1, 2, 0, 3, 4, 5, 6, 7, 8), (0, 1, 2, 4, 5, 3, 6, 7, 8), (0, 1, 2, 3, 4, 5, 7, 8, 6)])
+    points = [(x, y) for x in range(3) for y in range(3)]
+    acting = lambda f: tuple(points.index(f(x, y)) for x, y in points)
+    heisenberg = closure([
+        acting(lambda x, y: ((x + 1) % 3, y)), acting(lambda x, y: (x, (y + 1) % 3)), acting(lambda x, y: ((x + y) % 3, y)),
+    ])
+    assert c3_cubed.order() == heisenberg.order() == 27
+    assert c3_cubed.element_order_spectrum() == heisenberg.element_order_spectrum() == {1: 1, 3: 26}
+    assert structure_name(c3_cubed) != structure_name(heisenberg)
 
 
 def _q8_table():
